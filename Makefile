@@ -17,12 +17,16 @@ vet:
 build:
 	$(GO) build ./...
 
+# -timeout turns a hang into a failure with a goroutine dump per
+# package. The race detector slows the root package's exploration-heavy
+# gates several-fold (about two minutes on 2 CPUs), so race gets more.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 120s ./...
 
 # race pins the concurrent subsystems' data-sharing discipline: the
 # multi-threaded coordinator and the distributed protocol deliberately
-# share offer maps across goroutines/rounds (internal/engine/race_test.go,
+# share components' variable stores (their value slices) with offers
+# across goroutines/rounds (internal/engine/race_test.go,
 # internal/distributed/nodes_share_test.go), the parallel explorer
 # shares copy-on-write states and derived move tables across workers
 # (internal/lts/parallel_test.go), and the bipd service fans progress
@@ -30,7 +34,7 @@ test:
 # worker pool (serve/serve_test.go), so ./... must stay clean under the
 # race detector.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 300s ./...
 
 # bench prints one line per paper experiment (E1–E23); full tables via
 # `go run ./cmd/bipbench` (reference run recorded in EXPERIMENTS.md).

@@ -322,10 +322,10 @@ func BenchmarkStreamDeadlock(b *testing.B) {
 // every run) or the barrier-free work-stealing explorer (order=fast,
 // canonically identical — state/transition counts checked on every
 // run). allocs/op at workers=1 pins the slab arenas: state-store
-// headers, move tables and choice vectors are carved from per-worker
-// slabs, so the per-state allocation count must stay strictly below the
-// PR-4 baseline (218780 on rings). Reference timings are in
-// EXPERIMENTS.md.
+// headers, the participants' variable values, move tables and choice
+// vectors are carved from per-worker slabs, so the per-state
+// allocation count must stay strictly below the PR-4 baseline (218780
+// on rings). Reference timings are in EXPERIMENTS.md.
 func BenchmarkExplore(b *testing.B) {
 	rings, err := models.PhilosopherRings(5, 4)
 	if err != nil {

@@ -67,8 +67,8 @@ type (
 	Connector = core.Connector
 	// ConnectorEnd is one connector endpoint (trigger or synchron).
 	ConnectorEnd = core.ConnectorEnd
-	// InvariantChecker evaluates the atoms' designer-asserted invariants
-	// with a reusable frame; see System.NewInvariantChecker.
+	// InvariantChecker evaluates the atoms' designer-asserted invariants;
+	// see System.NewInvariantChecker.
 	InvariantChecker = core.InvariantChecker
 )
 

@@ -7,7 +7,6 @@ package behavior
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -109,9 +108,11 @@ type Atom struct {
 	// enabledness checks are a single lookup instead of a scan over every
 	// transition. Built by Validate.
 	transOn map[locPort]transGroup
-	// layout and the per-transition compiled guards/actions let the hot
-	// execution paths run over a flat value frame instead of a map-backed
-	// Env. Entries are nil when the transition has no guard/action.
+	// layout lays out every state's variable store (declaration order);
+	// it is built once by Validate and shared by all states of the atom.
+	// The per-transition compiled guards/actions run on those stores'
+	// value slices directly. Entries are nil when the transition has no
+	// guard/action.
 	layout   *expr.Layout
 	cGuards  []expr.CompiledBool
 	cActions []expr.CompiledStmt
@@ -214,12 +215,12 @@ func (a *Atom) Validate() error {
 	return nil
 }
 
-// buildIndices precomputes the (location, port) transition index and
-// compiles guards and actions against the atom's variable layout. Called
-// at the end of a successful Validate, so every referenced name is known
-// to be declared and compilation cannot fail; if it ever does, the nil
-// compiled entry makes the caller fall back to the interpreter, which
-// reports the real error.
+// buildIndices precomputes the (location, port) transition index, the
+// variable layout of the atom's states, and compiles guards and actions
+// against that layout. Called at the end of a successful Validate, so
+// every referenced name is known to be declared and compilation cannot
+// fail; if it ever does, the nil compiled entry makes the caller fall
+// back to the interpreter, which reports the real error.
 func (a *Atom) buildIndices() {
 	a.transOn = make(map[locPort]transGroup)
 	for i, t := range a.Transitions {
@@ -229,14 +230,7 @@ func (a *Atom) buildIndices() {
 		g.guarded = g.guarded || t.Guard != nil
 		a.transOn[k] = g
 	}
-	names := make([]string, len(a.Vars))
-	for i, v := range a.Vars {
-		names[i] = v.Name
-	}
-	layout, err := expr.NewLayout(names)
-	if err != nil {
-		return
-	}
+	layout := a.newLayout()
 	a.layout = layout
 	a.cGuards = make([]expr.CompiledBool, len(a.Transitions))
 	a.cActions = make([]expr.CompiledStmt, len(a.Transitions))
@@ -277,49 +271,55 @@ func (a *Atom) compiledAction(i int) expr.CompiledStmt {
 	return nil
 }
 
-// frameOf copies vars into a fresh frame in layout order. It reports
-// false when vars does not bind exactly the declared variables, in which
-// case callers must use the map-based interpreter path.
-func (a *Atom) frameOf(vars expr.MapEnv) ([]expr.Value, bool) {
-	return a.fillFrame(vars, make([]expr.Value, len(a.Vars)))
+// newLayout lays out the declared variables in declaration order. The
+// names are distinct once Validate has checked them; an unvalidated
+// atom with duplicate names is a programming error.
+func (a *Atom) newLayout() *expr.Layout {
+	names := make([]string, len(a.Vars))
+	for i, v := range a.Vars {
+		names[i] = v.Name
+	}
+	l, err := expr.NewLayout(names)
+	if err != nil {
+		panic(fmt.Sprintf("behavior: atom %s: %v (atom not validated?)", a.Name, err))
+	}
+	return l
 }
 
-// fillFrame copies vars into the caller-provided frame (len == number of
-// declared variables) in layout order, with the same exactness contract
-// as frameOf.
-func (a *Atom) fillFrame(vars expr.MapEnv, vals []expr.Value) ([]expr.Value, bool) {
-	if len(vars) != len(a.Vars) {
-		return nil, false
+// Layout returns the variable layout shared by the atom's states: the
+// declared variables in declaration order. It is nil before Validate.
+func (a *Atom) Layout() *expr.Layout { return a.layout }
+
+// compiled reports whether code compiled at Validate time may run on
+// vars: the store must be laid out by this atom's own layout. A store
+// over any other layout is read and written by name through the
+// interpreter, which is the reference semantics.
+func (a *Atom) compiled(vars expr.Slots) bool {
+	return a.layout != nil && vars.L == a.layout
+}
+
+// valueOf returns the value of declared variable i in vars.
+func (a *Atom) valueOf(vars expr.Slots, i int) expr.Value {
+	if a.compiled(vars) {
+		return vars.V[i]
 	}
-	for i, vd := range a.Vars {
-		v, ok := vars[vd.Name]
-		if !ok {
-			return nil, false
-		}
-		vals[i] = v
-	}
-	return vals, true
+	v, _ := vars.Get(a.Vars[i].Name)
+	return v
 }
 
 // BrokenInvariant evaluates the atom's invariants at vars and returns
 // the index of the first one that does not hold, or -1 when all hold. A
 // non-nil error reports an evaluation failure of invariant idx.
-// Invariants compiled at Validate time run over frame — the caller's
-// scratch, capacity ≥ len(a.Vars) — instead of the map env; the
-// interpreter remains the fallback (and the reference semantics).
-func (a *Atom) BrokenInvariant(vars expr.MapEnv, frame []expr.Value) (idx int, err error) {
-	if len(a.Invariants) == 0 {
-		return -1, nil
-	}
-	var vals []expr.Value
-	if a.cInvs != nil && cap(frame) >= len(a.Vars) {
-		vals, _ = a.fillFrame(vars, frame[:len(a.Vars)])
-	}
+// Invariants compiled at Validate time run on the store's values
+// directly; the interpreter remains the fallback (and the reference
+// semantics).
+func (a *Atom) BrokenInvariant(vars expr.Slots) (idx int, err error) {
+	compiled := a.compiled(vars)
 	for i, inv := range a.Invariants {
 		var holds bool
 		var err error
-		if vals != nil && i < len(a.cInvs) && a.cInvs[i] != nil {
-			holds, err = a.cInvs[i](vals)
+		if compiled && i < len(a.cInvs) && a.cInvs[i] != nil {
+			holds, err = a.cInvs[i](vars.V)
 		} else {
 			holds, err = expr.EvalBool(inv, vars)
 		}
@@ -370,13 +370,18 @@ func (a *Atom) HasVar(name string) bool {
 }
 
 // InitialState returns a fresh state at the initial location with all
-// variables at their declared initial values.
+// variables at their declared initial values, laid out by the atom's
+// layout.
 func (a *Atom) InitialState() State {
-	vars := make(expr.MapEnv, len(a.Vars))
-	for _, v := range a.Vars {
-		vars[v.Name] = v.Init
+	l := a.layout
+	if l == nil {
+		l = a.newLayout()
 	}
-	return State{Loc: a.Initial, Vars: vars}
+	vals := make([]expr.Value, len(a.Vars))
+	for i, v := range a.Vars {
+		vals[i] = v.Init
+	}
+	return State{Loc: a.Initial, Vars: expr.Slots{L: l, V: vals}}
 }
 
 // TransitionsOn returns the indices of transitions labelled by port that
@@ -419,14 +424,13 @@ func (a *Atom) EnabledView(s State, port string) ([]int, error) {
 	if !g.guarded {
 		return g.idx, nil
 	}
-	// One frame serves every compiled guard of the group.
-	vals, valsOK := a.frameOf(s.Vars)
+	compiled := a.compiled(s.Vars)
 	var out []int
 	for _, i := range g.idx {
 		var ok bool
 		var err error
-		if cg := a.compiledGuard(i); cg != nil && valsOK {
-			ok, err = cg(vals)
+		if cg := a.compiledGuard(i); cg != nil && compiled {
+			ok, err = cg(s.Vars.V)
 			if err != nil {
 				err = fmt.Errorf("atom %s: %w", a.Name, err)
 			}
@@ -466,67 +470,39 @@ func (a *Atom) enabledScan(s State, port string) ([]int, error) {
 // Exec fires transition index i from state s and returns the successor
 // state. The input state is not mutated.
 func (a *Atom) Exec(s State, i int) (State, error) {
-	if i < 0 || i >= len(a.Transitions) {
-		return State{}, fmt.Errorf("atom %s: transition index %d out of range", a.Name, i)
+	next := State{Loc: s.Loc, Vars: s.Vars.Clone()}
+	loc, err := a.ExecInPlace(next, i)
+	if err != nil {
+		return State{}, err
 	}
-	t := a.Transitions[i]
-	if t.From != s.Loc {
-		return State{}, fmt.Errorf("atom %s: transition %d starts at %q, state is at %q", a.Name, i, t.From, s.Loc)
-	}
-	if t.Action == nil {
-		return State{Loc: t.To, Vars: s.Vars.Clone()}, nil
-	}
-	// Compiled path: run the action over a flat frame and materialize the
-	// successor map from it, skipping the per-iteration map operations of
-	// the interpreter entirely.
-	if ca := a.compiledAction(i); ca != nil {
-		if vals, ok := a.frameOf(s.Vars); ok {
-			if err := ca(vals); err != nil {
-				return State{}, fmt.Errorf("atom %s: %w", a.Name, err)
-			}
-			vars := make(expr.MapEnv, len(vals))
-			for j, vd := range a.Vars {
-				vars[vd.Name] = vals[j]
-			}
-			return State{Loc: t.To, Vars: vars}, nil
-		}
-	}
-	next := State{Loc: t.To, Vars: s.Vars.Clone()}
-	if err := t.Action.Exec(next.Vars); err != nil {
-		return State{}, fmt.Errorf("atom %s: %w", a.Name, err)
-	}
+	next.Loc = loc
 	return next, nil
 }
 
 // ExecInPlace fires transition index i from state s, mutating s.Vars in
-// place, and returns the successor location. The caller must own s.Vars
-// exclusively; on error the variable store may be partially updated, so
-// the state must be discarded. It exists so that single-owner hot loops
-// (the engines' step contexts) avoid cloning the variable store on every
-// step.
+// place, and returns the successor location. The caller must own the
+// store's values exclusively; on error they may be partially updated,
+// so the state must be discarded. It exists so that single-owner hot
+// loops (the engines' step contexts) avoid copying the variable store
+// on every step.
 func (a *Atom) ExecInPlace(s State, i int) (string, error) {
 	if i < 0 || i >= len(a.Transitions) {
 		return "", fmt.Errorf("atom %s: transition index %d out of range", a.Name, i)
 	}
-	t := a.Transitions[i]
+	t := &a.Transitions[i]
 	if t.From != s.Loc {
 		return "", fmt.Errorf("atom %s: transition %d starts at %q, state is at %q", a.Name, i, t.From, s.Loc)
 	}
 	if t.Action == nil {
 		return t.To, nil
 	}
-	if ca := a.compiledAction(i); ca != nil {
-		if vals, ok := a.frameOf(s.Vars); ok {
-			if err := ca(vals); err != nil {
-				return "", fmt.Errorf("atom %s: %w", a.Name, err)
-			}
-			for j, vd := range a.Vars {
-				s.Vars[vd.Name] = vals[j]
-			}
-			return t.To, nil
-		}
+	var err error
+	if ca := a.compiledAction(i); ca != nil && a.compiled(s.Vars) {
+		err = ca(s.Vars.V)
+	} else {
+		err = t.Action.Exec(s.Vars)
 	}
-	if err := t.Action.Exec(s.Vars); err != nil {
+	if err != nil {
 		return "", fmt.Errorf("atom %s: %w", a.Name, err)
 	}
 	return t.To, nil
@@ -544,9 +520,9 @@ func (a *Atom) AppendStateKey(buf []byte, s State) []byte {
 	buf = strconv.AppendInt(buf, int64(len(s.Loc)), 10)
 	buf = append(buf, ':')
 	buf = append(buf, s.Loc...)
-	for _, vd := range a.Vars {
+	for i := range a.Vars {
 		buf = append(buf, '|')
-		buf = s.Vars[vd.Name].AppendText(buf)
+		buf = a.valueOf(s.Vars, i).AppendText(buf)
 	}
 	return buf
 }
@@ -587,37 +563,45 @@ func (a *Atom) AppendBinaryKey(buf []byte, s State) []byte {
 		panic(fmt.Sprintf("behavior: atom %s: binary key for undeclared location %q (atom not validated?)", a.Name, s.Loc))
 	}
 	buf = append(buf, byte(li), byte(li>>8), byte(li>>16), byte(li>>24))
-	for _, vd := range a.Vars {
-		buf = s.Vars[vd.Name].AppendBinary(buf)
+	if a.compiled(s.Vars) {
+		for _, v := range s.Vars.V {
+			buf = v.AppendBinary(buf)
+		}
+		return buf
+	}
+	for i := range a.Vars {
+		buf = a.valueOf(s.Vars, i).AppendBinary(buf)
 	}
 	return buf
 }
 
-// DecodeBinaryKey inverts AppendBinaryKey: it rebuilds the atom-local
-// state from one fixed-width binary record (exactly BinaryKeyWidth
-// bytes). The returned location string is the atom's own declared
-// instance, so downstream pointer-fast comparisons (AppendBinaryKey's
-// linear scan included) behave as if the state came from the semantics.
-// Exploration's spilled frontier uses it to reload evicted states.
-func (a *Atom) DecodeBinaryKey(rec []byte) (State, error) {
+// DecodeBinaryKey inverts AppendBinaryKey: it decodes one fixed-width
+// binary record (exactly BinaryKeyWidth bytes), writing the variable
+// values into vals (len == number of declared variables, declaration
+// order — the atom's layout) and returning the location. The location
+// is the atom's own declared string instance, so a state rebuilt as
+// State{Loc: loc, Vars: expr.Slots{L: a.Layout(), V: vals}} takes the
+// same pointer-fast comparisons and compiled paths as a state that came
+// from the semantics. Exploration's spilled frontier uses it to reload
+// evicted states, carving every atom's values from one allocation.
+func (a *Atom) DecodeBinaryKey(rec []byte, vals []expr.Value) (string, error) {
 	if len(rec) != a.BinaryKeyWidth() {
-		return State{}, fmt.Errorf("behavior: atom %s: binary key record has %d bytes, want %d", a.Name, len(rec), a.BinaryKeyWidth())
+		return "", fmt.Errorf("behavior: atom %s: binary key record has %d bytes, want %d", a.Name, len(rec), a.BinaryKeyWidth())
 	}
 	li := int(uint32(rec[0]) | uint32(rec[1])<<8 | uint32(rec[2])<<16 | uint32(rec[3])<<24)
 	if li < 0 || li >= len(a.Locations) {
-		return State{}, fmt.Errorf("behavior: atom %s: binary key names location index %d of %d", a.Name, li, len(a.Locations))
+		return "", fmt.Errorf("behavior: atom %s: binary key names location index %d of %d", a.Name, li, len(a.Locations))
 	}
-	vars := make(expr.MapEnv, len(a.Vars))
 	off := 4
-	for _, vd := range a.Vars {
+	for i, vd := range a.Vars {
 		v, err := expr.DecodeBinary(rec[off : off+expr.BinaryWidth])
 		if err != nil {
-			return State{}, fmt.Errorf("behavior: atom %s: variable %s: %w", a.Name, vd.Name, err)
+			return "", fmt.Errorf("behavior: atom %s: variable %s: %w", a.Name, vd.Name, err)
 		}
-		vars[vd.Name] = v
+		vals[i] = v
 		off += expr.BinaryWidth
 	}
-	return State{Loc: a.Locations[li], Vars: vars}, nil
+	return a.Locations[li], nil
 }
 
 // Rename returns a deep copy of the atom under a new name. Ports,
@@ -656,10 +640,12 @@ func (a *Atom) String() string {
 }
 
 // State is the dynamic state of an atom: a control location and a
-// valuation of its variables.
+// valuation of its variables. States built by the semantics
+// (InitialState, Exec, and System-level decoding of binary keys) carry
+// stores laid out by the atom's layout.
 type State struct {
 	Loc  string
-	Vars expr.MapEnv
+	Vars expr.Slots
 }
 
 // Clone returns a deep copy of the state.
@@ -670,32 +656,10 @@ func (s State) Clone() State {
 // Key returns a canonical string encoding of the state, usable as a map
 // key during state-space exploration. Variables are sorted by name.
 func (s State) Key() string {
-	names := make([]string, 0, len(s.Vars))
-	for n := range s.Vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString(s.Loc)
-	for _, n := range names {
-		b.WriteByte('|')
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(s.Vars[n].String())
-	}
-	return b.String()
+	return string(s.Vars.AppendKey([]byte(s.Loc)))
 }
 
 // Equal reports whether two states have the same location and valuation.
 func (s State) Equal(o State) bool {
-	if s.Loc != o.Loc || len(s.Vars) != len(o.Vars) {
-		return false
-	}
-	for n, v := range s.Vars {
-		ov, ok := o.Vars[n]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
+	return s.Loc == o.Loc && s.Vars.Equal(o.Vars)
 }

@@ -28,12 +28,20 @@ func counterAtom(t *testing.T) *Atom {
 	return a
 }
 
+// counterAt returns a state of a at loc with n set.
+func counterAt(a *Atom, loc string, n int64) State {
+	st := a.InitialState()
+	st.Loc = loc
+	_ = st.Vars.Set("n", expr.IntVal(n))
+	return st
+}
+
 func TestEnabledViewMatchesEnabled(t *testing.T) {
 	a := counterAtom(t)
 	for _, st := range []State{
 		a.InitialState(),
-		{Loc: "lo", Vars: expr.MapEnv{"n": expr.IntVal(5)}},
-		{Loc: "hi", Vars: expr.MapEnv{"n": expr.IntVal(1)}},
+		counterAt(a, "lo", 5),
+		counterAt(a, "hi", 1),
 	} {
 		for _, port := range []string{"up", "down"} {
 			want, err1 := a.Enabled(st, port)
@@ -79,10 +87,16 @@ func TestExecInPlaceMatchesExec(t *testing.T) {
 
 // TestExecCompiledExtraVars checks that states carrying variables beyond
 // the declared ones still go through the interpreter path unchanged (the
-// compiled frame only handles exact layouts).
+// compiled code only runs on stores over the atom's own layout). The
+// store comes from another atom that also declares "ghost".
 func TestExecCompiledExtraVars(t *testing.T) {
 	a := counterAtom(t)
-	st := State{Loc: "lo", Vars: expr.MapEnv{"n": expr.IntVal(0), "ghost": expr.IntVal(9)}}
+	other, err := NewBuilder("other").Location("lo").Int("ghost", 0).Int("n", 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := other.InitialState()
+	_ = st.Vars.Set("ghost", expr.IntVal(9))
 	next, err := a.Exec(st, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +113,9 @@ func TestAppendStateKeyAgreesWithEqual(t *testing.T) {
 	a := counterAtom(t)
 	states := []State{
 		a.InitialState(),
-		{Loc: "lo", Vars: expr.MapEnv{"n": expr.IntVal(1)}},
-		{Loc: "hi", Vars: expr.MapEnv{"n": expr.IntVal(1)}},
-		{Loc: "hi", Vars: expr.MapEnv{"n": expr.IntVal(2)}},
+		counterAt(a, "lo", 1),
+		counterAt(a, "hi", 1),
+		counterAt(a, "hi", 2),
 	}
 	for i, s1 := range states {
 		for j, s2 := range states {

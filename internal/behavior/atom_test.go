@@ -212,9 +212,36 @@ func TestRenameAtom(t *testing.T) {
 	}
 }
 
+// abState returns a state of an atom declaring a and b (in that order,
+// or reversed when ba is set) at location l, with the given values set.
+func abState(t *testing.T, ba bool, l string, a, b expr.Value) State {
+	t.Helper()
+	bd := NewBuilder("ab").Location("l", "m", "x", "y")
+	if ba {
+		bd = bd.Bool("b", false).Int("a", 0)
+	} else {
+		bd = bd.Int("a", 0).Bool("b", false)
+	}
+	at, err := bd.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := at.InitialState()
+	st.Loc = l
+	if err := st.Vars.Set("a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Vars.Set("b", b); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestStateKeyAndEqual(t *testing.T) {
-	s1 := State{Loc: "l", Vars: expr.MapEnv{"a": expr.IntVal(1), "b": expr.BoolVal(true)}}
-	s2 := State{Loc: "l", Vars: expr.MapEnv{"b": expr.BoolVal(true), "a": expr.IntVal(1)}}
+	// The two stores are laid out in opposite declaration orders: Key
+	// and Equal compare by name, not by slot.
+	s1 := abState(t, false, "l", expr.IntVal(1), expr.BoolVal(true))
+	s2 := abState(t, true, "l", expr.IntVal(1), expr.BoolVal(true))
 	if s1.Key() != s2.Key() {
 		t.Fatalf("keys differ for equal states: %q vs %q", s1.Key(), s2.Key())
 	}
@@ -245,8 +272,8 @@ func TestQuickStateKeyInjective(t *testing.T) {
 			}
 			return "y"
 		}
-		s1 := State{Loc: loc(l1), Vars: expr.MapEnv{"a": expr.IntVal(int64(a1)), "b": expr.IntVal(int64(b1))}}
-		s2 := State{Loc: loc(l2), Vars: expr.MapEnv{"a": expr.IntVal(int64(a2)), "b": expr.IntVal(int64(b2))}}
+		s1 := abState(t, false, loc(l1), expr.IntVal(int64(a1)), expr.IntVal(int64(b1)))
+		s2 := abState(t, false, loc(l2), expr.IntVal(int64(a2)), expr.IntVal(int64(b2)))
 		return s1.Equal(s2) == (s1.Key() == s2.Key())
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -266,7 +293,8 @@ func TestQuickExecPersistent(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	f := func(start int32) bool {
-		s := State{Loc: "l", Vars: expr.MapEnv{"x": expr.IntVal(int64(start))}}
+		s := a.InitialState()
+		_ = s.Vars.Set("x", expr.IntVal(int64(start)))
 		before := s.Key()
 		next, err := a.Exec(s, 0)
 		if err != nil {

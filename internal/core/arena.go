@@ -4,20 +4,20 @@ import "bip/internal/expr"
 
 // Slab is a chunked slab allocator for the per-state machinery of
 // exploration: materialized state stores (location and variable-store
-// headers), derived move tables, move lists and choice vectors. The
-// drivers admit one state per distinct interned binary record, so the
-// slots carved here are keyed one-to-one by the dedup arena's records —
-// the slab is the value side of that key arena.
+// headers, the participants' variable values), derived move tables,
+// move lists and choice vectors. The drivers admit one state per
+// distinct interned binary record, so the slots carved here are keyed
+// one-to-one by the dedup arena's records — the slab is the value side
+// of that key arena.
 //
 // Each typed slab hands out fixed-capacity sub-slices of large chunks;
 // exhausted chunks are replaced, never grown, so previously carved
 // slices stay valid forever. Carved slices have len == cap, which keeps
 // an append by one holder from clobbering a neighbour's slot. This
 // turns the per-state slice allocations of Materialize/Derive — two
-// state-store headers, a move-table header, a move list per recomputed
-// interaction, a choice vector per move — into one allocation per
-// slabChunk elements, which BenchmarkExplore measures as the workers=1
-// allocs/op drop against the PR-4 baseline.
+// state-store headers, a value slice per participant, a move-table
+// header, a move list per recomputed interaction, a choice vector per
+// move — into one allocation per slabChunk elements.
 //
 // Lifetime is arena-style: nothing is freed individually. Chunks die
 // with the Slab (one exploration), or live on as long as a sink retains
@@ -28,7 +28,8 @@ import "bip/internal/expr"
 // drivers publish entries under their shard or queue locks).
 type Slab struct {
 	locs  []string
-	vars  []expr.MapEnv
+	vars  []expr.Slots
+	vals  []expr.Value
 	vecs  [][]Move
 	moves []Move
 	ints  []int
@@ -56,7 +57,10 @@ func carve[T any](buf *[]T, n int) []T {
 func (s *Slab) Locs(n int) []string { return carve(&s.locs, n) }
 
 // Vars carves a variable-store-header slot (one store per atom).
-func (s *Slab) Vars(n int) []expr.MapEnv { return carve(&s.vars, n) }
+func (s *Slab) Vars(n int) []expr.Slots { return carve(&s.vars, n) }
+
+// Values carves a variable-value slot (one component's store).
+func (s *Slab) Values(n int) []expr.Value { return carve(&s.vals, n) }
 
 // Vecs carves a move-table header (one move list per interaction).
 func (s *Slab) Vecs(n int) [][]Move { return carve(&s.vecs, n) }
@@ -68,11 +72,11 @@ func (s *Slab) Moves(n int) []Move { return carve(&s.moves, n) }
 func (s *Slab) Ints(n int) []int { return carve(&s.ints, n) }
 
 // MaterializeSlab is Materialize with the successor's Locs and Vars
-// headers carved from slab instead of heap-allocated. Participant
-// variable stores are still cloned (they are maps); everything else is
-// shared with the predecessor, matching System.Exec's copy-on-write
-// discipline. The returned state is valid as long as the slab's chunks
-// are, i.e. as long as the state itself is retained.
+// headers and the participants' variable values carved from slab
+// instead of heap-allocated. Everything else is shared with the
+// predecessor, matching System.Exec's copy-on-write discipline. The
+// returned state is valid as long as the slab's chunks are, i.e. as
+// long as the state itself is retained.
 func (x *ScratchExec) MaterializeSlab(m Move, slab *Slab) State {
 	out := State{
 		Locs: slab.Locs(len(x.st.Locs)),
@@ -81,9 +85,10 @@ func (x *ScratchExec) MaterializeSlab(m Move, slab *Slab) State {
 	copy(out.Locs, x.st.Locs)
 	copy(out.Vars, x.st.Vars)
 	for _, ai := range x.sys.portAtoms[m.Interaction] {
-		if x.maps[ai] != nil {
-			out.Vars[ai] = x.maps[ai].Clone()
-		}
+		src := x.st.Vars[ai]
+		v := slab.Values(len(src.V))
+		copy(v, src.V)
+		out.Vars[ai] = expr.Slots{L: src.L, V: v}
 	}
 	return out
 }

@@ -12,9 +12,10 @@ type ExploreCtx struct {
 	Deriver *TableDeriver
 	Scratch *ScratchExec
 	// Slab is the worker's arena for per-state machinery: materialized
-	// state-store headers, derived move tables, move lists and choice
-	// vectors (MaterializeSlab, DeriveSlab). It is the value-slot side
-	// of the seen-set's interned-key arenas.
+	// state-store headers and participants' variable values, derived
+	// move tables, move lists and choice vectors (MaterializeSlab,
+	// DeriveSlab). It is the value-slot side of the seen-set's
+	// interned-key arenas.
 	Slab *Slab
 	// Moves is the reusable buffer for per-state enabled-move lists.
 	Moves []Move

@@ -10,17 +10,18 @@ import (
 // the same way transition guards/actions are compiled in behavior: once,
 // at Validate time, against a per-interaction qualified-variable slot
 // layout. The hot paths (movesOfInteraction, execInto) then fill a flat
-// frame with one map read per exported variable and run a closure,
+// frame with one slot read per exported variable and run a closure,
 // instead of splitting "comp.var" strings and resolving component
 // indices on every single access through qualEnv. The qualEnv
 // interpreter remains the reference semantics and the fallback for
 // anything the compiler does not cover.
 
 // slotRef pre-resolves one frame slot of an interaction's layout to the
-// variable it mirrors: atom index plus local variable name.
+// variable it mirrors: atom index plus the variable's slot in that
+// atom's store.
 type slotRef struct {
 	atom int
-	name string
+	slot int
 }
 
 // interComp is the compiled form of one interaction: the slot layout
@@ -44,16 +45,7 @@ func (s *System) compileInteractions() {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		refs := make([]slotRef, len(names))
-		ok := true
-		for k, n := range names {
-			ai, v, err := s.splitQualified(n)
-			if err != nil {
-				ok = false
-				break
-			}
-			refs[k] = slotRef{atom: ai, name: v}
-		}
+		refs, ok := s.slotRefs(names)
 		if !ok {
 			continue
 		}
@@ -93,16 +85,7 @@ func (s *System) compilePriorities() {
 				continue
 			}
 			names := expr.Vars(rp.When)
-			refs := make([]slotRef, len(names))
-			ok := true
-			for k, n := range names {
-				ai, v, err := s.splitQualified(n)
-				if err != nil {
-					ok = false
-					break
-				}
-				refs[k] = slotRef{atom: ai, name: v}
-			}
+			refs, ok := s.slotRefs(names)
 			if !ok {
 				continue
 			}
@@ -120,6 +103,24 @@ func (s *System) compilePriorities() {
 			}
 		}
 	}
+}
+
+// slotRefs resolves qualified variable names to store slots. It
+// reports false when some name does not resolve.
+func (s *System) slotRefs(names []string) ([]slotRef, bool) {
+	refs := make([]slotRef, len(names))
+	for k, n := range names {
+		ai, v, err := s.splitQualified(n)
+		if err != nil {
+			return nil, false
+		}
+		slot, ok := s.Atoms[ai].Layout().Slot(v)
+		if !ok {
+			return nil, false
+		}
+		refs[k] = slotRef{atom: ai, slot: slot}
+	}
+	return refs, true
 }
 
 // newIFrame returns a scratch frame large enough for any interaction's
@@ -140,7 +141,7 @@ func (s *System) newIFrame() []expr.Value {
 func (ic *interComp) fillIFrame(frame []expr.Value, st *State) []expr.Value {
 	f := frame[:len(ic.slots)]
 	for k, ref := range ic.slots {
-		f[k] = st.Vars[ref.atom][ref.name]
+		f[k] = st.Vars[ref.atom].V[ref.slot]
 	}
 	return f
 }
@@ -150,6 +151,6 @@ func (ic *interComp) fillIFrame(frame []expr.Value, st *State) []expr.Value {
 // touched stores are exclusively owned by the caller.
 func (ic *interComp) storeIFrame(frame []expr.Value, st *State) {
 	for k, ref := range ic.slots {
-		st.Vars[ref.atom][ref.name] = frame[k]
+		st.Vars[ref.atom].V[ref.slot] = frame[k]
 	}
 }

@@ -57,12 +57,19 @@ func TestBinaryKeyDistinguishesLocationsAndValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := sys.Initial()
+	at := func(loc string, x, b expr.Value) State {
+		st := sys.Initial()
+		st.Locs[0] = loc
+		_ = st.Vars[0].Set("x", x)
+		_ = st.Vars[0].Set("b", b)
+		return st
+	}
 	variants := []State{
-		{Locs: []string{"t"}, Vars: []expr.MapEnv{{"x": expr.IntVal(0), "b": expr.BoolVal(false)}}},
-		{Locs: []string{"s"}, Vars: []expr.MapEnv{{"x": expr.IntVal(1), "b": expr.BoolVal(false)}}},
-		{Locs: []string{"s"}, Vars: []expr.MapEnv{{"x": expr.IntVal(0), "b": expr.BoolVal(true)}}},
+		at("t", expr.IntVal(0), expr.BoolVal(false)),
+		at("s", expr.IntVal(1), expr.BoolVal(false)),
+		at("s", expr.IntVal(0), expr.BoolVal(true)),
 		// bool true vs int 1 must not collide either.
-		{Locs: []string{"s"}, Vars: []expr.MapEnv{{"x": expr.IntVal(0), "b": expr.IntVal(1)}}},
+		at("s", expr.IntVal(0), expr.IntVal(1)),
 	}
 	bk := string(sys.AppendBinaryKey(nil, base))
 	for i, v := range variants {

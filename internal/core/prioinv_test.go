@@ -109,7 +109,8 @@ func TestInvariantCheckerAgreesWithInterpreter(t *testing.T) {
 		got := chk.Check(st)
 		want := interpret(st)
 		if (want == nil) != (got == nil) {
-			t.Fatalf("step %d (x=%v): interp=%v compiled=%v", step, st.Vars[0]["x"], want, got)
+			x, _ := st.Vars[0].Get("x")
+			t.Fatalf("step %d (x=%v): interp=%v compiled=%v", step, x, want, got)
 		}
 		if got != nil {
 			sawViolation = true
@@ -127,7 +128,8 @@ func TestInvariantCheckerAgreesWithInterpreter(t *testing.T) {
 	}
 	// The violation message must name the first broken invariant, as the
 	// interpreter did.
-	bad := State{Locs: []string{"s"}, Vars: []expr.MapEnv{{"x": expr.IntVal(9), "y": expr.IntVal(7)}}}
+	bad := sys.Initial()
+	_ = bad.Vars[0].Set("x", expr.IntVal(9))
 	err = chk.Check(bad)
 	if err == nil {
 		t.Fatal("x=9 must violate x<=3")

@@ -9,15 +9,19 @@ import (
 )
 
 // State is a global system state: per-component control locations and
-// variable valuations, indexed like System.Atoms.
+// variable valuations, indexed like System.Atoms. Vars[i] is laid out by
+// Atoms[i]'s layout (behavior.Atom.Layout) — Initial, Exec and
+// StateFromBinaryKey all build it so — which is what lets the compiled
+// interaction code, priority conditions and property terms address
+// variables by slot index.
 type State struct {
 	Locs []string
-	Vars []expr.MapEnv
+	Vars []expr.Slots
 }
 
 // Initial returns the system's initial state.
 func (s *System) Initial() State {
-	st := State{Locs: make([]string, len(s.Atoms)), Vars: make([]expr.MapEnv, len(s.Atoms))}
+	st := State{Locs: make([]string, len(s.Atoms)), Vars: make([]expr.Slots, len(s.Atoms))}
 	for i, a := range s.Atoms {
 		local := a.InitialState()
 		st.Locs[i] = local.Loc
@@ -28,7 +32,7 @@ func (s *System) Initial() State {
 
 // Clone returns a deep copy of the state.
 func (st State) Clone() State {
-	out := State{Locs: append([]string(nil), st.Locs...), Vars: make([]expr.MapEnv, len(st.Vars))}
+	out := State{Locs: append([]string(nil), st.Locs...), Vars: make([]expr.Slots, len(st.Vars))}
 	for i, v := range st.Vars {
 		out.Vars[i] = v.Clone()
 	}
@@ -92,23 +96,30 @@ func (s *System) AppendBinaryKey(buf []byte, st State) []byte {
 // materialized State from one fixed-width binary key (exactly
 // BinaryKeyWidth bytes). Round-tripping is exact — the decoded state
 // re-encodes to the same key and carries the atoms' own declared
-// location strings — which is what lets the exploration drivers treat
-// the key as the complete on-disk representation of a spilled frontier
-// state.
+// location strings and layouts — which is what lets the exploration
+// drivers treat the key as the complete on-disk representation of a
+// spilled frontier state.
 func (s *System) StateFromBinaryKey(key []byte) (State, error) {
 	if len(key) != s.keyWidth {
 		return State{}, fmt.Errorf("system %s: binary state key has %d bytes, want %d", s.Name, len(key), s.keyWidth)
 	}
-	st := State{Locs: make([]string, len(s.Atoms)), Vars: make([]expr.MapEnv, len(s.Atoms))}
+	st := State{Locs: make([]string, len(s.Atoms)), Vars: make([]expr.Slots, len(s.Atoms))}
+	n := 0
+	for _, a := range s.Atoms {
+		n += len(a.Vars)
+	}
+	vals := make([]expr.Value, n)
 	off := 0
 	for i, a := range s.Atoms {
 		w := a.BinaryKeyWidth()
-		local, err := a.DecodeBinaryKey(key[off : off+w])
+		v := vals[:len(a.Vars):len(a.Vars)]
+		vals = vals[len(a.Vars):]
+		loc, err := a.DecodeBinaryKey(key[off:off+w], v)
 		if err != nil {
 			return State{}, fmt.Errorf("system %s: %w", s.Name, err)
 		}
-		st.Locs[i] = local.Loc
-		st.Vars[i] = local.Vars
+		st.Locs[i] = loc
+		st.Vars[i] = expr.Slots{L: a.Layout(), V: v}
 		off += w
 	}
 	return st, nil
@@ -325,7 +336,7 @@ func (s *System) Exec(st State, m Move) (State, error) {
 			s.Name, in.Name, len(m.Choices), len(in.Ports))
 	}
 	// Copy-on-write: only the participants' variable stores can change,
-	// so non-participant maps are shared with the predecessor state.
+	// so non-participant stores are shared with the predecessor state.
 	// States are treated as immutable once produced (exploration and
 	// engines never write into a state they did not just create). The
 	// participants' stores are cloned exactly once; both the interaction's
@@ -334,7 +345,7 @@ func (s *System) Exec(st State, m Move) (State, error) {
 	pa := s.portAtoms[m.Interaction]
 	next := State{
 		Locs: append([]string(nil), st.Locs...),
-		Vars: append([]expr.MapEnv(nil), st.Vars...),
+		Vars: append([]expr.Slots(nil), st.Vars...),
 	}
 	for _, ai := range pa {
 		next.Vars[ai] = st.Vars[ai].Clone()
@@ -383,19 +394,17 @@ func (s *System) execInto(next *State, m Move, frame []expr.Value) error {
 type ScratchExec struct {
 	sys   *System
 	st    State
-	maps  []expr.MapEnv // reusable per-atom variable stores
-	frame []expr.Value  // scratch for compiled interaction actions
+	vals  [][]expr.Value // reusable per-atom value slices
+	frame []expr.Value   // scratch for compiled interaction actions
 }
 
 // NewScratchExec returns a scratch executor for s.
 func (s *System) NewScratchExec() *ScratchExec {
-	maps := make([]expr.MapEnv, len(s.Atoms))
+	vals := make([][]expr.Value, len(s.Atoms))
 	for i, a := range s.Atoms {
-		if len(a.Vars) > 0 {
-			maps[i] = make(expr.MapEnv, len(a.Vars))
-		}
+		vals[i] = make([]expr.Value, 0, len(a.Vars))
 	}
-	return &ScratchExec{sys: s, maps: maps, frame: s.newIFrame()}
+	return &ScratchExec{sys: s, vals: vals, frame: s.newIFrame()}
 }
 
 // Exec fires m from st into the scratch buffers and returns a read-only
@@ -413,15 +422,9 @@ func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
 	x.st.Locs = append(x.st.Locs[:0], st.Locs...)
 	x.st.Vars = append(x.st.Vars[:0], st.Vars...)
 	for _, ai := range s.portAtoms[m.Interaction] {
-		dst := x.maps[ai]
-		if dst == nil {
-			continue // atom without variables: nothing can be written
-		}
-		clear(dst)
-		for k, v := range st.Vars[ai] {
-			dst[k] = v
-		}
-		x.st.Vars[ai] = dst
+		src := st.Vars[ai]
+		x.vals[ai] = append(x.vals[ai][:0], src.V...)
+		x.st.Vars[ai] = expr.Slots{L: src.L, V: x.vals[ai]}
 	}
 	if err := s.execInto(&x.st, m, x.frame); err != nil {
 		return nil, err
@@ -436,38 +439,32 @@ func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
 func (x *ScratchExec) Materialize(m Move) State {
 	out := State{
 		Locs: append([]string(nil), x.st.Locs...),
-		Vars: append([]expr.MapEnv(nil), x.st.Vars...),
+		Vars: append([]expr.Slots(nil), x.st.Vars...),
 	}
 	for _, ai := range x.sys.portAtoms[m.Interaction] {
-		if x.maps[ai] != nil {
-			out.Vars[ai] = x.maps[ai].Clone()
-		}
+		out.Vars[ai] = x.st.Vars[ai].Clone()
 	}
 	return out
 }
 
 // CheckInvariants evaluates every atom-level invariant at st and returns
-// the first violated one, if any. Repeated callers (engines, streaming
-// verification) should hold an InvariantChecker instead, which reuses
-// its evaluation frame across calls.
+// the first violated one, if any.
 func (s *System) CheckInvariants(st State) error {
 	return s.NewInvariantChecker().Check(st)
 }
 
-// InvariantChecker evaluates the atoms' designer-asserted invariants
-// over a reusable frame, running the slot-compiled forms built at
-// Validate time (behavior.Atom.BrokenInvariant). A checker owns its
-// scratch and is not safe for concurrent use; the System stays
-// read-only, so distinct checkers over the same System are independent.
+// InvariantChecker evaluates the atoms' designer-asserted invariants,
+// running the slot-compiled forms built at Validate time on the state's
+// stores (behavior.Atom.BrokenInvariant). It holds no scratch and only
+// reads the System, so checkers may be shared freely.
 type InvariantChecker struct {
-	sys   *System
-	frame []expr.Value
+	sys *System
 }
 
 // NewInvariantChecker returns a checker for s. The system must have been
 // validated.
 func (s *System) NewInvariantChecker() *InvariantChecker {
-	return &InvariantChecker{sys: s, frame: make([]expr.Value, s.maxAtomVars)}
+	return &InvariantChecker{sys: s}
 }
 
 // Check evaluates every atom-level invariant at st and returns the first
@@ -477,7 +474,7 @@ func (c *InvariantChecker) Check(st State) error {
 		if len(a.Invariants) == 0 {
 			continue
 		}
-		bad, err := a.BrokenInvariant(st.Vars[i], c.frame)
+		bad, err := a.BrokenInvariant(st.Vars[i])
 		if err != nil {
 			return fmt.Errorf("component %s invariant %s: %w", a.Name, a.Invariants[bad], err)
 		}

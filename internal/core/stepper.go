@@ -196,8 +196,9 @@ func (s *System) Dominated(ii int, enabled []bool, env expr.Env) (bool, error) {
 
 // dominatedAt is Dominated specialized to a global state: conditional
 // rules compiled at Validate time (compilePriorities) fill the caller's
-// scratch frame with one map read per slot and run a closure; rules the
-// compiler does not cover fall back to the qualEnv interpreter.
+// scratch frame with one slot read per variable and run a closure;
+// rules the compiler does not cover fall back to the qualEnv
+// interpreter.
 func (s *System) dominatedAt(ii int, enabled []bool, st *State, frame []expr.Value) (bool, error) {
 	var env *qualEnv
 	for _, rp := range s.higher[ii] {
@@ -212,7 +213,7 @@ func (s *System) dominatedAt(ii int, enabled []bool, st *State, frame []expr.Val
 		if rp.cond != nil {
 			f := frame[:len(rp.slots)]
 			for k, ref := range rp.slots {
-				f[k] = st.Vars[ref.atom][ref.name]
+				f[k] = st.Vars[ref.atom].V[ref.slot]
 			}
 			ok, err = rp.cond(f)
 		} else {

@@ -292,8 +292,9 @@ func TestStateKeySeparatorInjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := State{Locs: []string{"p#q", "r"}, Vars: []expr.MapEnv{{}, {}}}
-	s2 := State{Locs: []string{"p", "q#r"}, Vars: []expr.MapEnv{{}, {}}}
+	s1, s2 := sys.Initial(), sys.Initial()
+	s1.Locs = []string{"p#q", "r"}
+	s2.Locs = []string{"p", "q#r"}
 	if sys.StateKey(s1) == sys.StateKey(s2) {
 		t.Fatalf("distinct states collide: %q", sys.StateKey(s1))
 	}

@@ -130,9 +130,6 @@ type System struct {
 	// also covers the compiled priority When conditions).
 	icomp     []interComp
 	maxISlots int
-	// maxAtomVars sizes InvariantChecker frames: the widest per-atom
-	// variable layout.
-	maxAtomVars int
 	// keyWidth is the size of the fixed-width binary state key
 	// (AppendBinaryKey): the sum of the atoms' record widths.
 	keyWidth int
@@ -233,12 +230,8 @@ func (s *System) Validate() error {
 	s.compilePriorities()
 	s.computeIndependence()
 	s.keyWidth = 0
-	s.maxAtomVars = 0
 	for _, a := range s.Atoms {
 		s.keyWidth += a.BinaryKeyWidth()
-		if len(a.Vars) > s.maxAtomVars {
-			s.maxAtomVars = len(a.Vars)
-		}
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ type (
 		Comp    string
 		Seq     int64
 		Enabled map[string][]int
-		Vars    expr.MapEnv
+		Vars    expr.Slots
 	}
 	// reserveMsg: IP → component. Seq is the state the IP believes.
 	reserveMsg struct {
@@ -336,8 +336,8 @@ func (n *ipNode) offerEnv(in *core.Interaction) expr.MapEnv {
 	env := make(expr.MapEnv)
 	for _, pr := range in.Ports {
 		o := n.offers[pr.Comp]
-		for k, v := range o.Vars {
-			env[pr.Comp+"."+k] = v
+		for i, k := range o.Vars.L.Names() {
+			env[pr.Comp+"."+k] = o.Vars.V[i]
 		}
 	}
 	return env
@@ -433,8 +433,8 @@ func (n *ipNode) commitAttempt(ctx network.Context) {
 	env := make(expr.MapEnv)
 	for _, pr := range in.Ports {
 		o := n.attempt.snapshot[pr.Comp]
-		for k, v := range o.Vars {
-			env[pr.Comp+"."+k] = v
+		for i, k := range o.Vars.L.Names() {
+			env[pr.Comp+"."+k] = o.Vars.V[i]
 		}
 	}
 	if in.Action != nil {

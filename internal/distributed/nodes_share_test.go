@@ -22,8 +22,8 @@ type probeIP struct {
 	commits   int
 	attempt   int64
 	cur       offerMsg
-	first     expr.MapEnv // shared store as published
-	firstCopy expr.MapEnv // deep copy taken at publication time
+	first     expr.Slots // shared store as published
+	firstCopy expr.Slots // deep copy taken at publication time
 }
 
 func (p *probeIP) Init(network.Context) {}
@@ -31,7 +31,7 @@ func (p *probeIP) Init(network.Context) {}
 func (p *probeIP) Recv(ctx network.Context, from network.NodeID, msg any) {
 	switch m := msg.(type) {
 	case offerMsg:
-		if p.first == nil {
+		if p.first.L == nil {
 			p.first = m.Vars
 			p.firstCopy = m.Vars.Clone()
 		}
@@ -79,17 +79,11 @@ func TestOfferStoresImmutableAfterCommit(t *testing.T) {
 	if probe.commits != 3 {
 		t.Fatalf("probe committed %d times, want 3", probe.commits)
 	}
-	if probe.first == nil {
+	if probe.first.L == nil {
 		t.Fatal("no offer observed")
 	}
-	for k, want := range probe.firstCopy {
-		got, ok := probe.first.Get(k)
-		if !ok || !got.Equal(want) {
-			t.Fatalf("published store mutated after commit: %s = %v, was %v at publication", k, got, want)
-		}
-	}
-	if len(probe.first) != len(probe.firstCopy) {
-		t.Fatalf("published store changed shape: %d vars, was %d", len(probe.first), len(probe.firstCopy))
+	if !probe.first.Equal(probe.firstCopy) {
+		t.Fatalf("published store mutated after commit: %v, was %v at publication", probe.first, probe.firstCopy)
 	}
 }
 

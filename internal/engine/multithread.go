@@ -27,14 +27,14 @@ type MTResult struct {
 }
 
 // offer is what a component goroutine reports to the engine: its enabled
-// transitions per port and its variable values. The maps are owned by the
+// transitions per port and its variable store. Both are owned by the
 // component; the engine reads them only between receiving the offer and
 // sending the matching command (the channel operations order those
 // accesses, so no copy is needed).
 type offer struct {
 	comp    int
 	enabled map[string][]int
-	vars    expr.MapEnv
+	vars    expr.Slots
 }
 
 // command is what the engine sends back: fire transition trans with the
@@ -103,7 +103,7 @@ func RunMT(sys *core.System, opts MTOptions) (*MTResult, error) {
 
 // componentLoop is the body of one component goroutine: offer, await
 // command, execute, repeat. The component's variable store is mutated in
-// place: the engine has finished reading the offered map by the time the
+// place: the engine has finished reading the offered store by the time the
 // command arrives (channel ordering), so no per-step cloning is needed.
 func componentLoop(atom *behavior.Atom, ci int, offers chan<- offer, cmds <-chan command) error {
 	st := atom.InitialState()
@@ -193,8 +193,8 @@ func (c *coordinator) install(o offer) {
 	oc := o
 	c.current[o.comp] = &oc
 	name := c.sys.Atoms[o.comp].Name
-	for k, v := range o.vars {
-		c.env[name+"."+k] = v
+	for i, k := range o.vars.L.Names() {
+		c.env[name+"."+k] = o.vars.V[i]
 	}
 	for _, ii := range c.sys.IncidentTo(o.comp) {
 		c.dirty[ii] = true

@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file implements slot compilation: expressions and statements are
 // translated once, against a fixed variable Layout, into closures that
@@ -12,40 +15,60 @@ import "fmt"
 // TestCompiledAgreesWithInterpreter checks exhaustively.
 
 // Layout assigns a frame slot to each variable name. It is immutable
-// after construction and safe for concurrent use.
+// after construction and safe for concurrent use. A nil *Layout is the
+// empty layout.
 type Layout struct {
 	names []string
 	idx   map[string]int
+	// sorted lists the slots in name order: the canonical variable order
+	// of textual state keys (Slots.AppendKey).
+	sorted []int
 }
 
 // NewLayout builds a layout over the given names in order. Duplicate
 // names are rejected.
 func NewLayout(names []string) (*Layout, error) {
 	l := &Layout{
-		names: append([]string(nil), names...),
-		idx:   make(map[string]int, len(names)),
+		names:  append([]string(nil), names...),
+		idx:    make(map[string]int, len(names)),
+		sorted: make([]int, len(names)),
 	}
 	for i, n := range l.names {
 		if _, dup := l.idx[n]; dup {
 			return nil, fmt.Errorf("layout: duplicate variable %q", n)
 		}
 		l.idx[n] = i
+		l.sorted[i] = i
 	}
+	sort.Slice(l.sorted, func(a, b int) bool { return l.names[l.sorted[a]] < l.names[l.sorted[b]] })
 	return l, nil
 }
 
 // Slot returns the frame index of name.
 func (l *Layout) Slot(name string) (int, bool) {
+	if l == nil {
+		return 0, false
+	}
 	i, ok := l.idx[name]
 	return i, ok
 }
 
 // Len returns the frame size.
-func (l *Layout) Len() int { return len(l.names) }
+func (l *Layout) Len() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.names)
+}
 
 // Names returns the variable names in slot order. The caller must not
 // mutate the result.
-func (l *Layout) Names() []string { return l.names }
+func (l *Layout) Names() []string {
+	if l == nil {
+		return nil
+	}
+	return l.names
+}
 
 // CompiledExpr evaluates an expression over a frame of values laid out by
 // the Layout it was compiled against.

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -133,7 +134,7 @@ func TestCompiledAgreesWithInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CompileStmt(%s): %v", s, err)
 		}
-		ienv := env.Clone()
+		ienv := maps.Clone(env)
 		frame := frameOf(l, env)
 		serr := s.Exec(ienv)
 		cerr := cs(frame)

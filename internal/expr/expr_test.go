@@ -361,11 +361,50 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestMapEnvClone(t *testing.T) {
-	m := MapEnv{"x": IntVal(1)}
+func TestSlotsClone(t *testing.T) {
+	l, err := NewLayout([]string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Slots{L: l, V: []Value{IntVal(1)}}
 	c := m.Clone()
 	_ = c.Set("x", IntVal(2))
 	if v, _ := m.Get("x"); !v.Equal(IntVal(1)) {
 		t.Fatal("Clone must not share storage")
+	}
+	if c.L != m.L {
+		t.Fatal("Clone must keep the layout")
+	}
+}
+
+// TestSlotsStore pins the name-based view of a slot store: Set rejects
+// undeclared names, Equal compares by name across layouts, and AppendKey
+// renders variables in name order whatever the slot order.
+func TestSlotsStore(t *testing.T) {
+	yx, err := NewLayout([]string{"y", "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xy, err := NewLayout([]string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Slots{L: yx, V: []Value{BoolVal(true), IntVal(3)}}
+	b := Slots{L: xy, V: []Value{IntVal(3), BoolVal(true)}}
+	if err := a.Set("z", IntVal(0)); err == nil {
+		t.Fatal("Set of an undeclared variable must fail")
+	}
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatalf("%v and %v bind the same values", a, b)
+	}
+	if got := string(a.AppendKey(nil)); got != "|x=3|y=true" || got != string(b.AppendKey(nil)) {
+		t.Fatalf("AppendKey = %q, want |x=3|y=true for both layouts", got)
+	}
+	_ = b.Set("x", IntVal(4))
+	if a.Equal(b) {
+		t.Fatal("stores differing in x compare equal")
+	}
+	if _, ok := (Slots{}).Get("x"); ok {
+		t.Fatal("the zero store binds nothing")
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // Kind identifies the runtime type of a Value.
-type Kind int
+type Kind uint8
 
 // Value kinds. KindInvalid is the zero value so that an uninitialized
 // Value is detectably broken rather than silently an integer.
@@ -37,9 +37,10 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable runtime value: either an integer or a boolean.
+// It is 16 bytes, so a variable store is a flat, pointer-free slice.
 type Value struct {
-	kind Kind
 	i    int64
+	kind Kind
 	b    bool
 }
 
@@ -158,7 +159,8 @@ type Env interface {
 }
 
 // MapEnv is a simple map-backed Env. Set accepts any name and allows kind
-// changes; stricter stores are implemented by the behaviour package.
+// changes. Component states use Slots instead; MapEnv serves
+// environments that are not states, such as qualified offer snapshots.
 type MapEnv map[string]Value
 
 var _ Env = MapEnv(nil)
@@ -175,13 +177,96 @@ func (m MapEnv) Set(name string, v Value) error {
 	return nil
 }
 
-// Clone returns a deep copy of the environment.
-func (m MapEnv) Clone() MapEnv {
-	out := make(MapEnv, len(m))
-	for k, v := range m {
-		out[k] = v
+// Slots is the variable store of a component state: V[i] holds the
+// value of L.Names()[i]. Every state of a component shares its one
+// Layout, so copying a store copies only the value slice, and code
+// compiled against that layout (CompileBool, CompileStmt) runs on V
+// directly. Get and Set resolve names through the layout for the
+// interpreter and for callers outside the hot paths; Set rejects names
+// the layout does not declare.
+type Slots struct {
+	L *Layout
+	V []Value
+}
+
+var _ Env = Slots{}
+
+// Get implements Env.
+func (s Slots) Get(name string) (Value, bool) {
+	if i, ok := s.L.Slot(name); ok {
+		return s.V[i], true
 	}
-	return out
+	return Value{}, false
+}
+
+// Set implements Env. It writes into the shared value slice, so every
+// copy of s observes the update.
+func (s Slots) Set(name string, v Value) error {
+	i, ok := s.L.Slot(name)
+	if !ok {
+		return fmt.Errorf("unknown variable %q", name)
+	}
+	s.V[i] = v
+	return nil
+}
+
+// Clone returns a copy of the store with its own value slice and the
+// same layout.
+func (s Slots) Clone() Slots {
+	return Slots{L: s.L, V: append([]Value(nil), s.V...)}
+}
+
+// Equal reports whether two stores bind the same names to equal values.
+// Stores over one layout compare slot by slot.
+func (s Slots) Equal(o Slots) bool {
+	if len(s.V) != len(o.V) {
+		return false
+	}
+	if s.L == o.L {
+		for i, v := range s.V {
+			if !v.Equal(o.V[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, n := range s.L.Names() {
+		ov, ok := o.Get(n)
+		if !ok || !s.V[i].Equal(ov) {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendKey appends "|name=value" for every variable in name order —
+// the variable part of a component's textual state key — and returns
+// the extended buffer.
+func (s Slots) AppendKey(buf []byte) []byte {
+	if s.L == nil {
+		return buf
+	}
+	for _, i := range s.L.sorted {
+		buf = append(buf, '|')
+		buf = append(buf, s.L.names[i]...)
+		buf = append(buf, '=')
+		buf = s.V[i].AppendText(buf)
+	}
+	return buf
+}
+
+// String renders the store as "{name=value, ...}" in slot order.
+func (s Slots) String() string {
+	buf := []byte{'{'}
+	for i, n := range s.L.Names() {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = append(buf, n...)
+		buf = append(buf, '=')
+		buf = s.V[i].AppendText(buf)
+	}
+	return string(append(buf, '}'))
 }
 
 // EvalError describes a runtime evaluation failure with its source

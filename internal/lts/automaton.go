@@ -21,8 +21,8 @@ import (
 // set of (system state, observer state) pairs — incrementally over the
 // stream. What it retains per visited state is a handful of 64-bit
 // words (observer-state bitsets and pre-evaluated predicate bits) and
-// per edge a compact record (target id, rule bitset, shared label
-// string); materialized states are still released with the frontier.
+// per edge a compact pointer-free record (target id, interned label
+// id); materialized states are still released with the frontier.
 // That is O(V+E) machine words against the materialized LTS's O(V)
 // full states plus O(E) edges plus the BFS tree, and early exit on the
 // first violation still skips the space behind it.
@@ -117,34 +117,36 @@ type obsCell struct {
 	pred uint64
 }
 
-// aEdge is one recorded edge of the product propagation graph. The
-// label string is shared with the system's interaction table, so the
-// record costs three words.
+// The per-edge and per-pair records below name the interaction label by
+// its id in the check's label table (AutomatonCheck.labelID), so they
+// hold no pointers: the GC neither scans the edge slices nor the parents
+// map, and growing them pays no write barriers.
+
+// aEdge is one recorded edge of the product propagation graph: target
+// state and label id, 8 bytes.
 type aEdge struct {
-	to     int32
-	evBits uint64
-	label  string
+	to    int32
+	label int32
 }
 
 // aParent is the product-BFS-tree edge of a (system state, observer
 // state) pair: the pair that first produced it and the interaction
-// label of that step. The chain back to the initial pair is the
+// label id of that step. The chain back to the initial pair is the
 // counterexample path.
 type aParent struct {
 	state int32
+	label int32
 	obs   int8
-	label string
 }
 
 // uaEdge is one recorded edge of the unordered propagation graph: the
 // per-source edge lists are intrusive linked lists (heads/next) because
 // an unordered stream interleaves sources arbitrarily, so a flat
-// offsets table cannot be built. Four words per edge.
+// offsets table cannot be built. 12 bytes per edge.
 type uaEdge struct {
-	to     int32
-	next   int32 // next edge of the same source; -1 ends the list
-	evBits uint64
-	label  string
+	to    int32
+	next  int32 // next edge of the same source; -1 ends the list
+	label int32
 }
 
 // AutomatonCheck verifies an Observer property on the fly: it computes
@@ -160,6 +162,13 @@ type AutomatonCheck struct {
 	Obs *Observer
 
 	Verdict
+
+	// labelIDs interns the interaction labels seen on the stream;
+	// labels and evBits are indexed by label id (evBits[id] is
+	// Obs.EvBits(labels[id]), resolved once per label).
+	labelIDs map[string]int32
+	labels   []string
+	evBits   []uint64
 
 	cells   []obsCell
 	edges   []aEdge
@@ -189,10 +198,23 @@ var (
 // NewAutomatonCheck returns a checker for the observer.
 func NewAutomatonCheck(obs *Observer) *AutomatonCheck {
 	return &AutomatonCheck{
-		Obs:     obs,
-		offsets: []int32{0},
-		parents: make(map[uint64]aParent),
+		Obs:      obs,
+		labelIDs: make(map[string]int32),
+		offsets:  []int32{0},
+		parents:  make(map[uint64]aParent),
 	}
+}
+
+// labelID interns label, resolving its rule bitset on first sight.
+func (c *AutomatonCheck) labelID(label string) int32 {
+	if id, ok := c.labelIDs[label]; ok {
+		return id
+	}
+	id := int32(len(c.labels))
+	c.labelIDs[label] = id
+	c.labels = append(c.labels, label)
+	c.evBits = append(c.evBits, c.Obs.EvBits(label))
+	return id
 }
 
 func pairKey(state int32, obs int) uint64 {
@@ -242,9 +264,9 @@ func (c *AutomatonCheck) OnState(id int, st core.State, d Discovery) error {
 // every recorded edge has then seen every done bit, which keeps the
 // incremental fixpoint exact under any event interleaving.
 func (c *AutomatonCheck) OnEdge(from, to int, label string) error {
+	id := c.labelID(label)
 	if c.unordered {
-		ev := c.Obs.EvBits(label)
-		c.uEdges = append(c.uEdges, uaEdge{to: int32(to), next: c.heads[from], evBits: ev, label: label})
+		c.uEdges = append(c.uEdges, uaEdge{to: int32(to), next: c.heads[from], label: id})
 		c.heads[from] = int32(len(c.uEdges) - 1)
 		if done := c.cells[from].done; done != 0 {
 			if err := c.pushBits(int32(from), done, &c.uEdges[len(c.uEdges)-1]); err != nil {
@@ -254,7 +276,7 @@ func (c *AutomatonCheck) OnEdge(from, to int, label string) error {
 		}
 		return nil
 	}
-	c.edges = append(c.edges, aEdge{to: int32(to), evBits: c.Obs.EvBits(label), label: label})
+	c.edges = append(c.edges, aEdge{to: int32(to), label: id})
 	return nil
 }
 
@@ -291,9 +313,10 @@ func (c *AutomatonCheck) drain() error {
 		cell.done |= newBits
 		for _, e := range c.edges[c.offsets[x]:c.offsets[x+1]] {
 			tc := &c.cells[e.to]
+			ev := c.evBits[e.label]
 			for bs := newBits; bs != 0; bs &= bs - 1 {
 				q := bits.TrailingZeros64(bs)
-				q2 := c.Obs.Step(q, e.evBits, tc.pred)
+				q2 := c.Obs.Step(q, ev, tc.pred)
 				if tc.obs&(1<<uint(q2)) != 0 {
 					continue
 				}
@@ -318,9 +341,10 @@ func (c *AutomatonCheck) drain() error {
 // unordered mode.
 func (c *AutomatonCheck) pushBits(from int32, bs uint64, e *uaEdge) error {
 	tc := &c.cells[e.to]
+	ev := c.evBits[e.label]
 	for ; bs != 0; bs &= bs - 1 {
 		q := bits.TrailingZeros64(bs)
-		q2 := c.Obs.Step(q, e.evBits, tc.pred)
+		q2 := c.Obs.Step(q, ev, tc.pred)
 		if tc.obs&(1<<uint(q2)) != 0 {
 			continue
 		}
@@ -373,7 +397,7 @@ func (c *AutomatonCheck) settleProduct(state, obs int) error {
 		if !ok {
 			break // the initial pair has no parent
 		}
-		labels = append(labels, p.label)
+		labels = append(labels, c.labels[p.label])
 		s, q = p.state, int(p.obs)
 	}
 	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
@@ -396,4 +420,5 @@ func (c *AutomatonCheck) Done(truncated bool) error {
 func (c *AutomatonCheck) release() {
 	c.cells, c.edges, c.offsets, c.queue, c.parents = nil, nil, nil, nil, nil
 	c.heads, c.uEdges = nil, nil
+	c.labelIDs, c.labels, c.evBits = nil, nil, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"bip/internal/core"
 	"bip/internal/faultfs"
@@ -18,7 +17,8 @@ import (
 // failure must surface as the run's clean terminal error — never a
 // panic or a hang — and the spill temp file must be closed and removed
 // on EVERY exit path: natural completion, sink error, early ErrStop,
-// and context cancellation.
+// and context cancellation. A hang fails the package through go test's
+// -timeout, which dumps every goroutine.
 
 // spillGrid is the shared workload: 4^5 = 1024 states whose frontier
 // dwarfs the 4-entry budget, so chunks spill (and reload) continuously.
@@ -29,22 +29,6 @@ func spillGrid(t *testing.T) *core.System {
 		t.Fatal(err)
 	}
 	return sys
-}
-
-// runWithWatchdog executes one exploration on a leash: a fault that
-// turned into a deadlock instead of an error would otherwise hang the
-// whole test binary.
-func runWithWatchdog(t *testing.T, name string, f func() error) error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- f() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("%s: run did not terminate within 2m after an injected fault (hang, not error)", name)
-		return nil
-	}
 }
 
 // requireHygiene asserts every file the run created through the hooks
@@ -103,12 +87,7 @@ func TestSpillFaultSurfacesCleanly(t *testing.T) {
 					MemBudget: 4 * frontierEntryBytes(sys),
 					FS:        h,
 				}
-				var l *LTS
-				err := runWithWatchdog(t, name, func() error {
-					var runErr error
-					l, runErr = Explore(sys, opts)
-					return runErr
-				})
+				l, err := Explore(sys, opts)
 				spills := w > 1 && order == Unordered
 				if spills {
 					if err == nil || !errors.Is(err, injected) {
@@ -218,12 +197,9 @@ func TestSpillHygieneOnEveryExitPath(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		sink := &faultTripSink{after: 600, onTrip: cancel}
-		err := runWithWatchdog(t, "cancellation", func() error {
-			_, runErr := Stream(sys, Options{
-				Workers: 4, Order: Unordered, MemBudget: budget, FS: h, Ctx: ctx,
-			}, sink)
-			return runErr
-		})
+		_, err := Stream(sys, Options{
+			Workers: 4, Order: Unordered, MemBudget: budget, FS: h, Ctx: ctx,
+		}, sink)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancellation not surfaced: %v", err)
 		}

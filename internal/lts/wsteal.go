@@ -421,8 +421,10 @@ func (w *wsWorker) next(d *wsDriver) *pentry {
 			d.notify() // release the other sleepers
 			return nil
 		}
+		// A stop that landed before the snapshot above bumped gen
+		// already and will not notify again: check stopped as well.
 		d.idleMu.Lock()
-		for d.gen == g {
+		for d.gen == g && !d.stopped.Load() {
 			d.cond.Wait()
 		}
 		d.idleMu.Unlock()

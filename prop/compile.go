@@ -139,23 +139,23 @@ func (p atPred) compilePred(c *compiler) (predFn, error) {
 	return func(st *core.State) bool { return st.Locs[ai] == loc }, nil
 }
 
-// resolveVar resolves comp.v to its atom index, canonical name and
-// declared kind.
-func (c *compiler) resolveVar(v VarRef) (int, string, expr.Kind, error) {
+// resolveVar resolves comp.v to its atom index, its slot in that atom's
+// store (declaration order, the atom's layout) and its declared kind.
+func (c *compiler) resolveVar(v VarRef) (int, int, expr.Kind, error) {
 	ai, err := c.atomIndex(v.Comp)
 	if err != nil {
-		return -1, "", expr.KindInvalid, err
+		return -1, -1, expr.KindInvalid, err
 	}
-	for _, vd := range c.sys.Atoms[ai].Vars {
+	for slot, vd := range c.sys.Atoms[ai].Vars {
 		if vd.Name == v.Name {
-			return ai, vd.Name, vd.Init.Kind(), nil
+			return ai, slot, vd.Init.Kind(), nil
 		}
 	}
-	return -1, "", expr.KindInvalid, fmt.Errorf("component %q has no variable %q", v.Comp, v.Name)
+	return -1, -1, expr.KindInvalid, fmt.Errorf("component %q has no variable %q", v.Comp, v.Name)
 }
 
 func (v VarRef) compileTerm(c *compiler) (intFn, error) {
-	ai, name, kind, err := c.resolveVar(v)
+	ai, slot, kind, err := c.resolveVar(v)
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +163,13 @@ func (v VarRef) compileTerm(c *compiler) (intFn, error) {
 		return nil, fmt.Errorf("variable %s is %s, not int (bool variables are predicates)", v, kind)
 	}
 	return func(st *core.State) int64 {
-		n, _ := st.Vars[ai][name].Int()
+		n, _ := st.Vars[ai].V[slot].Int()
 		return n
 	}, nil
 }
 
 func (v VarRef) compilePred(c *compiler) (predFn, error) {
-	ai, name, kind, err := c.resolveVar(v)
+	ai, slot, kind, err := c.resolveVar(v)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func (v VarRef) compilePred(c *compiler) (predFn, error) {
 		return nil, fmt.Errorf("variable %s is %s, not bool (compare int variables: %s == ...)", v, kind, v)
 	}
 	return func(st *core.State) bool {
-		b, _ := st.Vars[ai][name].Bool()
+		b, _ := st.Vars[ai].V[slot].Bool()
 		return b
 	}, nil
 }

@@ -202,9 +202,7 @@ func TestTemporalCheckersMatchOracle(t *testing.T) {
 	}
 	gcdIdx := gcd.AtomIndex("gcd")
 	atFixpoint := func(st bip.State) bool {
-		x, _ := st.Vars[gcdIdx]["x"].Int()
-		y, _ := st.Vars[gcdIdx]["y"].Int()
-		return x == 12 && y == 12
+		return intVar(st, gcdIdx, "x") == 12 && intVar(st, gcdIdx, "y") == 12
 	}
 	cases = append(cases,
 		tc{
@@ -542,19 +540,17 @@ connector step = c.step
 		want func(bip.State) bool
 	}{
 		{prop.Ge(prop.Add(prop.Var("c", "n"), prop.Int(1)), prop.Int(3)),
-			func(st bip.State) bool { n, _ := st.Vars[ci]["n"].Int(); return n+1 >= 3 }},
+			func(st bip.State) bool { return intVar(st, ci, "n")+1 >= 3 }},
 		{prop.Var("c", "flag"),
-			func(st bip.State) bool { b, _ := st.Vars[ci]["flag"].Bool(); return b }},
+			func(st bip.State) bool { return boolVar(st, ci, "flag") }},
 		{prop.And(prop.At("c", "run"), prop.Ne(prop.Mul(prop.Var("c", "n"), prop.Int(2)), prop.Int(4))),
-			func(st bip.State) bool { n, _ := st.Vars[ci]["n"].Int(); return 2*n != 4 }},
+			func(st bip.State) bool { return 2*intVar(st, ci, "n") != 4 }},
 		{prop.Implies(prop.Var("c", "flag"), prop.Ge(prop.Var("c", "n"), prop.Int(3))),
 			func(st bip.State) bool {
-				b, _ := st.Vars[ci]["flag"].Bool()
-				n, _ := st.Vars[ci]["n"].Int()
-				return !b || n >= 3
+				return !boolVar(st, ci, "flag") || intVar(st, ci, "n") >= 3
 			}},
 		{prop.Lt(prop.Neg(prop.Var("c", "n")), prop.Sub(prop.Int(2), prop.Var("c", "n"))),
-			func(st bip.State) bool { n, _ := st.Vars[ci]["n"].Int(); return -n < 2-n }},
+			func(st bip.State) bool { n := intVar(st, ci, "n"); return -n < 2-n }},
 	}
 	for _, c := range preds {
 		f, err := prop.CompilePred(sys, c.p)
@@ -610,4 +606,17 @@ connector c = s.pc
 	if after2.Violated {
 		t.Fatalf("b never precedes a; property must hold, got %+v", after2)
 	}
+}
+
+// intVar and boolVar read component ai's variable name at st.
+func intVar(st bip.State, ai int, name string) int64 {
+	v, _ := st.Vars[ai].Get(name)
+	n, _ := v.Int()
+	return n
+}
+
+func boolVar(st bip.State, ai int, name string) bool {
+	v, _ := st.Vars[ai].Get(name)
+	b, _ := v.Bool()
+	return b
 }

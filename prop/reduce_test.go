@@ -132,9 +132,23 @@ func TestReductionVisibilityContract(t *testing.T) {
 					t.Fatalf("%s: reduced verdict (violated=%v conclusive=%v) != full (violated=%v conclusive=%v)",
 						name, rp.Violated, rp.Conclusive, fp.Violated, fp.Conclusive)
 				}
-				if !tc.wantReduced && redRep.States != fullRep.States {
-					t.Fatalf("%s: degraded run visited %d states, full %d — degradation must be total",
-						name, redRep.States, fullRep.States)
+				if !tc.wantReduced {
+					// Degradation is total: no state was expanded with
+					// an ample subset. The visited counts agree only
+					// when both runs stream deterministically or cover
+					// the whole space; an early-stopped Unordered run
+					// with several workers visits a schedule-dependent
+					// prefix.
+					if redRep.AmpleStates != 0 || redRep.PrunedMoves != 0 {
+						t.Fatalf("%s: degraded run pruned at %d states (%d moves) — degradation must be total",
+							name, redRep.AmpleStates, redRep.PrunedMoves)
+					}
+					deterministic := w == 1 || ord.opt == nil
+					exhaustive := !fp.Violated && !fullRep.Truncated && !redRep.Truncated
+					if (deterministic || exhaustive) && redRep.States != fullRep.States {
+						t.Fatalf("%s: degraded run visited %d states, full %d — degradation must be total",
+							name, redRep.States, fullRep.States)
+					}
 				}
 				if rp.Violated {
 					final := replayStates(t, full, rp.Path)

@@ -68,13 +68,16 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // TestReductionDegradedBySurfaced pins that a Reduce() run forced back
 // to full expansion by an opaque property names the culprit in the
 // report instead of degrading silently — and that a reduction-friendly
-// run leaves the field empty.
+// run leaves the field empty. Both fields are settled before the first
+// state is explored, so the runs are bounded: the philosophers' meal
+// counters make the space unbounded, and exploring it to the default
+// bound only costs time (minutes under -race).
 func TestReductionDegradedBySurfaced(t *testing.T) {
 	sys, err := models.Philosophers(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := bip.Verify(sys, bip.Reduce(),
+	rep, err := bip.Verify(sys, bip.Reduce(), bip.MaxStates(20000),
 		bip.Invariant(func(bip.State) bool { return true }))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func TestReductionDegradedBySurfaced(t *testing.T) {
 	if rep.ReductionDegradedBy != "invariant" {
 		t.Fatalf("ReductionDegradedBy = %q, want %q", rep.ReductionDegradedBy, "invariant")
 	}
-	rep, err = bip.Verify(sys, bip.Reduce(), bip.Deadlock())
+	rep, err = bip.Verify(sys, bip.Reduce(), bip.MaxStates(20000), bip.Deadlock())
 	if err != nil {
 		t.Fatal(err)
 	}
