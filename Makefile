@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race bench bench-par verify apicheck examples bipd-smoke lint-models
+.PHONY: all fmt vet build test race stress bench bench-par verify apicheck examples bipd-smoke lint-models
 
 all: verify
 
@@ -27,22 +27,38 @@ test:
 # multi-threaded coordinator and the distributed protocol deliberately
 # share components' variable stores (their value slices) with offers
 # across goroutines/rounds (internal/engine/race_test.go,
-# internal/distributed/nodes_share_test.go), the parallel explorer
+# internal/distributed/nodes_share_test.go), the work-stealing explorer
 # shares copy-on-write states and derived move tables across workers
-# (internal/lts/parallel_test.go), and the bipd service fans progress
+# (internal/lts/wsteal_test.go), and the bipd service fans progress
 # callbacks and job state across HTTP handlers, SSE subscribers and the
 # worker pool (serve/serve_test.go), so ./... must stay clean under the
 # race detector.
 race:
 	$(GO) test -race -timeout 300s ./...
 
+# stress repeats the work-stealing driver's differential, spill,
+# early-exit and goroutine-leak tests under the race detector at
+# GOMAXPROCS 1, 2, 4 and 8, so the 4- and 8-worker runs oversubscribe
+# the cores and every stop/termination path meets many schedules. Each
+# pass is its own test process under the 600 s hang timeout: one pass
+# takes about 35 s on 2 CPUs, so a single -count=200 process could not
+# finish inside any timeout that still catches a hang promptly.
+# CI runs it with STRESS_COUNT=20.
+STRESS_COUNT ?= 200
+stress:
+	@for i in $$(seq $(STRESS_COUNT)); do \
+		echo "stress pass $$i/$(STRESS_COUNT)"; \
+		$(GO) test -race -count=1 -cpu 1,2,4,8 -run 'WorkSteal|Spill|EarlyExit|Leak' \
+			-timeout 600s ./internal/lts || exit 1; \
+	done
+
 # bench prints one line per paper experiment (E1–E23); full tables via
 # `go run ./cmd/bipbench` (reference run recorded in EXPERIMENTS.md).
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
 
-# bench-par measures the parallel exploration drivers only: the
-# BenchmarkExplore workload x workers x order grid and the E18
+# bench-par measures parallel exploration only: the BenchmarkExplore
+# workload x workers grid (sequential vs work-stealing) and the E18
 # work-stealing sweep, plus the multi-core speedup gate (which skips
 # with a notice on hosts with fewer than 4 CPUs). CI runs this next to
 # the bench smoke.

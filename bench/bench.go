@@ -674,69 +674,5 @@ func E14Elevator() (*Table, error) {
 	return t, nil
 }
 
-// E15ExploreScaling measures the sharded parallel explorer against the
-// sequential one on two workloads: the E1-class philosopher rings (pure
-// control, 7^5 states) and the E8-class pair grid (data-carrying, 8^5
-// states). Both explorers promise the identical LTS — same numbering,
-// edges, and truncation verdict — which the lts differential tests pin
-// exactly; the table re-checks the cheap fingerprint per run. Speedup is
-// bounded by GOMAXPROCS, like the MT engine's (E8).
-func E15ExploreScaling(workerCounts []int) (*Table, error) {
-	t := &Table{
-		ID:      "E15",
-		Title:   "parallel sharded state-space exploration (lts.Explore with Workers=n)",
-		Headers: []string{"system", "states", "transitions", "workers", "time", "speedup", "identical LTS"},
-	}
-	rings, err := models.PhilosopherRings(5, 4)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := models.ControlOnly(rings)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := PairsGrid(5)
-	if err != nil {
-		return nil, err
-	}
-	for _, sys := range []*core.System{ctl, pairs} {
-		t0 := time.Now()
-		seq, err := lts.Explore(sys, lts.Options{Workers: 1})
-		if err != nil {
-			return nil, err
-		}
-		seqTime := time.Since(t0)
-		t.Rows = append(t.Rows, []string{
-			sys.Name, strconv.Itoa(seq.NumStates()), strconv.Itoa(seq.NumTransitions()),
-			"1", ms(seqTime), "1.00x", "reference",
-		})
-		for _, w := range workerCounts {
-			if w <= 1 {
-				continue
-			}
-			t1 := time.Now()
-			par, err := lts.Explore(sys, lts.Options{Workers: w})
-			if err != nil {
-				return nil, err
-			}
-			parTime := time.Since(t1)
-			same := par.NumStates() == seq.NumStates() &&
-				par.NumTransitions() == seq.NumTransitions() &&
-				par.Truncated() == seq.Truncated() &&
-				len(par.Deadlocks()) == len(seq.Deadlocks())
-			t.Rows = append(t.Rows, []string{
-				sys.Name, strconv.Itoa(par.NumStates()), strconv.Itoa(par.NumTransitions()),
-				strconv.Itoa(w), ms(parTime),
-				fmt.Sprintf("%.2fx", float64(seqTime)/float64(parTime)),
-				strconv.FormatBool(same),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		"workers=1 is the sequential explorer; n>1 the level-synchronized sharded BFS — identical LTS by construction (lts parallel_test pins it bit-for-bit)",
-		fmt.Sprintf("speedup ceiling bounded by GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0)))
-	return t, nil
-}
-
 // E9Arch is implemented in helpers.go to keep this file readable;
 // E16StreamingMemory lives in e16.go.

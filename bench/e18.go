@@ -12,33 +12,29 @@ import (
 )
 
 // E18WorkStealing measures the work-stealing explorer (Options.Order =
-// Unordered) against both the sequential driver and the deterministic
-// level-synchronized parallel driver, on three workload shapes:
+// Unordered) against the sequential driver — the only other driver, and
+// the one every Deterministic exploration runs — on three workload
+// shapes:
 //
-//   - rings: wide BFS levels (the E1/E15 philosopher-rings family) —
-//     both parallel drivers have plenty of intra-level parallelism, so
-//     this column isolates the barrier + replay overhead the
-//     work-stealing driver removes.
+//   - rings: wide BFS levels (the E1 philosopher-rings family) — plenty
+//     of independent work per level.
 //   - pairs: wide and data-carrying (the E8-class pair grid) — adds
-//     per-state variable-store cloning to the expansion cost.
+//     per-state variable-store copying to the expansion cost.
 //   - deep-chain: narrow and deep (models.DeepChain) — BFS levels
-//     smaller than the worker pool, the shape on which a per-level
-//     barrier degenerates to sequential speed plus one barrier per
-//     level while work stealing keeps the overhead near zero.
+//     smaller than the worker pool, where only a barrier-free driver
+//     can keep the workers busy.
 //
-// Each row re-checks the driver contract cheaply: the deterministic
-// driver must reproduce the sequential state/transition counts and
-// deadlock count bit-for-bit (the lts differential tests pin the full
-// stream); the unordered driver must match the canonical fingerprint —
-// same counts, same truncation — with scheduling-free numbering (the
-// wsteal differential tests pin set-level equality and verdicts).
+// Each row re-checks the driver contract cheaply: the unordered driver
+// must match the sequential fingerprint — same state, transition and
+// deadlock counts, same truncation — with scheduling-free numbering
+// (the wsteal differential tests pin set-level equality and verdicts).
 // Speedup is against the sequential explorer and is bounded by
 // GOMAXPROCS; EXPERIMENTS.md records a reference run and the CI quick
 // sweep asserts the multi-core floor when enough CPUs are present.
 func E18WorkStealing(workerCounts []int, deepDepth int64) (*Table, error) {
 	t := &Table{
 		ID:      "E18",
-		Title:   "work-stealing vs level-synchronized parallel exploration (Options.Order)",
+		Title:   "work-stealing vs sequential exploration (Options.Order = Unordered)",
 		Headers: []string{"system", "states", "workers", "order", "time", "speedup", "contract"},
 	}
 	rings, err := models.PhilosopherRings(5, 4)
@@ -71,32 +67,26 @@ func E18WorkStealing(workerCounts []int, deepDepth int64) (*Table, error) {
 			if w <= 1 {
 				continue
 			}
-			for _, ord := range []lts.Order{lts.Deterministic, lts.Unordered} {
-				t1 := time.Now()
-				par, err := lts.Explore(sys, lts.Options{Workers: w, Order: ord})
-				if err != nil {
-					return nil, err
-				}
-				parTime := time.Since(t1)
-				same := par.NumStates() == seq.NumStates() &&
-					par.NumTransitions() == seq.NumTransitions() &&
-					par.Truncated() == seq.Truncated() &&
-					len(par.Deadlocks()) == len(seq.Deadlocks())
-				name := "det"
-				if ord == lts.Unordered {
-					name = "fast"
-				}
-				t.Rows = append(t.Rows, []string{
-					sys.Name, strconv.Itoa(par.NumStates()), strconv.Itoa(w), name,
-					ms(parTime), fmt.Sprintf("%.2fx", float64(seqTime)/float64(parTime)),
-					strconv.FormatBool(same),
-				})
+			t1 := time.Now()
+			par, err := lts.Explore(sys, lts.Options{Workers: w, Order: lts.Unordered})
+			if err != nil {
+				return nil, err
 			}
+			parTime := time.Since(t1)
+			same := par.NumStates() == seq.NumStates() &&
+				par.NumTransitions() == seq.NumTransitions() &&
+				par.Truncated() == seq.Truncated() &&
+				len(par.Deadlocks()) == len(seq.Deadlocks())
+			t.Rows = append(t.Rows, []string{
+				sys.Name, strconv.Itoa(par.NumStates()), strconv.Itoa(w), "fast",
+				ms(parTime), fmt.Sprintf("%.2fx", float64(seqTime)/float64(parTime)),
+				strconv.FormatBool(same),
+			})
 		}
 	}
 	t.Notes = append(t.Notes,
-		"order=det replays the sequential event stream (numbering barrier per level, replay pipelined); order=fast is the barrier-free work-stealing explorer",
-		"contract column: state/transition/deadlock counts and truncation equal to the sequential run (full stream pinned by internal/lts/parallel_test.go, set-level equality by wsteal_test.go)",
+		"workers=1 is the sequential explorer (what order=det runs at any worker count); order=fast is the barrier-free work-stealing explorer",
+		"contract column: state/transition/deadlock counts and truncation equal to the sequential run (set-level equality pinned by internal/lts/wsteal_test.go)",
 		fmt.Sprintf("speedup ceiling bounded by GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0)))
 	return t, nil
 }

@@ -23,7 +23,9 @@ import (
 //
 // Every row re-checks the contract cheaply: states, transitions and the
 // deadlock count must match the exact sequential reference exactly (the
-// full cross-order/cross-worker differential lives in internal/lts).
+// full cross-driver differential lives in internal/lts). There are no
+// det-Nw rows: Deterministic order runs the sequential driver at any
+// worker count, so they would repeat the seq rows.
 // The final row runs the work-stealing explorer under a frontier budget
 // of a fraction of its unbounded peak, forcing chunks through the spill
 // file and back.
@@ -46,8 +48,6 @@ func E20Memory(gridN, gridK, workers int, budgetFrac int) (*Table, error) {
 	cfgs := []cfg{
 		{"seq/exact", lts.Options{}},
 		{"seq/compact", lts.Options{Seen: lts.CompactSeen{}}},
-		{fmt.Sprintf("det-%dw/exact", workers), lts.Options{Workers: workers}},
-		{fmt.Sprintf("det-%dw/compact", workers), lts.Options{Workers: workers, Seen: lts.CompactSeen{}}},
 		{fmt.Sprintf("fast-%dw/exact", workers), lts.Options{Workers: workers, Order: lts.Unordered}},
 		{fmt.Sprintf("fast-%dw/compact", workers), lts.Options{Workers: workers, Order: lts.Unordered, Seen: lts.CompactSeen{}}},
 	}

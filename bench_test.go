@@ -312,15 +312,14 @@ func BenchmarkStreamDeadlock(b *testing.B) {
 	})
 }
 
-// BenchmarkExplore measures state-space exploration with worker-count
-// and stream-order dimensions, on the workloads of experiments E15/E18:
-// the E1-class philosopher rings (pure control, 7^5 = 16807 states, wide
-// levels), the E8-class pair grid (data-carrying, 8^5 = 32768 states)
-// and the narrow-and-deep chain (models.DeepChain). workers=1 is the
-// sequential explorer; higher counts run the deterministic
-// level-synchronized explorer (order=det, identical LTS — checked on
-// every run) or the barrier-free work-stealing explorer (order=fast,
-// canonically identical — state/transition counts checked on every
+// BenchmarkExplore measures state-space exploration with a worker-count
+// dimension, on the workloads of experiment E18: the E1-class
+// philosopher rings (pure control, 7^5 = 16807 states, wide levels),
+// the E8-class pair grid (data-carrying, 8^5 = 32768 states) and the
+// narrow-and-deep chain (models.DeepChain). workers=1 is the sequential
+// explorer, which the default Deterministic order runs at any worker
+// count; higher counts run the barrier-free work-stealing explorer
+// (order=fast, canonically identical — state counts checked on every
 // run). allocs/op at workers=1 pins the slab arenas: state-store
 // headers, the participants' variable values, move tables and choice
 // vectors are carved from per-worker slabs, so the per-state
@@ -354,28 +353,22 @@ func BenchmarkExplore(b *testing.B) {
 	}
 	for _, c := range cases {
 		for _, w := range []int{1, 2, 4, 8} {
-			orders := []lts.Order{lts.Deterministic}
+			name := fmt.Sprintf("%s/workers=%d", c.name, w)
 			if w > 1 {
-				orders = append(orders, lts.Unordered)
+				name += "/order=fast"
 			}
-			for _, ord := range orders {
-				name := fmt.Sprintf("%s/workers=%d", c.name, w)
-				if ord == lts.Unordered {
-					name += "/order=fast"
-				}
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						l, err := lts.Explore(c.sys, lts.Options{Workers: w, Order: ord})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if l.NumStates() != c.wantStates {
-							b.Fatalf("explored %d states, want %d", l.NumStates(), c.wantStates)
-						}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l, err := lts.Explore(c.sys, lts.Options{Workers: w, Order: lts.Unordered})
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					if l.NumStates() != c.wantStates {
+						b.Fatalf("explored %d states, want %d", l.NumStates(), c.wantStates)
+					}
+				}
+			})
 		}
 	}
 }

@@ -33,9 +33,9 @@ type (
 	// Options configures an exploration (bound, raw semantics, workers,
 	// stream order).
 	Options = lts.Options
-	// Order selects the multi-worker event-stream discipline:
-	// Deterministic replays the sequential stream exactly; Unordered
-	// runs the barrier-free work-stealing explorer.
+	// Order selects the event-stream discipline: Deterministic runs
+	// the sequential explorer at any worker count; Unordered with
+	// Workers > 1 runs the barrier-free work-stealing explorer.
 	Order = lts.Order
 	// OrderSink is the optional Sink extension through which drivers
 	// announce the stream order before the first event.
@@ -102,8 +102,9 @@ var ErrStop = lts.ErrStop
 
 // Stream-order constants; see Order.
 const (
-	// Deterministic (the zero value, so the default) makes any worker
-	// count replay the sequential event stream bit-identically.
+	// Deterministic (the zero value, so the default) runs the
+	// sequential explorer whatever the worker count, so the event
+	// stream is bit-identical at any Workers.
 	Deterministic = lts.Deterministic
 	// Unordered lets workers emit events as expansion completes: the
 	// same state set, edges, truncation flag and checker verdicts, with

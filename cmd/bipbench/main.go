@@ -1,6 +1,5 @@
 // Command bipbench regenerates the paper-reproduction experiments
-// (E1–E14 of DESIGN.md, plus the E15 parallel-exploration scaling table,
-// the E16 streaming-memory comparison, the E17 property-algebra
+// (E1–E14 of DESIGN.md, plus the E16 streaming-memory comparison, the E17 property-algebra
 // checking costs, the E18 work-stealing exploration sweep, the E19
 // partial-order-reduction table, the E20 seen-set-compaction /
 // frontier-spill memory table, the E21 bipd service load table, the
@@ -86,7 +85,6 @@ func run(exp string, quick bool) error {
 		{"e12", func() (*bench.Table, error) { return bench.E12Incremental(7) }},
 		{"e13", func() (*bench.Table, error) { return bench.E13Flattening(depths) }},
 		{"e14", bench.E14Elevator},
-		{"e15", func() (*bench.Table, error) { return bench.E15ExploreScaling(exploreWorkers) }},
 		{"e16", func() (*bench.Table, error) { return bench.E16StreamingMemory(memRings) }},
 		{"e17", func() (*bench.Table, error) { return bench.E17PropertyCheck(memRings) }},
 		{"e18", func() (*bench.Table, error) { return bench.E18WorkStealing(exploreWorkers, deepDepth) }},

@@ -43,8 +43,8 @@ func main() {
 	chk := flag.Bool("check", false, "run streaming on-the-fly verification (deadlock + atom invariants, early-exit)")
 	explore := flag.Bool("explore", false, "run explicit-state exploration (materialized LTS)")
 	maxStates := flag.Int("max-states", 0, fmt.Sprintf("exploration bound (0 = library default, %d)", check.DefaultMaxStates))
-	workers := flag.Int("workers", runtime.NumCPU(), "exploration workers (<0 = GOMAXPROCS; default: all CPUs)")
-	order := flag.String("order", "det", "multi-worker exploration order: det (deterministic stream) | fast (work-stealing; same verdicts, scheduling-dependent numbering)")
+	workers := flag.Int("workers", runtime.NumCPU(), "work-stealing workers for -order fast (<0 = GOMAXPROCS; default: all CPUs); -order det explores sequentially")
+	order := flag.String("order", "det", "exploration order: det (sequential, deterministic stream) | fast (work-stealing over -workers; same verdicts, scheduling-dependent numbering)")
 	reduce := flag.Bool("reduce", false, "ample-set partial-order reduction (degrades to full expansion when a property needs it; -explore gets deadlock-preserving reduction)")
 	seen := flag.String("seen", "exact", "visited-state storage: exact (full keys) | compact (hash-compacted, ~12 B/state)")
 	mem := flag.Int64("mem", 0, "frontier memory budget in bytes (0 = unbounded; spills to disk under -order fast)")

@@ -34,8 +34,8 @@ func main() {
 	m := flag.Int("m", 2, "second size parameter (gas station customers)")
 	mono := flag.Bool("mono", false, "also run the monolithic streaming deadlock checker")
 	traps := flag.Int("traps", 0, "max interaction invariants (0 = auto)")
-	workers := flag.Int("workers", runtime.NumCPU(), "monolithic exploration workers (<0 = GOMAXPROCS; default: all CPUs)")
-	order := flag.String("order", "det", "multi-worker exploration order: det (deterministic stream) | fast (work-stealing)")
+	workers := flag.Int("workers", runtime.NumCPU(), "monolithic work-stealing workers for -order fast (<0 = GOMAXPROCS; default: all CPUs); -order det explores sequentially")
+	order := flag.String("order", "det", "exploration order: det (sequential, deterministic stream) | fast (work-stealing over -workers)")
 	maxStates := flag.Int("max-states", 0, "exploration bound for -prop/-mono (0 = library default; data-carrying models are unbounded)")
 	reduce := flag.Bool("reduce", false, "ample-set partial-order reduction for the -prop/-mono explorations")
 	seen := flag.String("seen", "exact", "visited-state storage for -prop/-mono: exact (full keys) | compact (hash-compacted, ~12 B/state)")

@@ -9,7 +9,7 @@ import (
 
 // This file is the pluggable expansion stage between core's semantics
 // (Stepper/TableDeriver via ExploreCtx) and the exploration drivers
-// (stream.go, parallel.go, wsteal.go). The drivers no longer decide
+// (stream.go, wsteal.go). The drivers no longer decide
 // which successors of a state to pursue; they ask a WorkerExpander and
 // process what it returns. Full expansion — every enabled move — is the
 // default; the ample-set partial-order reducer below is the first
@@ -53,8 +53,7 @@ import (
 // Selection is deterministic: among eligible clusters with 0 < enabled
 // moves < all enabled moves, the one with the fewest moves wins, ties
 // broken by smaller cluster index. The reordering is stable, so the
-// reduced stream is bit-identical between the sequential and the
-// deterministic parallel driver at any worker count.
+// sequential driver's reduced stream is deterministic.
 
 // Visibility declares what a property observes, so reduction never
 // prunes a transition the property could see. The zero value observes

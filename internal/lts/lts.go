@@ -7,8 +7,8 @@
 // verification (package invariant). Its exhaustive exploration exhibits
 // exactly the state-explosion behaviour the paper describes (§4.3), which
 // experiment E1 measures. Exploration is streaming at heart: the drivers
-// (Stream, sequential and sharded-parallel) emit a deterministic event
-// stream into a Sink, and the on-the-fly checkers in check.go verify
+// (Stream, sequential and work-stealing) emit an event stream into a
+// Sink, and the on-the-fly checkers in check.go verify
 // properties as states are discovered, early-exiting on the first
 // violation with O(frontier) live memory. The materialized LTS built by
 // Explore is just one sink over the same stream.
@@ -67,20 +67,17 @@ type Options struct {
 	// Raw ignores priority filtering (explores the unrestricted
 	// interaction semantics).
 	Raw bool
-	// Workers is the number of exploration workers. 0 and 1 select the
-	// sequential explorer; n > 1 a parallel explorer with n workers; a
-	// negative value means GOMAXPROCS. Under the default Order
-	// (Deterministic) every explorer emits the identical event stream —
-	// same state numbering, edges, BFS tree, and truncation verdict —
-	// so every sink, including the materialized LTS, is worker-count
-	// independent.
+	// Workers is the number of work-stealing workers under Unordered
+	// order; a negative value means GOMAXPROCS. 0 and 1 select the
+	// sequential explorer. Under the default Order (Deterministic) the
+	// exploration is sequential whatever Workers says, so every sink,
+	// including the materialized LTS, is worker-count independent.
 	Workers int
-	// Order selects the multi-worker event-stream discipline:
-	// Deterministic (default) replays the sequential stream exactly;
-	// Unordered runs the barrier-free work-stealing explorer, whose
-	// state set, edges and verdicts are identical but whose numbering
-	// and event order are scheduling-dependent. Ignored when the
-	// exploration runs sequentially.
+	// Order selects the event-stream discipline: Deterministic (default)
+	// runs the sequential explorer; Unordered with Workers > 1 runs the
+	// barrier-free work-stealing explorer, whose state set, edges and
+	// verdicts are identical but whose numbering and event order are
+	// scheduling-dependent. Ignored at one worker.
 	Order Order
 	// Expander selects the expansion stage (expand.go): nil explores
 	// every enabled move; an AmpleExpander prunes to ample sets
@@ -88,7 +85,7 @@ type Options struct {
 	// state and edge sets are a property-preserving SUBSET of the full
 	// LTS: deadlocks and the installed visibility's observations are
 	// preserved, other states may be absent. Under Deterministic order
-	// the reduced stream is still bit-identical at any worker count;
+	// the reduced stream is the sequential one at any worker count;
 	// under Unordered the reduced state set itself may vary with
 	// schedule (the cycle proviso reacts to discovery order), though
 	// verdicts are preserved either way.
@@ -107,8 +104,8 @@ type Options struct {
 	// flat key records and streamed back as workers drain, so spaces
 	// whose frontier exceeds RAM complete instead of OOMing
 	// (Stats.SpilledChunks counts the round trips). 0 means unlimited;
-	// the setting is ignored by the deterministic drivers, whose level
-	// replay must keep the frontier resident.
+	// the sequential explorer (Deterministic order, or one worker)
+	// ignores it and keeps its frontier resident.
 	MemBudget int64
 	// Ctx, when non-nil, cancels the exploration: the drivers poll it
 	// and return its error (context.Canceled / DeadlineExceeded) as
@@ -120,14 +117,13 @@ type Options struct {
 	// and the bipd job progress stream. Snapshots are cumulative
 	// (States/Transitions only grow) but best-effort: memory figures
 	// are the values the driver can read cheaply at the tick. The
-	// sequential driver calls it between state expansions and the
-	// deterministic parallel driver between level barriers, both from
-	// the exploring goroutine; the work-stealing driver calls it from
-	// a dedicated ticker goroutine, so under Unordered it may run
-	// concurrently with Sink calls (never with itself). The callback
-	// must return quickly and must not call back into the exploration.
-	// No final call is guaranteed at termination — the Stats returned
-	// by Stream is the authoritative summary.
+	// sequential driver calls it between state expansions, from the
+	// exploring goroutine; the work-stealing driver calls it from a
+	// dedicated ticker goroutine, so under Unordered with Workers > 1
+	// it may run concurrently with Sink calls (never with itself). The
+	// callback must return quickly and must not call back into the
+	// exploration. No final call is guaranteed at termination — the
+	// Stats returned by Stream is the authoritative summary.
 	Progress func(Stats)
 	// ProgressEvery is the minimum interval between Progress calls;
 	// 0 means DefaultProgressEvery.
@@ -177,9 +173,10 @@ func (o *Options) ctxDone() <-chan struct{} {
 // the cache lives exactly on the BFS frontier.
 //
 // Dedup is keyed by the system's fixed-width binary state keys
-// (core.System.AppendBinaryKey). With Options.Workers > 1 the BFS is
-// sharded across workers (see parallel.go); the result is bit-for-bit
-// the LTS the sequential explorer builds.
+// (core.System.AppendBinaryKey). Under the default Deterministic order
+// the sequential explorer builds the LTS whatever Options.Workers says;
+// Unordered with Workers > 1 explores on the work-stealing driver and
+// builds the same LTS up to state numbering.
 func Explore(sys *core.System, opts Options) (*LTS, error) {
 	l := &LTS{sys: sys}
 	if _, err := Stream(sys, opts, l); err != nil {

@@ -1,6 +1,8 @@
 package lts
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -335,5 +337,93 @@ func TestProducerConsumerBufferInvariant(t *testing.T) {
 	})
 	if !ok {
 		t.Fatalf("buffer invariant violated at state %d", bad)
+	}
+}
+
+// requireSameLTS asserts bit-for-bit agreement of two explorations on
+// the deterministic stream: state lists, edge lists (order included),
+// the BFS tree, deadlock sets, truncation — everything — must coincide.
+func requireSameLTS(t *testing.T, name string, a, b *LTS) {
+	t.Helper()
+	if a.NumStates() != b.NumStates() {
+		t.Fatalf("%s: NumStates %d != %d", name, a.NumStates(), b.NumStates())
+	}
+	if a.NumTransitions() != b.NumTransitions() {
+		t.Fatalf("%s: NumTransitions %d != %d", name, a.NumTransitions(), b.NumTransitions())
+	}
+	if a.Truncated() != b.Truncated() {
+		t.Fatalf("%s: Truncated %v != %v", name, a.Truncated(), b.Truncated())
+	}
+	for i := 0; i < a.NumStates(); i++ {
+		if !a.State(i).Equal(b.State(i)) {
+			t.Fatalf("%s: state %d differs", name, i)
+		}
+		ea, eb := a.Edges(i), b.Edges(i)
+		if len(ea) != len(eb) {
+			t.Fatalf("%s: state %d has %d vs %d edges", name, i, len(ea), len(eb))
+		}
+		for j := range ea {
+			if ea[j] != eb[j] {
+				t.Fatalf("%s: state %d edge %d: %+v != %+v", name, i, j, ea[j], eb[j])
+			}
+		}
+		if a.parent[i] != b.parent[i] || a.parentLabel[i] != b.parentLabel[i] {
+			t.Fatalf("%s: BFS tree differs at state %d: (%d,%q) != (%d,%q)",
+				name, i, a.parent[i], a.parentLabel[i], b.parent[i], b.parentLabel[i])
+		}
+	}
+	da, db := a.Deadlocks(), b.Deadlocks()
+	if len(da) != len(db) {
+		t.Fatalf("%s: deadlock sets differ: %v vs %v", name, da, db)
+	}
+	for i := range da {
+		if da[i] != db[i] {
+			t.Fatalf("%s: deadlock sets differ: %v vs %v", name, da, db)
+		}
+	}
+}
+
+func workerCounts() []int {
+	out := []int{2, 4}
+	if g := runtime.GOMAXPROCS(0); g > 1 && g != 2 && g != 4 {
+		out = append(out, g)
+	}
+	return out
+}
+
+// TestExploreWorkersDefaults pins the Workers knob under the default
+// Deterministic order: 0, 1, any n > 1 and a negative value (GOMAXPROCS)
+// all run the sequential explorer, so the LTS is bit-identical to the
+// one-worker run — on an exhaustive space and on a MaxStates-truncated
+// one.
+func TestExploreWorkersDefaults(t *testing.T) {
+	gcd, err := models.GCD(35, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := models.ProducerConsumer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		sys  *core.System
+		opts Options
+	}{
+		{"gcd", gcd, Options{}},
+		{"prodcons-truncated", pc, Options{MaxStates: 1500}},
+	}
+	for _, c := range cases {
+		one := c.opts
+		one.Workers = 1
+		ref := explore(t, c.sys, one)
+		if want := c.opts.MaxStates > 0; ref.Truncated() != want {
+			t.Fatalf("%s: truncated = %v, want %v", c.name, ref.Truncated(), want)
+		}
+		for _, w := range append([]int{0, -1}, workerCounts()...) {
+			opts := c.opts
+			opts.Workers = w
+			requireSameLTS(t, fmt.Sprintf("%s/workers=%d", c.name, w), ref, explore(t, c.sys, opts))
+		}
 	}
 }

@@ -3,8 +3,8 @@ package lts
 import "bytes"
 
 // This file implements the pluggable successor-dedup layer shared by the
-// three exploration drivers (stream.go, parallel.go, wsteal.go) — the
-// seen-set counterpart of PR 6's Expander extraction. A driver routes
+// two exploration drivers (stream.go, wsteal.go) — the seen-set
+// counterpart of the Expander stage (expand.go). A driver routes
 // every successor key through one SeenSet per lock stripe; what the set
 // STORES per visited state is the implementation's business:
 //
@@ -101,6 +101,8 @@ func (c CompactSeen) NewSeenSet(keyWidth int) SeenSet {
 }
 
 const (
+	// arenaChunk is the byte size of one key arena chunk.
+	arenaChunk = 1 << 16
 	// seenInitSlots is the initial open-addressed table size of both
 	// implementations (power of two; grown by doubling at 3/4 load).
 	seenInitSlots = 1 << 10
@@ -117,9 +119,9 @@ const (
 // logarithmically many table doublings touch the allocator. It is the
 // direct generalization of the pre-extraction per-driver tables (the
 // sequential open-addressed set and the lock-striped shard arenas),
-// with explicit ids so one implementation serves all three drivers —
-// the deterministic barrier assigns non-contiguous per-shard ids and
-// MaxStates tombstones, which the old sequential set could not hold.
+// with explicit ids so one implementation serves both drivers — a
+// work-stealing stripe holds non-contiguous ids and MaxStates
+// tombstones.
 type exactSeen struct {
 	width int
 	// slots holds entry index + 1 (0 = empty), linear probing,
@@ -320,3 +322,36 @@ func (s *compactSeen) Bytes() int64 {
 
 // Promotions implements SeenSet.
 func (s *compactSeen) Promotions() int64 { return s.promotions }
+
+// hashKey is FNV-1a folded over 8-byte words (with a byte-wise tail),
+// finished with a murmur3-style avalanche — deterministic across runs,
+// so shard assignment (and therefore nothing observable) depends only
+// on the state, and one multiply per word instead of per byte keeps it
+// cheap on the wide fixed-width keys.
+//
+// The finalizer is load-bearing: the folding multiplications propagate
+// bit differences only upward (bit i of a product depends on bits <= i
+// of the operands), so two keys differing only in the HIGH bytes of a
+// word — e.g. a counter value whose encoding straddles a word boundary,
+// as in the deep-chain workload — would otherwise agree on every low
+// bit. Both the open-addressed seen-set tables and the shard selector
+// index with the low bits; without the avalanche they degenerate into
+// a handful of giant probe chains (measured 40x on deep-chain E18).
+func hashKey(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for len(b) >= 8 {
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		h = (h ^ w) * 1099511628211
+		b = b[8:]
+	}
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}

@@ -211,9 +211,11 @@ func TestMemBudgetBoundsPeak(t *testing.T) {
 	}
 }
 
-// Cancellation: all three drivers must notice a fired context and
-// return its error — both when it is already canceled at entry and when
-// it fires mid-run — without hanging any worker.
+// Cancellation: both drivers must notice a fired context and return its
+// error — both when it is already canceled at entry and when it fires
+// mid-run — without hanging any worker. The det-parallel row asks for
+// four workers under Deterministic order, which runs the sequential
+// driver.
 func TestContextCancellation(t *testing.T) {
 	grid, err := models.CounterGrid(8, 4)
 	if err != nil {

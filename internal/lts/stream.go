@@ -10,13 +10,13 @@ import (
 	"bip/internal/core"
 )
 
-// This file implements streaming (on-the-fly) exploration: the breadth-
-// first drivers — sequential here, sharded parallel in parallel.go — no
-// longer build a data structure of their own but emit a deterministic
-// event stream into a Sink. Materializing the full LTS (Explore) is just
-// one sink; the on-the-fly checkers in check.go are others. Both drivers
-// emit the bit-identical event sequence for the same system and options,
-// so every sink is worker-count independent.
+// This file implements streaming (on-the-fly) exploration: the two
+// breadth-first drivers — sequential here, work-stealing in wsteal.go —
+// build no data structure of their own but emit an event stream into a
+// Sink. Materializing the full LTS (Explore) is just one sink; the
+// on-the-fly checkers in check.go are others. Under the default
+// Deterministic order the sequential driver runs at any Options.Workers
+// value, so every sink is worker-count independent.
 //
 // The memory contract is what makes streaming matter for the biggest
 // workloads: the drivers retain materialized states, move tables and
@@ -47,11 +47,10 @@ const DefaultProgressEvery = 100 * time.Millisecond
 // expansions.
 const progressStride = 16
 
-// progressMeter rate-limits Options.Progress for the drivers that call
-// it inline (sequential per expansion, deterministic parallel per level
-// barrier). The work-stealing driver uses a time.Ticker goroutine
-// instead (wsteal.go) — its workers never meet a common point to tick
-// from.
+// progressMeter rate-limits Options.Progress for the sequential driver,
+// which calls it inline per expansion. The work-stealing driver uses a
+// time.Ticker goroutine instead (wsteal.go) — its workers never meet a
+// common point to tick from.
 type progressMeter struct {
 	fn    func(Stats)
 	every time.Duration
@@ -76,9 +75,9 @@ func (o *Options) progressEvery() time.Duration {
 	return DefaultProgressEvery
 }
 
-// tick is the strided per-expansion form: it reads the clock only every
-// progressStride calls. snap builds the snapshot and runs only when a
-// callback actually fires.
+// tick fires the callback if the interval has elapsed, reading the clock
+// only every progressStride calls. snap builds the snapshot and runs
+// only when a callback actually fires.
 func (p *progressMeter) tick(snap func() Stats) {
 	if p == nil {
 		return
@@ -88,15 +87,6 @@ func (p *progressMeter) tick(snap func() Stats) {
 		return
 	}
 	p.skip = progressStride
-	p.check(snap)
-}
-
-// check fires the callback if the interval has elapsed (no stride — the
-// barrier-paced caller is already infrequent).
-func (p *progressMeter) check(snap func() Stats) {
-	if p == nil {
-		return
-	}
 	now := time.Now()
 	if now.Sub(p.last) < p.every {
 		return
@@ -120,11 +110,11 @@ var ErrStop = errors.New("lts: stop exploration")
 type Order int
 
 const (
-	// Deterministic (the default) replays the sequential driver's exact
-	// event stream at any worker count: same state numbering, edges,
-	// BFS tree, truncation — bit-identical sinks. Parallel expansion is
-	// level-synchronized (parallel.go), with the replay pipelined so
-	// workers only meet a numbering barrier, not the sink.
+	// Deterministic (the default) emits the sequential driver's event
+	// stream: same state numbering, edges, BFS tree, truncation —
+	// bit-identical sinks. It always runs the sequential driver;
+	// Options.Workers has no effect (DESIGN.md records why there is no
+	// deterministic parallel driver).
 	Deterministic Order = iota
 	// Unordered runs the work-stealing explorer (wsteal.go): per-worker
 	// chunked deques with steal-half balancing and no barrier anywhere
@@ -153,8 +143,8 @@ func announceOrder(sink Sink, o Order) {
 }
 
 // Sink consumes the exploration event stream. With Options.Order ==
-// Deterministic (the default), events arrive in the deterministic order
-// of the sequential breadth-first search, regardless of Options.Workers:
+// Deterministic (the default), events arrive in the order of the
+// sequential breadth-first search, regardless of Options.Workers:
 //
 //   - OnState(id, …) once per admitted state, in increasing id order (the
 //     initial state is id 0). The state is a materialized snapshot the
@@ -245,14 +235,11 @@ type Stats struct {
 	// E16 compares against the materialized state count: the maximum
 	// number of states the driver held materialized at once. For the
 	// sequential driver this is exactly the running frontier
-	// (discovered-but-unexpanded states). The deterministic parallel
-	// driver counts every materialized resident at its worst transient:
-	// the previous level (still held while its pipelined replay runs),
-	// the level being expanded, and all shard-buffered discoveries —
-	// bound-rejected ones included. The work-stealing driver records
-	// the in-flight high-water mark (admitted but not yet
+	// (discovered-but-unexpanded states). The work-stealing driver
+	// records the in-flight high-water mark (admitted but not yet
 	// expanded-and-flushed, wherever the state is buffered). It is the
-	// one Stats field that may differ across worker counts and orders.
+	// one Stats field that may differ between the two drivers (and,
+	// under Unordered, from run to run).
 	PeakFrontier int `json:"peak_frontier"`
 	// PeakFrontierBytes prices PeakFrontier in bytes under the
 	// frontierEntryBytes accounting model (key width + flat per-atom /
@@ -299,17 +286,18 @@ type Stats struct {
 }
 
 // Stream explores the reachable state space of sys breadth-first and
-// feeds the event stream to sink. With Options.Workers > 1 the expansion
-// work is sharded across workers (parallel.go) while the event stream
-// stays bit-identical to the sequential one. Stream returns once the
-// space is exhausted, the MaxStates bound is hit, or the sink stops it.
+// feeds the event stream to sink. Options.Order == Unordered with
+// Options.Workers > 1 runs the work-stealing driver (wsteal.go); every
+// other configuration runs the sequential driver, whose stream is the
+// deterministic one. Stream returns once the space is exhausted, the
+// MaxStates bound is hit, or the sink stops it.
 func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	// Both dedup sets (and the parallel driver's entries) store state
-	// ids as int32; make that limit explicit instead of overflowing.
+	// The seen sets and the work-stealing entries store state ids as
+	// int32; make that limit explicit instead of overflowing.
 	if maxStates > math.MaxInt32 {
 		maxStates = math.MaxInt32
 	}
@@ -317,16 +305,13 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 {
-		if opts.Order == Unordered {
-			announceOrder(sink, Unordered)
-			return streamWorkSteal(sys, opts, workers, maxStates, sink)
-		}
-		announceOrder(sink, Deterministic)
-		return streamParallel(sys, opts, workers, maxStates, sink)
+	if workers > 1 && opts.Order == Unordered {
+		announceOrder(sink, Unordered)
+		return streamWorkSteal(sys, opts, workers, maxStates, sink)
 	}
-	// A single worker produces the deterministic stream by construction,
-	// whatever Order asks for — announce what the sink will actually see.
+	// The sequential driver produces the deterministic stream by
+	// construction, whatever Order asks for — announce what the sink
+	// will actually see.
 	announceOrder(sink, Deterministic)
 	return streamSeq(sys, opts, maxStates, sink)
 }

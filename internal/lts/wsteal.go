@@ -23,9 +23,9 @@ import (
 //     is empty publishes its private chunk early, so work never hides
 //     in a private buffer while peers starve.
 //
-//   - Dedup goes through the same lock-striped SeenSet stripes as the
-//     deterministic driver (parallel.go, seenset.go), but admission is
-//     immediate: a fresh state CASes the next id from a global counter
+//   - Dedup goes through lock-striped SeenSet stripes (seenset.go),
+//     one mutex hold per successor, and admission is immediate: a
+//     fresh state CASes the next id from a global counter
 //     (or becomes a rejected tombstone once the MaxStates bound is
 //     reached — the admitted state COUNT matches the sequential driver
 //     exactly, though which states are admitted depends on schedule)
@@ -80,10 +80,67 @@ import (
 // levels there is no finer admitted-earlier test — so which states get
 // fully expanded, and therefore the reduced state SET itself, depends
 // on the schedule. The reduction is sound for every schedule (the
-// escalation rule is strictly more eager than the deterministic
-// drivers'), so verdicts are still preserved; only the reduced graph's
-// shape varies. The deterministic drivers keep their bit-identical
-// reduced stream.
+// escalation rule is strictly more eager than the sequential
+// driver's), so verdicts are still preserved; only the reduced graph's
+// shape varies. The sequential driver keeps its deterministic reduced
+// stream.
+
+// rejectedID is the seen-set id of a state refused by MaxStates: a
+// tombstone, never an edge target.
+const rejectedID int32 = -1
+
+// pentry is one frontier-resident state: its materialized state, move
+// table and BFS-tree node, its id and, once expanded, its enabled-move
+// count. Entries live only while the state is pending — once expanded
+// and flushed the entry is stripped and dropped; what persists per
+// visited state is whatever the SeenSet stores.
+type pentry struct {
+	state core.State
+	vec   [][]core.Move
+	node  *pathNode
+	moves int32
+	id    int32
+}
+
+// parkedEdge is an edge held back until its target is announced (see
+// wsDriver.parked).
+type parkedEdge struct {
+	from  int32
+	label string
+}
+
+// shard is one lock stripe of the dedup layer: a SeenSet holding every
+// admitted (or bound-rejected) state, guarded by mu.
+type shard struct {
+	mu   sync.Mutex
+	seen SeenSet
+}
+
+// newShards sizes the lock-striped dedup layer for a worker count, one
+// SeenSet stripe per shard.
+func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
+	nShards := 1
+	for nShards < workers*8 {
+		nShards <<= 1
+	}
+	if nShards > 256 {
+		nShards = 256
+	}
+	shards := make([]shard, nShards)
+	for i := range shards {
+		shards[i].seen = seen.NewSeenSet(keyWidth)
+	}
+	return shards, uint64(nShards - 1)
+}
+
+// seenTotals sums the dedup layer's footprint and promotion count.
+func seenTotals(shards []shard) (bytes, promotions int64) {
+	for i := range shards {
+		bytes += shards[i].seen.Bytes()
+		promotions += shards[i].seen.Promotions()
+	}
+	return bytes, promotions
+}
 
 // wsChunkCap is the deque chunk size: the steal granularity and the
 // batch in which work is published.

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"bip/internal/behavior"
 	"bip/internal/core"
+	"bip/internal/expr"
 	"bip/models"
 )
 
@@ -452,4 +454,97 @@ func TestWorkStealContended(t *testing.T) {
 	if _, err := ws.DeadlockFree(); err == nil {
 		t.Fatal("DeadlockFree on a truncated unordered LTS must refuse to answer")
 	}
+}
+
+// randExploreSystem builds a random finite-state system: data-carrying
+// nondeterministic atoms, guarded interactions with data transfer, and
+// conditional priorities — the exploration analogue of core's
+// randomized differential workload. All counters are bounded (mod 5),
+// so the state space is finite.
+func randExploreSystem(t *testing.T, rng *rand.Rand) *core.System {
+	t.Helper()
+	nAtoms := 2 + rng.Intn(3)
+	b := core.NewSystem(fmt.Sprintf("randx-%d", nAtoms))
+	type portInfo struct{ comp, port string }
+	var ports []portInfo
+	for ai := 0; ai < nAtoms; ai++ {
+		name := fmt.Sprintf("c%d", ai)
+		nLocs := 1 + rng.Intn(3)
+		locs := make([]string, nLocs)
+		for i := range locs {
+			locs[i] = fmt.Sprintf("l%d", i)
+		}
+		ab := behavior.NewBuilder(name).Location(locs...).Int("x", int64(rng.Intn(3)))
+		nPorts := 1 + rng.Intn(2)
+		for pi := 0; pi < nPorts; pi++ {
+			pname := fmt.Sprintf("p%d", pi)
+			ab.Port(pname, "x")
+			ports = append(ports, portInfo{comp: name, port: pname})
+			nTrans := 1 + rng.Intn(3)
+			for ti := 0; ti < nTrans; ti++ {
+				from := locs[rng.Intn(nLocs)]
+				to := locs[rng.Intn(nLocs)]
+				var guard expr.Expr
+				if rng.Intn(2) == 0 {
+					guard = expr.Lt(expr.V("x"), expr.I(int64(1+rng.Intn(4))))
+				}
+				var action expr.Stmt
+				if rng.Intn(2) == 0 {
+					action = expr.Set("x", expr.Mod(expr.Add(expr.V("x"), expr.I(1)), expr.I(5)))
+				}
+				ab.TransitionG(from, pname, to, guard, action)
+			}
+		}
+		atom, err := ab.Build()
+		if err != nil {
+			t.Fatalf("random atom: %v", err)
+		}
+		b.Add(atom)
+	}
+	nInter := 2 + rng.Intn(5)
+	for ii := 0; ii < nInter; ii++ {
+		perm := rng.Perm(len(ports))
+		var refs []core.PortRef
+		var quals []string
+		seen := map[string]bool{}
+		want := 1 + rng.Intn(3)
+		for _, pi := range perm {
+			p := ports[pi]
+			if seen[p.comp] {
+				continue
+			}
+			seen[p.comp] = true
+			refs = append(refs, core.P(p.comp, p.port))
+			quals = append(quals, p.comp+".x")
+			if len(refs) == want {
+				break
+			}
+		}
+		var guard expr.Expr
+		if rng.Intn(3) == 0 {
+			guard = expr.Le(expr.V(quals[0]), expr.I(int64(1+rng.Intn(4))))
+		}
+		var action expr.Stmt
+		if len(quals) > 1 && rng.Intn(3) == 0 {
+			action = expr.Set(quals[0], expr.Mod(expr.Add(expr.V(quals[1]), expr.I(1)), expr.I(5)))
+		}
+		b.ConnectGD(fmt.Sprintf("i%d", ii), guard, action, refs...)
+	}
+	for k := 0; k < rng.Intn(4); k++ {
+		lo, hi := rng.Intn(nInter), rng.Intn(nInter)
+		if lo == hi {
+			continue
+		}
+		if rng.Intn(2) == 0 {
+			b.Priority(fmt.Sprintf("i%d", lo), fmt.Sprintf("i%d", hi))
+		} else {
+			b.PriorityWhen(fmt.Sprintf("i%d", lo), fmt.Sprintf("i%d", hi),
+				expr.Gt(expr.V("c0.x"), expr.I(int64(rng.Intn(3)))))
+		}
+	}
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatalf("random system: %v", err)
+	}
+	return sys
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -28,7 +29,9 @@ type JobRequest struct {
 // TimeoutMS tune resources only — the engine pins that verdicts are
 // identical across them — so they are deliberately NOT part of the
 // result cache key (see fingerprint). MaxStates and Reduce change the
-// report and ARE keyed.
+// report and ARE keyed. Under order "det" exploration is sequential
+// whatever Workers says; Workers speeds up only order "fast", and is
+// clamped to the server's GOMAXPROCS.
 type JobOptions struct {
 	Workers   int    `json:"workers,omitempty"`
 	Order     string `json:"order,omitempty"` // "det" (default) | "fast"
@@ -49,7 +52,11 @@ func (o JobOptions) compile() ([]bip.Option, error) {
 		return nil, fmt.Errorf("workers must be >= 0, got %d", o.Workers)
 	}
 	if o.Workers > 0 {
-		opts = append(opts, bip.Workers(o.Workers))
+		// The work-stealing driver starts one goroutine and one
+		// exploration context per worker, so the request may not size
+		// the pool past the host's parallelism. Workers are outside the
+		// cache key, so clamping changes no verdict.
+		opts = append(opts, bip.Workers(min(o.Workers, runtime.GOMAXPROCS(0))))
 	}
 	switch o.Order {
 	case "", "det":

@@ -435,6 +435,31 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestHugeWorkerRequestClamped: the request's worker count is clamped to
+// the server's GOMAXPROCS, so a job asking for 10^9 work-stealing
+// workers neither allocates per-worker machinery for all of them nor
+// fails — it completes with the verdict of any other worker count.
+func TestHugeWorkerRequestClamped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	v, status := submit(t, ts, JobRequest{
+		Model:      pingpong,
+		Properties: []string{"always(l.n <= 10)"},
+		Options:    JobOptions{Workers: 1_000_000_000, Order: "fast"},
+	})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d, want 202", status)
+	}
+	fin := waitTerminal(t, ts, v.ID, 10*time.Second)
+	if fin.State != StateDone || fin.Report == nil {
+		t.Fatalf("job ended %s (err %q), want done with report", fin.State, fin.Error)
+	}
+	p := fin.Report.Properties[0]
+	if !fin.Report.OK || p.Violated || !p.Conclusive || fin.Report.States != 21 {
+		t.Fatalf("report: ok=%v violated=%v conclusive=%v states=%d, want a conclusive pass over 21 states",
+			fin.Report.OK, p.Violated, p.Conclusive, fin.Report.States)
+	}
+}
+
 // jsonQuote JSON-quotes a string for hand-built request bodies.
 func jsonQuote(s string) string {
 	b, _ := json.Marshal(s)

@@ -44,14 +44,14 @@ type Stats = lts.Stats
 // Duplicate names are auto-suffixed "#2", "#3", ... in option order, so
 // Report.Property can always address each verdict individually.
 //
-// Verdicts are deterministic and worker-count independent: the
-// streaming checkers observe the sequential exploration order at any
-// Workers setting, so the reported states and counterexample paths are
-// bit-identical to the corresponding analyses on the materialized LTS
-// (check.Explore), which the differential tests pin. Multi-worker runs
-// that only need the verdicts can opt into the barrier-free
-// work-stealing explorer with Unordered: violated/conclusive and path
-// validity are unaffected, only the particular witness may vary.
+// Verdicts are deterministic and worker-count independent: under the
+// default order the exploration is sequential whatever Workers says, so
+// the reported states and counterexample paths are bit-identical to the
+// corresponding analyses on the materialized LTS (check.Explore), which
+// the differential tests pin. Runs that only need the verdicts can opt
+// into the barrier-free work-stealing explorer with Unordered — the only
+// order Workers speeds up: violated/conclusive and path validity are
+// unaffected, only the particular witness may vary.
 func Verify(sys *System, opts ...Option) (*Report, error) {
 	cfg := verifyConfig{}
 	for _, o := range opts {
@@ -241,16 +241,18 @@ type property struct {
 	result  func() Property
 }
 
-// Workers sets the number of exploration workers (negative means
-// GOMAXPROCS). The verdicts do not depend on it.
+// Workers sets the number of work-stealing exploration workers under
+// Unordered (negative means GOMAXPROCS). Under the default
+// deterministic order the exploration is sequential whatever n is. The
+// verdicts do not depend on it.
 func Workers(n int) Option { return func(c *verifyConfig) { c.workers = n } }
 
 // Unordered selects the work-stealing exploration order for a
 // multi-worker run — the fast path for on-the-fly verification, whose
 // verdicts (violated / conclusive) never depended on stream order. The
-// default (deterministic) order replays the sequential event stream at
-// any worker count, paying a per-level synchronization for bit-identical
-// reports; Unordered removes every barrier from the hot path. What can
+// default (deterministic) order runs the sequential explorer at any
+// worker count for bit-identical reports; Unordered spreads the work
+// over Workers(n) with no barrier on the hot path. What can
 // change under Unordered: state numbering (Report.Property State
 // fields), WHICH counterexample is reported when several exist, and the
 // exploration's internal event order. What cannot: whether each
@@ -290,14 +292,14 @@ func CompactSeen() Option {
 // as workers drain; Report.SpilledChunks counts the round trips. The
 // visited-state verdict contract is unchanged — spilled states decode
 // bit-identically. Zero (the default) means no budget; the option has
-// no effect on the deterministic orders, which keep only one BFS level
-// in flight.
+// no effect on the deterministic order, whose sequential explorer keeps
+// its frontier resident.
 func MemBudget(bytes int64) Option {
 	return func(c *verifyConfig) { c.memBudget = bytes }
 }
 
-// WithContext attaches a cancellation context to the exploration: all
-// three drivers poll it and return ctx.Err() promptly when it fires,
+// WithContext attaches a cancellation context to the exploration: both
+// drivers poll it and return ctx.Err() promptly when it fires,
 // making long verification runs abortable (timeouts, server shutdown).
 func WithContext(ctx context.Context) Option {
 	return func(c *verifyConfig) { c.ctx = ctx }
