@@ -76,7 +76,9 @@ apicheck:
 
 # examples builds and runs every example as a smoke test of the public
 # API surface (small sizes; each exits 0 on success), plus a bipc run
-# checking textual properties end to end (parse → compile → stream).
+# checking textual properties end to end (parse → compile → stream),
+# and the other front ends: bipsim on both engines (a built-in model
+# and a .bip file) and dfinder's compositional-vs-monolithic run.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/elevator
@@ -88,6 +90,9 @@ examples:
 		-prop 'after(hit, until(l.n >= 1, back))' \
 		-prop 'never(at(l, b) & at(r, a))' \
 		examples/pingpong.bip
+	$(GO) run ./cmd/bipsim -model philosophers -n 3 -steps 20
+	$(GO) run ./cmd/bipsim -f examples/pingpong.bip -mt -steps 20
+	$(GO) run ./cmd/dfinder -model philosophers -n 3 -mono
 
 # lint-models runs the static analyzer over every shipped model with
 # warnings promoted to errors: the examples and the zoo are the
@@ -97,7 +102,7 @@ examples:
 # lint/lint_test.go asserts those exact findings instead.)
 lint-models:
 	$(GO) run ./cmd/bipc -lint -Werror examples/pingpong.bip
-	@for m in philosophers philosophers2p tokenring gasstation elevator prodcons; do \
+	@for m in philosophers philosophers2p tokenring gasstation elevator prodcons temperature; do \
 		echo "dfinder -model $$m -lint"; \
 		$(GO) run ./cmd/dfinder -model $$m -n 4 -m 3 -lint -Werror >/dev/null || exit 1; \
 	done

@@ -5,10 +5,13 @@
 // the compositional D-Finder-style verifier that proves deadlock-freedom
 // without touching the product state space.
 //
-// The streaming surface is the one to build on: Stream drives a
-// breadth-first exploration — sequential or sharded-parallel, with a
-// bit-identical event stream either way — into any Sink. A Sink observes
-// OnState / OnEdge / OnExpanded / Done events in deterministic order and
+// The streaming surface is the one to build on: Stream drives an
+// exploration into any Sink — the sequential breadth-first explorer
+// under the default Deterministic order, at any worker count, or the
+// work-stealing explorer under Unordered with Workers > 1, whose state
+// set and verdicts are the same but whose state numbering and event
+// order depend on scheduling. A Sink observes OnState / OnEdge /
+// OnExpanded / Done events (in deterministic order unless Unordered) and
 // may stop the exploration early by returning ErrStop; checkers retain
 // O(frontier) live memory and capture counterexample paths from the
 // frontier-resident BFS tree (Discovery.Path). Explore materializes the

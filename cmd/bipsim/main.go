@@ -16,11 +16,11 @@ import (
 	"os"
 
 	"bip"
-	"bip/models"
+	"bip/cmd/internal/cli"
 )
 
 func main() {
-	model := flag.String("model", "", "built-in model name (see dfinder -h)")
+	model := flag.String("model", "", "built-in model: "+cli.ModelNames())
 	file := flag.String("f", "", "BIP source file")
 	n := flag.Int("n", 4, "size parameter")
 	steps := flag.Int("steps", 20, "maximum steps")
@@ -45,7 +45,7 @@ func run(model, file string, n, steps int, seed int64, first, mt bool) error {
 		}
 		sys, err = bip.Parse(string(src))
 	case model != "":
-		sys, err = builtin(model, n)
+		sys, err = cli.Model(model, n, 2) // the second size is dfinder's -m default
 	default:
 		return fmt.Errorf("need -model or -f")
 	}
@@ -59,12 +59,7 @@ func run(model, file string, n, steps int, seed int64, first, mt bool) error {
 		if err != nil {
 			return err
 		}
-		for i, l := range res.Labels {
-			fmt.Printf("%4d  %s\n", i+1, l)
-		}
-		if res.Deadlocked {
-			fmt.Println("-- deadlock --")
-		}
+		printTrace(res.Labels, res.Deadlocked)
 		if _, err := bip.Replay(sys, res.Moves); err != nil {
 			return fmt.Errorf("MT linearization invalid: %w", err)
 		}
@@ -83,32 +78,16 @@ func run(model, file string, n, steps int, seed int64, first, mt bool) error {
 	if err != nil {
 		return err
 	}
-	for i, l := range res.Labels {
-		fmt.Printf("%4d  %s\n", i+1, l)
-	}
-	if res.Deadlocked {
-		fmt.Println("-- deadlock --")
-	}
+	printTrace(res.Labels, res.Deadlocked)
 	return nil
 }
 
-func builtin(model string, n int) (*bip.System, error) {
-	switch model {
-	case "philosophers":
-		return models.Philosophers(n)
-	case "philosophers2p":
-		return models.PhilosophersDeadlocking(n)
-	case "tokenring":
-		return models.TokenRing(n)
-	case "gasstation":
-		return models.GasStation(n, 2)
-	case "elevator":
-		return models.Elevator(n)
-	case "prodcons":
-		return models.ProducerConsumer(int64(n))
-	case "temperature":
-		return models.Temperature(0, int64(n), 2)
-	default:
-		return nil, fmt.Errorf("unknown model %q", model)
+// printTrace prints a run's interaction labels, one numbered step a line.
+func printTrace(labels []string, deadlocked bool) {
+	for i, l := range labels {
+		fmt.Printf("%4d  %s\n", i+1, l)
+	}
+	if deadlocked {
+		fmt.Println("-- deadlock --")
 	}
 }

@@ -14,142 +14,44 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"bip"
 	"bip/check"
-	"bip/lint"
+	"bip/cmd/internal/cli"
 	"bip/models"
 )
 
 func main() {
-	model := flag.String("model", "philosophers", "philosophers | philosophers2p | tokenring | gasstation | elevator | prodcons")
-	n := flag.Int("n", 4, "size parameter (philosophers/ring stations/pumps/floors)")
-	m := flag.Int("m", 2, "second size parameter (gas station customers)")
+	model := flag.String("model", "philosophers", cli.ModelNames())
+	n := flag.Int("n", 4, "size parameter (philosophers/ring stations/pumps/floors/buffer capacity/max temperature)")
+	m := flag.Int("m", 2, "second size parameter (gas station customers/temperature rod rest ticks)")
 	mono := flag.Bool("mono", false, "also run the monolithic streaming deadlock checker")
 	traps := flag.Int("traps", 0, "max interaction invariants (0 = auto)")
-	workers := flag.Int("workers", runtime.NumCPU(), "monolithic work-stealing workers for -order fast (<0 = GOMAXPROCS; default: all CPUs); -order det explores sequentially")
-	order := flag.String("order", "det", "exploration order: det (sequential, deterministic stream) | fast (work-stealing over -workers)")
-	maxStates := flag.Int("max-states", 0, "exploration bound for -prop/-mono (0 = library default; data-carrying models are unbounded)")
-	reduce := flag.Bool("reduce", false, "ample-set partial-order reduction for the -prop/-mono explorations")
-	seen := flag.String("seen", "exact", "visited-state storage for -prop/-mono: exact (full keys) | compact (hash-compacted, ~12 B/state)")
-	mem := flag.Int64("mem", 0, "frontier memory budget in bytes for -prop/-mono (0 = unbounded; spills to disk under -order fast)")
-	timeout := flag.Duration("timeout", 0, "wall-clock bound on the -prop/-mono explorations (0 = none); timed-out runs exit non-zero")
-	lintFlag := flag.Bool("lint", false, "run static model analysis (bip/lint) on the built model before any verification")
-	werror := flag.Bool("Werror", false, "with -lint (implied): exit non-zero when lint reports any warning")
-	var props propFlags
-	flag.Var(&props, "prop", "textual property to check on the built model (repeatable)")
+	f := cli.Register(flag.CommandLine)
 	flag.Parse()
-	if err := run(*model, *n, *m, *mono, *reduce, *lintFlag || *werror, *werror, *traps, *workers, *maxStates, *order, *seen, *mem, *timeout, props); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("timed out after %s (-timeout): %w", *timeout, err)
-		}
-		fmt.Fprintln(os.Stderr, "dfinder:", err)
-		os.Exit(1)
-	}
+	f.Exit("dfinder", run(*model, *n, *m, *mono, *traps, f))
 }
 
-// propFlags collects repeated -prop occurrences.
-type propFlags []string
-
-func (p *propFlags) String() string { return fmt.Sprint(*p) }
-
-func (p *propFlags) Set(v string) error {
-	*p = append(*p, v)
-	return nil
-}
-
-func buildModel(model string, n, m int) (*bip.System, error) {
-	switch model {
-	case "philosophers":
-		return models.Philosophers(n)
-	case "philosophers2p":
-		return models.PhilosophersDeadlocking(n)
-	case "tokenring":
-		return models.TokenRing(n)
-	case "gasstation":
-		return models.GasStation(n, m)
-	case "elevator":
-		return models.Elevator(n)
-	case "prodcons":
-		return models.ProducerConsumer(int64(n))
-	default:
-		return nil, fmt.Errorf("unknown model %q", model)
+func run(model string, n, m int, mono bool, maxTraps int, f *cli.Flags) error {
+	opts, cancel, err := f.Options()
+	if err != nil {
+		return err
 	}
-}
-
-func run(model string, n, m int, mono, reduce, lintModel, werror bool, maxTraps, workers, maxStates int, order, seen string, mem int64, timeout time.Duration, props []string) error {
-	var ordOpts []bip.Option
-	if timeout > 0 {
-		// One budget shared by every exploration this invocation runs.
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		ordOpts = append(ordOpts, bip.WithContext(ctx))
-	}
-	switch order {
-	case "det", "":
-	case "fast":
-		ordOpts = append(ordOpts, bip.Unordered())
-	default:
-		return fmt.Errorf("unknown -order %q (want det or fast)", order)
-	}
-	if reduce {
-		ordOpts = append(ordOpts, bip.Reduce())
-	}
-	switch seen {
-	case "exact", "":
-	case "compact":
-		ordOpts = append(ordOpts, bip.CompactSeen())
-	default:
-		return fmt.Errorf("unknown -seen %q (want exact or compact)", seen)
-	}
-	if mem > 0 {
-		ordOpts = append(ordOpts, bip.MemBudget(mem))
-	}
-	sys, err := buildModel(model, n, m)
+	defer cancel()
+	sys, err := cli.Model(model, n, m)
 	if err != nil {
 		return err
 	}
 	fmt.Println(sys.Stats())
 
-	if lintModel {
-		// Built models carry no source positions; diagnostics render
-		// without line:col.
-		diags, err := bip.Lint(sys)
-		if err != nil {
-			return err
-		}
-		warnings := 0
-		for _, d := range diags {
-			fmt.Println("lint:", d)
-			if d.Severity != lint.SeverityInfo {
-				warnings++
-			}
-		}
-		if len(diags) == 0 {
-			fmt.Println("lint: model is clean")
-		}
-		if werror && warnings > 0 {
-			return fmt.Errorf("%s: lint reported %d warning(s) (-Werror)", model, warnings)
-		}
+	if err := f.LintModel(sys, model); err != nil {
+		return err
 	}
-
-	if len(props) > 0 {
-		opts := append([]bip.Option{bip.Workers(workers), bip.MaxStates(maxStates)}, ordOpts...)
-		for _, src := range props {
-			p, err := bip.ParseProp(src)
-			if err != nil {
-				return fmt.Errorf("-prop %q: %w", src, err)
-			}
-			opts = append(opts, bip.Prop(p))
-		}
-		rep, err := bip.Verify(sys, opts...)
+	if len(f.Props) > 0 {
+		rep, err := bip.Verify(sys, f.WithProps(opts)...)
 		if err != nil {
 			return err
 		}
@@ -172,7 +74,7 @@ func run(model string, n, m int, mono, reduce, lintModel, werror bool, maxTraps,
 		return err
 	}
 	t1 := time.Now()
-	rep, err := bip.Verify(ctl, append([]bip.Option{bip.Deadlock(), bip.Workers(workers), bip.MaxStates(maxStates)}, ordOpts...)...)
+	rep, err := bip.Verify(ctl, append(opts, bip.Deadlock())...)
 	if err != nil {
 		return err
 	}
@@ -189,12 +91,7 @@ func run(model string, n, m int, mono, reduce, lintModel, werror bool, maxTraps,
 		reduced = fmt.Sprintf(" (reduced: %d ample, %d moves pruned, %d proviso fallbacks)",
 			rep.AmpleStates, rep.PrunedMoves, rep.ProvisoFallbacks)
 	}
-	memLine := fmt.Sprintf(" [seen-set %d B, frontier peak %d B", rep.SeenBytes, rep.PeakFrontierBytes)
-	if rep.SpilledChunks > 0 {
-		memLine += fmt.Sprintf(", %d chunks spilled", rep.SpilledChunks)
-	}
-	memLine += "]"
-	fmt.Printf("monolithic   (%.2fms): %d states, %d transitions streamed%s%s — %s\n",
-		float64(time.Since(t1).Microseconds())/1000, rep.States, rep.Transitions, reduced, memLine, verdict)
+	fmt.Printf("monolithic   (%.2fms): %d states, %d transitions streamed%s [%s] — %s\n",
+		float64(time.Since(t1).Microseconds())/1000, rep.States, rep.Transitions, reduced, cli.Memory(rep), verdict)
 	return nil
 }

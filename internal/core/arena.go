@@ -14,7 +14,7 @@ import "bip/internal/expr"
 // exhausted chunks are replaced, never grown, so previously carved
 // slices stay valid forever. Carved slices have len == cap, which keeps
 // an append by one holder from clobbering a neighbour's slot. This
-// turns the per-state slice allocations of Materialize/Derive — two
+// turns the per-state slice allocations of a successor — two
 // state-store headers, a value slice per participant, a move-table
 // header, a move list per recomputed interaction, a choice vector per
 // move — into one allocation per slabChunk elements.
@@ -71,9 +71,9 @@ func (s *Slab) Moves(n int) []Move { return carve(&s.moves, n) }
 // Ints carves a choice-vector slot.
 func (s *Slab) Ints(n int) []int { return carve(&s.ints, n) }
 
-// MaterializeSlab is Materialize with the successor's Locs and Vars
-// headers and the participants' variable values carved from slab
-// instead of heap-allocated. Everything else is shared with the
+// MaterializeSlab returns a retained copy of the last executed
+// successor, with its Locs and Vars headers and the participants'
+// variable values carved from slab. Everything else is shared with the
 // predecessor, matching System.Exec's copy-on-write discipline. The
 // returned state is valid as long as the slab's chunks are, i.e. as
 // long as the state itself is retained.
@@ -93,10 +93,12 @@ func (x *ScratchExec) MaterializeSlab(m Move, slab *Slab) State {
 	return out
 }
 
-// DeriveSlab is Derive with the successor's table header, recomputed
-// move lists and their choice vectors carved from slab. Like Derive,
-// the result shares every non-incident entry with the parent table and
-// must be treated as immutable.
+// DeriveSlab returns the move table of the state st reached by firing m
+// from a state whose table is parent, recomputing only the entries
+// incident to m's participants. The table header, recomputed move lists
+// and their choice vectors are carved from slab; every other entry is
+// shared with the parent table, so the result must be treated as
+// immutable.
 func (d *TableDeriver) DeriveSlab(parent [][]Move, m Move, st State, slab *Slab) ([][]Move, error) {
 	sys := d.sys
 	vec := slab.Vecs(len(parent))
@@ -110,6 +112,9 @@ func (d *TableDeriver) DeriveSlab(parent [][]Move, m Move, st State, slab *Slab)
 			}
 		}
 	}
+	// The flags only deduplicate the list above; clear them before the
+	// recompute loop so an error cannot leave entries marked dirty (a
+	// stale flag would make later calls skip recomputation).
 	for _, ii := range d.dirtyList {
 		d.dirty[ii] = false
 	}

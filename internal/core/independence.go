@@ -140,20 +140,6 @@ func (s *System) computeIndependence() {
 	s.indep = ind
 }
 
-// Independent reports whether interactions i and j are statically
-// independent: they commute in every state. The relation is
-// conservative — it holds only when the two interactions have no common
-// participant atom (they live in different clusters) and neither is
-// entangled through a priority rule. Indices are interaction indices;
-// Validate must have run.
-func (s *System) Independent(i, j int) bool {
-	ind := s.indep
-	if ind.interCluster[i] == ind.interCluster[j] {
-		return false
-	}
-	return !ind.prioEntangled[i] && !ind.prioEntangled[j]
-}
-
 // PriorityEntangled reports whether interaction ii participates in the
 // priority layer: it appears as Low or High in some rule, or a rule's
 // When condition reads a variable of one of its participants. Entangled

@@ -409,7 +409,8 @@ func (s *System) NewScratchExec() *ScratchExec {
 
 // Exec fires m from st into the scratch buffers and returns a read-only
 // view of the successor, valid until the next Exec. The input state is
-// not mutated. Use Materialize to turn the view into a retained state.
+// not mutated. Use MaterializeSlab to turn the view into a retained
+// state.
 func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
 	s := x.sys
 	if m.Interaction < 0 || m.Interaction >= len(s.Interactions) {
@@ -430,21 +431,6 @@ func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
 		return nil, err
 	}
 	return &x.st, nil
-}
-
-// Materialize returns a retained copy of the last executed successor.
-// Participant variable stores are cloned out of the scratch buffers;
-// everything else is shared with the predecessor, matching System.Exec's
-// copy-on-write discipline.
-func (x *ScratchExec) Materialize(m Move) State {
-	out := State{
-		Locs: append([]string(nil), x.st.Locs...),
-		Vars: append([]expr.Slots(nil), x.st.Vars...),
-	}
-	for _, ai := range x.sys.portAtoms[m.Interaction] {
-		out.Vars[ai] = x.st.Vars[ai].Clone()
-	}
-	return out
 }
 
 // CheckInvariants evaluates every atom-level invariant at st and returns

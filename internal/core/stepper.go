@@ -62,14 +62,6 @@ func (s *System) NewStepper() *Stepper {
 	return sp
 }
 
-// StepperAt returns a step context positioned at st. The state is deep-
-// copied: the stepper mutates its own state in place as moves execute.
-func (s *System) StepperAt(st State) *Stepper {
-	sp := s.NewStepper()
-	sp.Reset(st)
-	return sp
-}
-
 // State returns the stepper's current state. The caller must not mutate
 // it and must not retain it across Exec calls; use State().Clone() for a
 // stable snapshot.
@@ -277,12 +269,6 @@ func (s *System) EnabledVector(st State) ([][]Move, error) {
 	return vec, nil
 }
 
-// EnabledFromVector applies priority filtering to a move table at st and
-// returns the allowed moves, in the same order as System.Enabled.
-func (s *System) EnabledFromVector(vec [][]Move, st State) ([]Move, error) {
-	return s.enabledFromTable(vec, &st, make([]bool, len(s.Interactions)), s.newIFrame(), nil)
-}
-
 // TableDeriver derives successor move tables from parent tables,
 // recomputing only the entries incident to a fired move's participants.
 // Derived tables share the untouched entries with their parent, so they
@@ -320,34 +306,4 @@ func (d *TableDeriver) Raw(vec [][]Move, out []Move) []Move {
 		out = append(out, ms...)
 	}
 	return out
-}
-
-// Derive returns the move table of the state st reached by firing m from
-// a state whose table is parent.
-func (d *TableDeriver) Derive(parent [][]Move, m Move, st State) ([][]Move, error) {
-	sys := d.sys
-	vec := append([][]Move(nil), parent...)
-	d.dirtyList = d.dirtyList[:0]
-	for _, ai := range sys.portAtoms[m.Interaction] {
-		for _, ii := range sys.incident[ai] {
-			if !d.dirty[ii] {
-				d.dirty[ii] = true
-				d.dirtyList = append(d.dirtyList, ii)
-			}
-		}
-	}
-	// The flags only deduplicate the list above; clear them before the
-	// recompute loop so an error cannot leave entries marked dirty (a
-	// stale flag would make later Derive calls skip recomputation).
-	for _, ii := range d.dirtyList {
-		d.dirty[ii] = false
-	}
-	var err error
-	for _, ii := range d.dirtyList {
-		vec[ii], err = sys.movesOfInteraction(&st, ii, nil, d.frame)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return vec, nil
 }

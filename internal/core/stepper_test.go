@@ -133,8 +133,11 @@ func fmtMoves(sys *System, ms []Move) string {
 
 // TestStepperDifferential is the semantic-equivalence oracle required by
 // the incremental engine: on random systems, the from-scratch Enabled /
-// EnabledRaw, the incremental Stepper, and the derived-table exploration
-// path must produce identical move sets after every step of random runs.
+// EnabledRaw, the incremental Stepper, and the derived-table path both
+// exploration drivers run (ScratchExec.MaterializeSlab,
+// TableDeriver.DeriveSlab, TableDeriver.Enabled/Raw) must produce
+// identical states and move sets after every step of random runs. The
+// walk continues from the slab-materialized state, as the drivers do.
 func TestStepperDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -147,6 +150,7 @@ func TestStepperDifferential(t *testing.T) {
 		}
 		deriver := sys.NewTableDeriver()
 		scratch := sys.NewScratchExec()
+		slab := &Slab{}
 		for step := 0; step < 60; step++ {
 			want, err := sys.Enabled(st)
 			if err != nil {
@@ -172,13 +176,17 @@ func TestStepperDifferential(t *testing.T) {
 				t.Fatalf("seed %d step %d: raw move sets differ\n scratch: %s\n stepper: %s",
 					seed, step, fmtMoves(sys, wantRaw), fmtMoves(sys, gotRaw))
 			}
-			fromVec, err := sys.EnabledFromVector(vec, st)
+			fromVec, err := deriver.Enabled(vec, st, nil)
 			if err != nil {
-				t.Fatalf("seed %d step %d: EnabledFromVector: %v", seed, step, err)
+				t.Fatalf("seed %d step %d: deriver Enabled: %v", seed, step, err)
 			}
 			if !movesEqual(want, fromVec) {
 				t.Fatalf("seed %d step %d: vector move set differs\n scratch: %s\n vector:  %s",
 					seed, step, fmtMoves(sys, want), fmtMoves(sys, fromVec))
+			}
+			if rawVec := deriver.Raw(vec, nil); !movesEqual(wantRaw, rawVec) {
+				t.Fatalf("seed %d step %d: raw vector move set differs\n scratch: %s\n vector:  %s",
+					seed, step, fmtMoves(sys, wantRaw), fmtMoves(sys, rawVec))
 			}
 			if len(want) == 0 {
 				break // deadlock
@@ -194,7 +202,8 @@ func TestStepperDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: scratch Exec: %v", seed, step, err)
 			}
-			if !view.Equal(next) || !scratch.Materialize(m).Equal(next) {
+			mat := scratch.MaterializeSlab(m, slab)
+			if !view.Equal(next) || !mat.Equal(next) {
 				t.Fatalf("seed %d step %d: scratch successor diverges from Exec", seed, step)
 			}
 			if err := sp.Exec(m); err != nil {
@@ -203,11 +212,11 @@ func TestStepperDifferential(t *testing.T) {
 			if !next.Equal(sp.State()) {
 				t.Fatalf("seed %d step %d: states diverged after %s", seed, step, sys.Label(m))
 			}
-			vec, err = deriver.Derive(vec, m, next)
+			vec, err = deriver.DeriveSlab(vec, m, mat, slab)
 			if err != nil {
-				t.Fatalf("seed %d step %d: Derive: %v", seed, step, err)
+				t.Fatalf("seed %d step %d: DeriveSlab: %v", seed, step, err)
 			}
-			st = next
+			st = mat
 		}
 	}
 }
@@ -218,7 +227,8 @@ func TestStepperReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sys := randSystem(t, rng)
 	st := sys.Initial()
-	sp := sys.StepperAt(st)
+	sp := sys.NewStepper()
+	sp.Reset(st)
 	moves, err := sp.Enabled()
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +241,7 @@ func TestStepperReset(t *testing.T) {
 	}
 	// The caller's state must be untouched by the stepper's in-place run.
 	if !st.Equal(sys.Initial()) {
-		t.Fatal("StepperAt mutated the caller's state")
+		t.Fatal("Reset aliased the caller's state")
 	}
 	sp.Reset(st)
 	got, err := sp.Enabled()

@@ -256,7 +256,6 @@ func ReplayLabels(sys *core.System, labels []string) (int, error) {
 // Node identifiers.
 const (
 	arbiterID  network.NodeID = "crp/arbiter"
-	tokenID    network.NodeID = "crp/token"
 	observerID network.NodeID = "observer"
 )
 

@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Expr is a side-effect-free expression over an Env.
@@ -399,7 +398,3 @@ func Rename(e Expr, f func(string) string) Expr {
 		return e
 	}
 }
-
-// JoinNames renders a list of strings separated by commas; shared helper
-// for diagnostics in this package and its dependents.
-func JoinNames(names []string) string { return strings.Join(names, ", ") }

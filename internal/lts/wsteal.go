@@ -801,6 +801,13 @@ func streamWorkSteal(sys *core.System, opts Options, workers, maxStates int, sin
 		go w.run(d, &wg)
 	}
 	wg.Wait()
+	// The watcher may not have run yet: a cancellation that fired during
+	// the run still ends it cancelled. Failing through the Once also
+	// orders the read of d.err below after a concurrent watcher fail.
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		d.fail(opts.Ctx.Err())
+	}
+	d.failOnce.Do(func() {})
 
 	stats := Stats{
 		States:      int(d.states.Load()),

@@ -25,13 +25,16 @@ type JobRequest struct {
 	Options    JobOptions `json:"options"`
 }
 
-// JobOptions mirrors bipc's flags. Workers, Order, Seen, MemBudget and
+// JobOptions are the textual exploration settings — bipd's wire shape
+// and the flags bipc and dfinder share — and Options is their one
+// lowering to bip.Option values. Workers, Order, Seen, MemBudget and
 // TimeoutMS tune resources only — the engine pins that verdicts are
 // identical across them — so they are deliberately NOT part of the
 // result cache key (see fingerprint). MaxStates and Reduce change the
 // report and ARE keyed. Under order "det" exploration is sequential
 // whatever Workers says; Workers speeds up only order "fast", and is
-// clamped to the server's GOMAXPROCS.
+// clamped to the host's GOMAXPROCS. Order "fast" with Workers omitted
+// explores with one worker, which is the sequential driver.
 type JobOptions struct {
 	Workers   int    `json:"workers,omitempty"`
 	Order     string `json:"order,omitempty"` // "det" (default) | "fast"
@@ -43,10 +46,11 @@ type JobOptions struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// compile validates the options and lowers them to bip.Option values.
-// The timeout is handled by the job runner (it needs a context), not
-// here.
-func (o JobOptions) compile() ([]bip.Option, error) {
+// Options validates the settings and lowers them to bip.Option values:
+// negative numbers and unknown order or seen names are errors. The
+// timeout is only validated here; the caller turns it into a context
+// (bip.WithContext).
+func (o JobOptions) Options() ([]bip.Option, error) {
 	var opts []bip.Option
 	if o.Workers < 0 {
 		return nil, fmt.Errorf("workers must be >= 0, got %d", o.Workers)

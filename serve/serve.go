@@ -427,7 +427,7 @@ func (s *Server) prepare(req JobRequest) (prepared, error) {
 		}
 		props = append(props, pr)
 	}
-	opts, err := req.Options.compile()
+	opts, err := req.Options.Options()
 	if err != nil {
 		return p, fmt.Errorf("options: %v", err)
 	}

@@ -73,7 +73,7 @@ func Verify(sys *System, opts ...Option) (*Report, error) {
 	}
 	var expander lts.Expander
 	var degradedBy string
-	progress := cfg.progress
+	progress := cfg.lts.Progress
 	if cfg.reduce {
 		var vis lts.Visibility
 		for _, p := range props {
@@ -109,18 +109,9 @@ func Verify(sys *System, opts ...Option) (*Report, error) {
 			}
 		}
 	}
-	stats, err := lts.Stream(sys, lts.Options{
-		MaxStates:     cfg.maxStates,
-		Workers:       cfg.workers,
-		Raw:           cfg.raw,
-		Order:         cfg.order,
-		Expander:      expander,
-		Seen:          cfg.seen,
-		MemBudget:     cfg.memBudget,
-		Ctx:           cfg.ctx,
-		Progress:      progress,
-		ProgressEvery: cfg.progressEvery,
-	}, lts.NewMulti(sinks...))
+	o := cfg.lts
+	o.Expander, o.Progress = expander, progress
+	stats, err := lts.Stream(sys, o, lts.NewMulti(sinks...))
 	if err != nil {
 		return nil, fmt.Errorf("bip: verify %s: %w", sys.Name, err)
 	}
@@ -170,10 +161,11 @@ func uniqueNames(specs []propSpec) []string {
 // Explore materializes the reachable LTS of sys — the full graph for
 // analyses that need it (bisimulation, label sets, arbitrary queries).
 // Prefer Verify when only property verdicts are wanted: the streaming
-// checkers answer those without retaining the state space. Only the
-// exploration options (Workers, MaxStates, Raw) apply here; passing a
-// property option (Deadlock, Prop, …) is an error rather than a
-// silently dropped check.
+// checkers answer those without retaining the state space. Every
+// exploration option applies here (Workers, Unordered, MaxStates,
+// CompactSeen, MemBudget, WithContext, WithProgress, and Reduce, which
+// Explore runs deadlock-preserving); passing a property option
+// (Deadlock, Prop, …) is an error rather than a silently dropped check.
 func Explore(sys *System, opts ...Option) (*lts.LTS, error) {
 	cfg := verifyConfig{}
 	for _, o := range opts {
@@ -193,35 +185,21 @@ func Explore(sys *System, opts ...Option) (*lts.LTS, error) {
 		}
 		expander = exp
 	}
-	return lts.Explore(sys, lts.Options{
-		MaxStates:     cfg.maxStates,
-		Workers:       cfg.workers,
-		Raw:           cfg.raw,
-		Order:         cfg.order,
-		Expander:      expander,
-		Seen:          cfg.seen,
-		MemBudget:     cfg.memBudget,
-		Ctx:           cfg.ctx,
-		Progress:      cfg.progress,
-		ProgressEvery: cfg.progressEvery,
-	})
+	o := cfg.lts
+	o.Expander = expander
+	return lts.Explore(sys, o)
 }
 
 // Option configures Verify and Explore.
 type Option func(*verifyConfig)
 
+// verifyConfig collects the options: the exploration settings are
+// written straight into the driver's lts.Options, of which Verify and
+// Explore set only the expansion stage (and Verify the wrapped Progress).
 type verifyConfig struct {
-	workers       int
-	maxStates     int
-	raw           bool
-	reduce        bool
-	order         lts.Order
-	seen          lts.SeenSets
-	memBudget     int64
-	ctx           context.Context
-	progress      func(Stats)
-	progressEvery time.Duration
-	specs         []propSpec
+	lts    lts.Options
+	reduce bool
+	specs  []propSpec
 }
 
 // propSpec is one requested property: its report name plus the deferred
@@ -245,7 +223,7 @@ type property struct {
 // Unordered (negative means GOMAXPROCS). Under the default
 // deterministic order the exploration is sequential whatever n is. The
 // verdicts do not depend on it.
-func Workers(n int) Option { return func(c *verifyConfig) { c.workers = n } }
+func Workers(n int) Option { return func(c *verifyConfig) { c.lts.Workers = n } }
 
 // Unordered selects the work-stealing exploration order for a
 // multi-worker run — the fast path for on-the-fly verification, whose
@@ -259,16 +237,12 @@ func Workers(n int) Option { return func(c *verifyConfig) { c.workers = n } }
 // property is violated, whether it is conclusive, the visited state
 // set, and the validity of every reported path. With Workers(1) the
 // option is a no-op.
-func Unordered() Option { return func(c *verifyConfig) { c.order = lts.Unordered } }
+func Unordered() Option { return func(c *verifyConfig) { c.lts.Order = lts.Unordered } }
 
 // MaxStates bounds the exploration; 0 means the shared library default
 // (check.DefaultMaxStates). Hitting the bound makes absence verdicts
 // inconclusive, which the Report records.
-func MaxStates(n int) Option { return func(c *verifyConfig) { c.maxStates = n } }
-
-// Raw explores the unrestricted interaction semantics, ignoring
-// priority filtering.
-func Raw() Option { return func(c *verifyConfig) { c.raw = true } }
+func MaxStates(n int) Option { return func(c *verifyConfig) { c.lts.MaxStates = n } }
 
 // CompactSeen swaps the exploration's visited-state storage for the
 // hash-compacted seen set: ~12 bytes per visited state instead of the
@@ -282,7 +256,7 @@ func Raw() Option { return func(c *verifyConfig) { c.raw = true } }
 // the differential tests pin this across worker counts and both
 // exploration orders.
 func CompactSeen() Option {
-	return func(c *verifyConfig) { c.seen = lts.CompactSeen{} }
+	return func(c *verifyConfig) { c.lts.Seen = lts.CompactSeen{} }
 }
 
 // MemBudget caps the frontier's resident memory (bytes, accounted by a
@@ -295,14 +269,14 @@ func CompactSeen() Option {
 // no effect on the deterministic order, whose sequential explorer keeps
 // its frontier resident.
 func MemBudget(bytes int64) Option {
-	return func(c *verifyConfig) { c.memBudget = bytes }
+	return func(c *verifyConfig) { c.lts.MemBudget = bytes }
 }
 
 // WithContext attaches a cancellation context to the exploration: both
 // drivers poll it and return ctx.Err() promptly when it fires,
 // making long verification runs abortable (timeouts, server shutdown).
 func WithContext(ctx context.Context) Option {
-	return func(c *verifyConfig) { c.ctx = ctx }
+	return func(c *verifyConfig) { c.lts.Ctx = ctx }
 }
 
 // WithProgress installs fn as a periodic observer of the running
@@ -317,8 +291,8 @@ func WithContext(ctx context.Context) Option {
 // the returned Report carries the authoritative totals.
 func WithProgress(every time.Duration, fn func(Stats)) Option {
 	return func(c *verifyConfig) {
-		c.progress = fn
-		c.progressEvery = every
+		c.lts.Progress = fn
+		c.lts.ProgressEvery = every
 	}
 }
 
