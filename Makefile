@@ -36,19 +36,23 @@ test:
 race:
 	$(GO) test -race -timeout 300s ./...
 
-# stress repeats the work-stealing driver's differential, spill,
-# early-exit and goroutine-leak tests under the race detector at
-# GOMAXPROCS 1, 2, 4 and 8, so the 4- and 8-worker runs oversubscribe
-# the cores and every stop/termination path meets many schedules. Each
+# stress repeats the exploration loop's tests under the race detector
+# at GOMAXPROCS 1, 2, 4 and 8, so the 4- and 8-worker runs oversubscribe
+# the cores and every stop/termination path meets many schedules: the
+# work-stealing differential, spill, early-exit and goroutine-leak
+# tests, plus the deterministic-route tests (worker defaults, the golden
+# stream, cancellation, progress), which run the same admission, flush
+# and termination protocol on the one-worker FIFO frontier. Each
 # pass is its own test process under the 600 s hang timeout: one pass
-# takes about 35 s on 2 CPUs, so a single -count=200 process could not
+# takes about 30 s on 2 CPUs, so a single -count=200 process could not
 # finish inside any timeout that still catches a hang promptly.
 # CI runs it with STRESS_COUNT=20.
 STRESS_COUNT ?= 200
 stress:
 	@for i in $$(seq $(STRESS_COUNT)); do \
 		echo "stress pass $$i/$(STRESS_COUNT)"; \
-		$(GO) test -race -count=1 -cpu 1,2,4,8 -run 'WorkSteal|Spill|EarlyExit|Leak' \
+		$(GO) test -race -count=1 -cpu 1,2,4,8 \
+			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers' \
 			-timeout 600s ./internal/lts || exit 1; \
 	done
 

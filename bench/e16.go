@@ -69,7 +69,7 @@ func E16StreamingMemory(maxRings int) (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"peak frontier = discovered-but-unexpanded states, the streaming driver's live-state high-water mark (lts.Stats.PeakFrontier)",
+		"peak frontier = in-flight states (admitted, not yet expanded and flushed), the streaming loop's live-state high-water mark (lts.Stats.PeakFrontier)",
 		"retained = peak frontier / states: the fraction of the space the streaming checker ever holds materialized; the rest exists only as fixed-width dedup keys")
 	return t, nil
 }

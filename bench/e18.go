@@ -11,24 +11,24 @@ import (
 	"bip/models"
 )
 
-// E18WorkStealing measures the work-stealing explorer (Options.Order =
-// Unordered) against the sequential driver — the only other driver, and
-// the one every Deterministic exploration runs — on three workload
-// shapes:
+// E18WorkStealing measures exploration on the work-stealing deques
+// (Options.Order = Unordered) against the one-worker FIFO frontier —
+// the same loop, and what every Deterministic exploration runs — on
+// three workload shapes:
 //
 //   - rings: wide BFS levels (the E1 philosopher-rings family) — plenty
 //     of independent work per level.
 //   - pairs: wide and data-carrying (the E8-class pair grid) — adds
 //     per-state variable-store copying to the expansion cost.
 //   - deep-chain: narrow and deep (models.DeepChain) — BFS levels
-//     smaller than the worker pool, where only a barrier-free driver
+//     smaller than the worker pool, where only a barrier-free frontier
 //     can keep the workers busy.
 //
-// Each row re-checks the driver contract cheaply: the unordered driver
-// must match the sequential fingerprint — same state, transition and
+// Each row re-checks the stream contract cheaply: the unordered run
+// must match the one-worker fingerprint — same state, transition and
 // deadlock counts, same truncation — with scheduling-free numbering
 // (the wsteal differential tests pin set-level equality and verdicts).
-// Speedup is against the sequential explorer and is bounded by
+// Speedup is against the one-worker run and is bounded by
 // GOMAXPROCS; EXPERIMENTS.md records a reference run and the CI quick
 // sweep asserts the multi-core floor when enough CPUs are present.
 func E18WorkStealing(workerCounts []int, deepDepth int64) (*Table, error) {
@@ -85,7 +85,7 @@ func E18WorkStealing(workerCounts []int, deepDepth int64) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"workers=1 is the sequential explorer (what order=det runs at any worker count); order=fast is the barrier-free work-stealing explorer",
+		"workers=1 is the one-worker FIFO frontier (what order=det runs at any worker count); order=fast runs the same loop on barrier-free work-stealing deques",
 		"contract column: state/transition/deadlock counts and truncation equal to the sequential run (set-level equality pinned by internal/lts/wsteal_test.go)",
 		fmt.Sprintf("speedup ceiling bounded by GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0)))
 	return t, nil

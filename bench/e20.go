@@ -23,9 +23,9 @@ import (
 //
 // Every row re-checks the contract cheaply: states, transitions and the
 // deadlock count must match the exact sequential reference exactly (the
-// full cross-driver differential lives in internal/lts). There are no
-// det-Nw rows: Deterministic order runs the sequential driver at any
-// worker count, so they would repeat the seq rows.
+// full cross-frontier differential lives in internal/lts). There are no
+// det-Nw rows: Deterministic order runs one worker on the FIFO frontier
+// at any worker count, so they would repeat the seq rows.
 // The final row runs the work-stealing explorer under a frontier budget
 // of a fraction of its unbounded peak, forcing chunks through the spill
 // file and back.

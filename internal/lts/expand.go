@@ -8,22 +8,22 @@ import (
 )
 
 // This file is the pluggable expansion stage between core's semantics
-// (Stepper/TableDeriver via ExploreCtx) and the exploration drivers
-// (stream.go, wsteal.go). The drivers no longer decide
-// which successors of a state to pursue; they ask a WorkerExpander and
-// process what it returns. Full expansion — every enabled move — is the
+// (Stepper/TableDeriver via ExploreCtx) and the exploration loop
+// (stream.go). The loop does not decide which successors of a state to
+// pursue; each worker asks its WorkerExpander and processes what it
+// returns. Full expansion — every enabled move — is the
 // default; the ample-set partial-order reducer below is the first
 // alternative client.
 //
 // The Expand contract is designed so that reduction never distorts the
 // observable enabledness of a state: Expand returns the FULL enabled
 // move list, deterministically reordered with the ample subset as a
-// prefix, plus the prefix length. Drivers explore only the prefix but
-// report the full length through OnExpanded, so deadlock detection
+// prefix, plus the prefix length. The loop explores only the prefix but
+// reports the full length through OnExpanded, so deadlock detection
 // (moves == 0) and enabled-move counts stay exact under reduction. The
-// suffix also lets a driver escalate to full expansion mid-state when
-// the cycle proviso demands it (see the driver notes below) without a
-// second derivation.
+// suffix also lets the loop escalate to full expansion mid-state when
+// the cycle proviso demands it (see C3 below) without a second
+// derivation.
 //
 // Ample sets. The reducer picks, per state, one reducible connector
 // cluster (core.ClusterReducible) and takes all enabled moves of that
@@ -44,16 +44,21 @@ import (
 //	    excluding clusters that contain a visible interaction or a
 //	    visible atom from selection.
 //	C3  (cycle proviso) every cycle of the reduced graph contains one
-//	    fully expanded state — enforced by the drivers: a state whose
-//	    ample successor is already visited is escalated to full
-//	    expansion. Admission order strictly increases along reduced
-//	    edges to fresh states, so any cycle must contain an edge to an
-//	    already-admitted state, and its source is fully expanded.
+//	    fully expanded state — enforced in one place, the loop's
+//	    expandFlush: a state whose ample successor was already
+//	    admitted is escalated to full expansion. Admission order
+//	    strictly increases along reduced edges to fresh states, so any
+//	    cycle must contain an edge to an already-admitted state, and
+//	    its source is fully expanded. The FIFO frontier narrows the
+//	    test to successors at the current BFS level or an earlier one:
+//	    a cycle cannot only climb levels, so it contains such an edge,
+//	    and that edge's source escalates. The work-stealing deques
+//	    have no levels and escalate on any admitted successor.
 //
 // Selection is deterministic: among eligible clusters with 0 < enabled
 // moves < all enabled moves, the one with the fewest moves wins, ties
 // broken by smaller cluster index. The reordering is stable, so the
-// sequential driver's reduced stream is deterministic.
+// deterministic reduced stream is reproducible.
 
 // Visibility declares what a property observes, so reduction never
 // prunes a transition the property could see. The zero value observes
@@ -86,18 +91,18 @@ func (v Visibility) Union(o Visibility) Visibility {
 }
 
 // Expander is the pluggable expansion stage. Implementations must be
-// safe to share across drivers and runs; per-worker scratch lives in
+// safe to share across workers and runs; per-worker scratch lives in
 // the WorkerExpander instances the factory hands out.
 type Expander interface {
 	// NewWorkerExpander returns a fresh single-threaded expansion stage
-	// for one driver worker. raw mirrors Options.Raw (priority filtering
-	// off).
+	// for one exploration worker. raw mirrors Options.Raw (priority
+	// filtering off).
 	NewWorkerExpander(sys *core.System, raw bool) WorkerExpander
 }
 
 // WorkerExpander computes one state's successor moves. Expand returns
 // the full enabled move list (possibly reordered) and the length of the
-// ample prefix the driver should explore; ample == len(moves) means
+// ample prefix the loop should explore; ample == len(moves) means
 // full expansion. The returned slice is owned by the expander and valid
 // until the next Expand call on the same worker.
 type WorkerExpander interface {
@@ -115,7 +120,7 @@ func (o Options) newWorkerExpander(sys *core.System) WorkerExpander {
 
 // fullWorker is the default expansion stage: every enabled move, in
 // enabled-set order, no reduction. It reuses ctx.Moves as its buffer,
-// exactly as the drivers did before the stage was factored out.
+// as the loop's scratch buffer.
 type fullWorker struct{ raw bool }
 
 func (f fullWorker) Expand(ctx *core.ExploreCtx, st core.State, vec [][]core.Move) ([]core.Move, int, error) {

@@ -6,9 +6,9 @@
 // monolithic global-state verifier the paper contrasts with compositional
 // verification (package invariant). Its exhaustive exploration exhibits
 // exactly the state-explosion behaviour the paper describes (§4.3), which
-// experiment E1 measures. Exploration is streaming at heart: the drivers
-// (Stream, sequential and work-stealing) emit an event stream into a
-// Sink, and the on-the-fly checkers in check.go verify
+// experiment E1 measures. Exploration is streaming at heart: Stream's
+// one worker loop (on a FIFO or on work-stealing deques) emits an event
+// stream into a Sink, and the on-the-fly checkers in check.go verify
 // properties as states are discovered, early-exiting on the first
 // violation with O(frontier) live memory. The materialized LTS built by
 // Explore is just one sink over the same stream.
@@ -67,17 +67,17 @@ type Options struct {
 	// Raw ignores priority filtering (explores the unrestricted
 	// interaction semantics).
 	Raw bool
-	// Workers is the number of work-stealing workers under Unordered
-	// order; a negative value means GOMAXPROCS. 0 and 1 select the
-	// sequential explorer. Under the default Order (Deterministic) the
-	// exploration is sequential whatever Workers says, so every sink,
-	// including the materialized LTS, is worker-count independent.
+	// Workers is the number of workers under Unordered order; a
+	// negative value means GOMAXPROCS. 0 and 1 run one worker on the
+	// FIFO frontier. Under the default Order (Deterministic) one worker
+	// runs whatever Workers says, so every sink, including the
+	// materialized LTS, is worker-count independent.
 	Workers int
 	// Order selects the event-stream discipline: Deterministic (default)
-	// runs the sequential explorer; Unordered with Workers > 1 runs the
-	// barrier-free work-stealing explorer, whose state set, edges and
-	// verdicts are identical but whose numbering and event order are
-	// scheduling-dependent. Ignored at one worker.
+	// runs one worker on the FIFO frontier; Unordered with Workers > 1
+	// runs the same loop on barrier-free work-stealing deques, whose
+	// state set, edges and verdicts are identical but whose numbering
+	// and event order are scheduling-dependent. Ignored at one worker.
 	Order Order
 	// Expander selects the expansion stage (expand.go): nil explores
 	// every enabled move; an AmpleExpander prunes to ample sets
@@ -85,8 +85,8 @@ type Options struct {
 	// state and edge sets are a property-preserving SUBSET of the full
 	// LTS: deadlocks and the installed visibility's observations are
 	// preserved, other states may be absent. Under Deterministic order
-	// the reduced stream is the sequential one at any worker count;
-	// under Unordered the reduced state set itself may vary with
+	// the reduced stream is the same at any worker count; under
+	// Unordered the reduced state set itself may vary with
 	// schedule (the cycle proviso reacts to discovery order), though
 	// verdicts are preserved either way.
 	Expander Expander
@@ -98,32 +98,35 @@ type Options struct {
 	// memory varies, reported in Stats.SeenBytes.
 	Seen SeenSets
 	// MemBudget approximately bounds the resident frontier of the
-	// Unordered work-stealing driver, in bytes (accounted with the
-	// Stats.PeakFrontierBytes model). When the pending work exceeds it,
-	// whole deque chunks are serialized to a temporary spill file as
-	// flat key records and streamed back as workers drain, so spaces
-	// whose frontier exceeds RAM complete instead of OOMing
-	// (Stats.SpilledChunks counts the round trips). 0 means unlimited;
-	// the sequential explorer (Deterministic order, or one worker)
-	// ignores it and keeps its frontier resident.
+	// work-stealing deques (Unordered, Workers > 1), in bytes
+	// (accounted with the Stats.PeakFrontierBytes model). When the
+	// pending work exceeds it, whole deque chunks are serialized to a
+	// temporary spill file as flat key records and streamed back as
+	// workers drain, so spaces whose frontier exceeds RAM complete
+	// instead of OOMing (Stats.SpilledChunks counts the round trips).
+	// 0 means unlimited; the FIFO frontier (Deterministic order, or one
+	// worker) ignores it and keeps its frontier resident.
 	MemBudget int64
-	// Ctx, when non-nil, cancels the exploration: the drivers poll it
-	// and return its error (context.Canceled / DeadlineExceeded) as
-	// soon as every worker has unwound. The sink's Done is not called
-	// on cancellation.
+	// Ctx, when non-nil, cancels the exploration: every worker polls it
+	// once per expansion, and Stream returns its error
+	// (context.Canceled / DeadlineExceeded) as soon as every worker has
+	// unwound. A cancellation that lands after the last expansion's poll
+	// does not undo a finished run. The sink's Done is not called on
+	// cancellation.
 	Ctx context.Context
 	// Progress, when non-nil, receives periodic snapshots of the
 	// running exploration's Stats — the hook behind bip.WithProgress
 	// and the bipd job progress stream. Snapshots are cumulative
 	// (States/Transitions only grow) but best-effort: memory figures
-	// are the values the driver can read cheaply at the tick. The
-	// sequential driver calls it between state expansions, from the
-	// exploring goroutine; the work-stealing driver calls it from a
-	// dedicated ticker goroutine, so under Unordered with Workers > 1
-	// it may run concurrently with Sink calls (never with itself). The
-	// callback must return quickly and must not call back into the
-	// exploration. No final call is guaranteed at termination — the
-	// Stats returned by Stream is the authoritative summary.
+	// are the values the loop can read cheaply at the tick. It is called
+	// between state expansions by whichever worker finishes one once
+	// the interval has elapsed — on the FIFO that is the calling
+	// goroutine; on the work-stealing deques (Unordered, Workers > 1) it
+	// may run concurrently with Sink calls, but never with itself. No
+	// goroutine is started for it. The callback must return quickly and
+	// must not call back into the exploration. No final call is
+	// guaranteed at termination — the Stats returned by Stream is the
+	// authoritative summary.
 	Progress func(Stats)
 	// ProgressEvery is the minimum interval between Progress calls;
 	// 0 means DefaultProgressEvery.
@@ -153,15 +156,6 @@ func (o *Options) seenSets() SeenSets {
 	return o.Seen
 }
 
-// ctxDone returns the cancellation channel to poll, nil when no context
-// was installed (a nil channel never fires in a select).
-func (o *Options) ctxDone() <-chan struct{} {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Done()
-}
-
 // Explore builds the reachable LTS of sys by breadth-first search: it
 // runs Stream with the LTS itself as the sink.
 //
@@ -174,9 +168,9 @@ func (o *Options) ctxDone() <-chan struct{} {
 //
 // Dedup is keyed by the system's fixed-width binary state keys
 // (core.System.AppendBinaryKey). Under the default Deterministic order
-// the sequential explorer builds the LTS whatever Options.Workers says;
-// Unordered with Workers > 1 explores on the work-stealing driver and
-// builds the same LTS up to state numbering.
+// one worker on the FIFO frontier builds the LTS whatever
+// Options.Workers says; Unordered with Workers > 1 explores on the
+// work-stealing deques and builds the same LTS up to state numbering.
 func Explore(sys *core.System, opts Options) (*LTS, error) {
 	l := &LTS{sys: sys}
 	if _, err := Stream(sys, opts, l); err != nil {

@@ -1,19 +1,23 @@
 package lts
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"bip/internal/core"
 	"bip/models"
 )
 
 // TestProgressCallbackAllDrivers pins the Options.Progress contract on
-// every driver: with a tiny interval the callback fires at least once
+// both frontiers: with a tiny interval the callback fires at least once
 // on a non-trivial space, snapshots are monotonic in States and
 // Transitions, and the final Stats dominates the last snapshot. The
-// work-stealing driver's callback runs on a ticker goroutine, so the
-// collector locks — which also makes this a race test under -race.
+// fifo-det-4w case asks for four workers under Deterministic order,
+// which routes to the one-worker FIFO. On the deques the callback runs
+// on whichever worker finishes an expansion, so the collector locks —
+// which also makes this a race test under -race.
 func TestProgressCallbackAllDrivers(t *testing.T) {
 	sys, err := models.CounterGrid(4, 5)
 	if err != nil {
@@ -23,9 +27,9 @@ func TestProgressCallbackAllDrivers(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"seq", Options{}},
-		{"det-4w", Options{Workers: 4}},
-		{"fast-4w", Options{Workers: 4, Order: Unordered}},
+		{"fifo", Options{}},
+		{"fifo-det-4w", Options{Workers: 4}},
+		{"deques-4w", Options{Workers: 4, Order: Unordered}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,14 +66,47 @@ func TestProgressCallbackAllDrivers(t *testing.T) {
 	}
 }
 
-// TestProgressNotCalledWhenUnset pins that explorations without a
-// callback never construct progress machinery (the nil meter is the
-// hot-path case).
+// TestProgressNotCalledWhenUnset pins that an exploration without a
+// callback runs no progress machinery: a nil Progress with an interval
+// set is simply never called, and the only goroutines alive during the
+// run are the workers themselves — none on the FIFO, which runs on the
+// calling goroutine, and Workers-1 on the deques.
 func TestProgressNotCalledWhenUnset(t *testing.T) {
-	if pm := newProgressMeter(&Options{}); pm != nil {
-		t.Fatal("progress meter built without a callback")
+	sys, err := models.CounterGrid(4, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And a nil meter's tick is a safe no-op.
-	var pm *progressMeter
-	pm.tick(func() Stats { t.Fatal("nil meter built a snapshot"); return Stats{} })
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		extra int
+	}{
+		{"fifo", Options{}, 0},
+		{"deques-4w", Options{Workers: 4, Order: Unordered}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.opts.ProgressEvery = time.Nanosecond
+			before := runtime.NumGoroutine()
+			sink := &goroutineSink{}
+			if _, err := Stream(sys, c.opts, sink); err != nil {
+				t.Fatal(err)
+			}
+			if sink.peak > before+c.extra {
+				t.Fatalf("%d goroutines during the run, %d before: want at most %d extra",
+					sink.peak, before, c.extra)
+			}
+		})
+	}
 }
+
+// goroutineSink records the largest goroutine count seen at any event.
+type goroutineSink struct{ peak int }
+
+func (g *goroutineSink) see() error {
+	g.peak = max(g.peak, runtime.NumGoroutine())
+	return nil
+}
+func (g *goroutineSink) OnState(int, core.State, Discovery) error { return g.see() }
+func (g *goroutineSink) OnEdge(int, int, string) error            { return g.see() }
+func (g *goroutineSink) OnExpanded(int, int) error                { return g.see() }
+func (g *goroutineSink) Done(bool) error                          { return g.see() }

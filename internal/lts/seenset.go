@@ -2,15 +2,14 @@ package lts
 
 import "bytes"
 
-// This file implements the pluggable successor-dedup layer shared by the
-// two exploration drivers (stream.go, wsteal.go) — the seen-set
-// counterpart of the Expander stage (expand.go). A driver routes
-// every successor key through one SeenSet per lock stripe; what the set
+// This file implements the pluggable successor-dedup layer of the
+// exploration loop (stream.go) — the seen-set counterpart of the
+// Expander stage (expand.go). The loop routes every successor key
+// through one SeenSet per lock stripe; what the set
 // STORES per visited state is the implementation's business:
 //
 //   - Exact (the default) keeps the full fixed-width binary key in
-//     chunked arenas, exactly the storage the drivers used before the
-//     extraction. Membership answers are exact, memory is
+//     chunked arenas. Membership answers are exact, memory is
 //     keyWidth + ~12 bytes per state.
 //
 //   - Compact keeps a 64-bit hash discriminator plus the state id —
@@ -26,15 +25,15 @@ import "bytes"
 //     collide constantly — the collision-injection tests run the whole
 //     differential suite at RemainderBits: 8 to pin exactly that.
 //
-// SeenSets is the factory the drivers consume through Options.Seen; one
+// SeenSets is the factory the loop consumes through Options.Seen; one
 // SeenSet instance is created per shard, and all calls on an instance
-// happen under that shard's mutex (or single-threaded), so
-// implementations need no internal locking.
+// happen under that shard's mutex, so implementations need no internal
+// locking.
 
 // SeenSet is one dedup stripe: a mapping from state keys to state ids.
 // h must be hashKey(key); callers pass it so striping and membership
 // share one hash computation. Implementations are NOT safe for
-// concurrent use — the owning driver serializes access per stripe.
+// concurrent use — the exploration loop serializes access per stripe.
 type SeenSet interface {
 	// Find returns the id recorded for key (rejectedID for MaxStates
 	// tombstones) and whether the key is present.
@@ -116,12 +115,9 @@ const (
 // parallel chunked id array, indexed by an open-addressed table of
 // entry indexes that compares candidates against the arena in place.
 // Per visited state it allocates nothing: only new chunks and the
-// logarithmically many table doublings touch the allocator. It is the
-// direct generalization of the pre-extraction per-driver tables (the
-// sequential open-addressed set and the lock-striped shard arenas),
-// with explicit ids so one implementation serves both drivers — a
-// work-stealing stripe holds non-contiguous ids and MaxStates
-// tombstones.
+// logarithmically many table doublings touch the allocator. Ids are
+// explicit because a stripe holds non-contiguous ids under several
+// workers, and MaxStates tombstones.
 type exactSeen struct {
 	width int
 	// slots holds entry index + 1 (0 = empty), linear probing,

@@ -8,7 +8,7 @@ import (
 	"bip/internal/faultfs"
 )
 
-// This file implements the work-stealing driver's disk-spilled frontier
+// This file implements the work-stealing frontier's disk spill
 // (Options.MemBudget). The spill protocol leans on the groundwork of
 // the earlier PRs: a pending state is fully determined by its
 // fixed-width binary key (the state decodes back with
@@ -61,7 +61,7 @@ func newWsSpill(keyWidth int, fs faultfs.FS) *wsSpill {
 // write serializes one chunk: every entry is reduced to its binary key
 // (recomputed from the state — nothing beyond the key ever reaches
 // disk), id and path node, and the entries are released.
-func (s *wsSpill) write(sys *core.System, c *wsChunk, w *wsWorker) error {
+func (s *wsSpill) write(sys *core.System, c *wsChunk, w *worker) error {
 	rec := &wsSpillRec{n: c.n}
 	buf := w.keyBuf[:0]
 	for i := 0; i < c.n; i++ {
@@ -129,10 +129,9 @@ func (s *wsSpill) written() int64 {
 }
 
 // close removes the spill file; undrained records (early stop, error,
-// cancellation) go with it. It runs on every exit path of the
-// work-stealing driver — streamWorkSteal defers it before the first
-// publish can possibly spill — so the temp file cannot outlive the run
-// whatever ended it.
+// cancellation) go with it. It runs on every exit path — Stream defers
+// it before the first publish can possibly spill — so the temp file
+// cannot outlive the run whatever ended it.
 func (s *wsSpill) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,32 +1,51 @@
 package lts
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bip/internal/core"
 )
 
-// This file implements streaming (on-the-fly) exploration: the two
-// breadth-first drivers — sequential here, work-stealing in wsteal.go —
-// build no data structure of their own but emit an event stream into a
-// Sink. Materializing the full LTS (Explore) is just one sink; the
-// on-the-fly checkers in check.go are others. Under the default
-// Deterministic order the sequential driver runs at any Options.Workers
-// value, so every sink is worker-count independent.
+// This file implements streaming (on-the-fly) exploration: one
+// breadth-first worker loop that builds no data structure of its own
+// but emits an event stream into a Sink. Materializing the full LTS
+// (Explore) is just one sink; the on-the-fly checkers in check.go are
+// others.
+//
+// The loop is written once and parameterised by its frontier only:
+//
+//   - Deterministic order, or one worker: a FIFO queue drained by one
+//     worker on the calling goroutine. Ids follow BFS discovery order,
+//     so every sink sees the same stream at any Options.Workers value,
+//     and the cycle proviso can be level-bounded (see expandFlush).
+//   - Unordered order with Workers > 1: per-worker chunked deques with
+//     steal-half balancing and an optional disk spill (wsteal.go).
+//
+// Everything else is shared: expansion through the WorkerExpander,
+// dedup through lock-striped SeenSets, admission by a CAS on the id
+// counter (bounded by MaxStates), a record-then-flush of each
+// expansion's events under one sink mutex, termination on an in-flight
+// counter, cancellation polled once per expansion, a rate-limited
+// Progress meter ticked by whichever worker finishes an expansion, and
+// the Stats assembly. On the FIFO the stripe and sink locks are no-ops
+// (noLock): its one worker is all there is to exclude.
 //
 // The memory contract is what makes streaming matter for the biggest
-// workloads: the drivers retain materialized states, move tables and
-// counterexample-path nodes only for the BFS frontier (discovered but
-// not yet expanded states). Once a state is expanded its machinery is
-// released — what remains per visited state is one fixed-width binary
-// dedup key. A checker that early-exits on the first violation therefore
-// runs in O(frontier) live memory instead of the O(statespace) states,
-// edges and BFS tree the materialized LTS retains, and never pays for
-// the part of the space behind the violation.
+// workloads: the loop retains materialized states, move tables and
+// counterexample-path nodes only for the frontier (admitted but not yet
+// expanded states). Once a state is expanded its machinery is released
+// — what remains per visited state is what the SeenSet stores. A
+// checker that early-exits on the first violation therefore runs in
+// O(frontier) live memory instead of the O(statespace) states, edges
+// and BFS tree the materialized LTS retains, and never pays for the
+// part of the space behind the violation.
 
 // DefaultMaxStates is the exploration bound applied when
 // Options.MaxStates is zero. Every entry point — the library drivers and
@@ -40,32 +59,11 @@ const DefaultMaxStates = 1 << 20
 // invisible next to state expansion.
 const DefaultProgressEvery = 100 * time.Millisecond
 
-// progressStride is how many expansions the sequential driver lets pass
-// between clock reads when rate-limiting Progress callbacks: one
-// time.Now per stride instead of per state keeps the hook free on the
-// hot path while still honoring ProgressEvery to within a few
-// expansions.
+// progressStride is how many expansions a worker lets pass between
+// clock reads when rate-limiting Progress callbacks: one time.Now per
+// stride instead of per state keeps the hook free on the hot path while
+// still honoring ProgressEvery to within a few expansions.
 const progressStride = 16
-
-// progressMeter rate-limits Options.Progress for the sequential driver,
-// which calls it inline per expansion. The work-stealing driver uses a
-// time.Ticker goroutine instead (wsteal.go) — its workers never meet a
-// common point to tick from.
-type progressMeter struct {
-	fn    func(Stats)
-	every time.Duration
-	last  time.Time
-	skip  int
-}
-
-// newProgressMeter returns nil (a no-op receiver) when no callback is
-// installed.
-func newProgressMeter(opts *Options) *progressMeter {
-	if opts.Progress == nil {
-		return nil
-	}
-	return &progressMeter{fn: opts.Progress, every: opts.progressEvery(), last: time.Now()}
-}
 
 // progressEvery resolves the callback interval.
 func (o *Options) progressEvery() time.Duration {
@@ -75,29 +73,9 @@ func (o *Options) progressEvery() time.Duration {
 	return DefaultProgressEvery
 }
 
-// tick fires the callback if the interval has elapsed, reading the clock
-// only every progressStride calls. snap builds the snapshot and runs
-// only when a callback actually fires.
-func (p *progressMeter) tick(snap func() Stats) {
-	if p == nil {
-		return
-	}
-	if p.skip > 0 {
-		p.skip--
-		return
-	}
-	p.skip = progressStride
-	now := time.Now()
-	if now.Sub(p.last) < p.every {
-		return
-	}
-	p.last = now
-	p.fn(snap())
-}
-
 // ErrStop is the sentinel a Sink returns to end exploration early
 // without reporting an error (a checker found its violation, a collector
-// has all it needs). The drivers swallow it: Stream returns nil after a
+// has all it needs). Stream swallows it: it returns nil after a
 // sink-requested stop, with Stats.Stopped set.
 var ErrStop = errors.New("lts: stop exploration")
 
@@ -110,22 +88,23 @@ var ErrStop = errors.New("lts: stop exploration")
 type Order int
 
 const (
-	// Deterministic (the default) emits the sequential driver's event
-	// stream: same state numbering, edges, BFS tree, truncation —
-	// bit-identical sinks. It always runs the sequential driver;
-	// Options.Workers has no effect (DESIGN.md records why there is no
-	// deterministic parallel driver).
+	// Deterministic (the default) emits the breadth-first event stream
+	// of one worker on the FIFO frontier: same state numbering, edges,
+	// BFS tree, truncation — bit-identical sinks. Options.Workers has no
+	// effect (DESIGN.md records why there is no deterministic parallel
+	// exploration).
 	Deterministic Order = iota
-	// Unordered runs the work-stealing explorer (wsteal.go): per-worker
-	// chunked deques with steal-half balancing and no barrier anywhere
-	// on the hot path. Events are emitted as expansion completes, so
-	// state numbering and stream order vary run to run; the relaxed
-	// Sink contract below still holds. Prefer it whenever only
-	// verdicts, the state set, or canonical analyses matter.
+	// Unordered with Workers > 1 runs the loop on work-stealing deques
+	// (wsteal.go): per-worker chunked deques with steal-half balancing
+	// and no barrier anywhere on the hot path. Events are emitted as
+	// expansion completes, so state numbering and stream order vary run
+	// to run; the relaxed Sink contract below still holds. Prefer it
+	// whenever only verdicts, the state set, or canonical analyses
+	// matter.
 	Unordered
 )
 
-// OrderSink is an optional Sink extension: a driver announces the
+// OrderSink is an optional Sink extension: Stream announces the
 // stream order it is about to produce before the first event, so
 // order-sensitive sinks (AutomatonCheck, DeadlockCheck) can pick the
 // matching bookkeeping. Sinks that do not implement it must either be
@@ -143,8 +122,8 @@ func announceOrder(sink Sink, o Order) {
 }
 
 // Sink consumes the exploration event stream. With Options.Order ==
-// Deterministic (the default), events arrive in the order of the
-// sequential breadth-first search, regardless of Options.Workers:
+// Deterministic (the default), events arrive in the order of a
+// single-worker breadth-first search, regardless of Options.Workers:
 //
 //   - OnState(id, …) once per admitted state, in increasing id order (the
 //     initial state is id 0). The state is a materialized snapshot the
@@ -163,17 +142,17 @@ func announceOrder(sink Sink, o Order) {
 //     exploration — but not after an ErrStop.
 //
 // With Options.Order == Unordered and Workers > 1, the work-stealing
-// driver relaxes the ordering only: ids are still dense and unique,
+// frontier relaxes the ordering only: ids are still dense and unique,
 // OnState(0) is still the first event, every state's OnState still
 // precedes both every OnEdge mentioning it (either endpoint) and its
 // own OnExpanded — but ids arrive in no particular order, edges of one
 // state need not be contiguous, and a late cross edge may even arrive
-// after its source's OnExpanded. Drivers announce the order through
+// after its source's OnExpanded. Stream announces the order through
 // OrderSink before the first event.
 //
 // Methods are never called concurrently. Returning ErrStop ends the
-// exploration early; any other error aborts it and is returned by the
-// driver.
+// exploration early; any other error aborts it and is returned by
+// Stream.
 type Sink interface {
 	OnState(id int, st core.State, d Discovery) error
 	OnEdge(from, to int, label string) error
@@ -227,27 +206,27 @@ func (d Discovery) Path() []string {
 // events and serializes them into job views, so the struct doubles as a
 // wire shape — keep the tags stable.
 type Stats struct {
-	// States is the number of admitted (numbered) states.
+	// States is the number of states announced to the sink (OnState
+	// calls). On a run that ends normally that is every admitted state;
+	// on a stopped run it counts exactly the states the sink was shown,
+	// including the one whose OnState stopped it — successors the
+	// stopping expansion admitted but never announced are not counted.
 	States int `json:"states"`
 	// Transitions is the number of edges emitted.
 	Transitions int `json:"transitions"`
 	// PeakFrontier is the streaming memory high-water mark experiment
 	// E16 compares against the materialized state count: the maximum
-	// number of states the driver held materialized at once. For the
-	// sequential driver this is exactly the running frontier
-	// (discovered-but-unexpanded states). The work-stealing driver
-	// records the in-flight high-water mark (admitted but not yet
-	// expanded-and-flushed, wherever the state is buffered). It is the
-	// one Stats field that may differ between the two drivers (and,
-	// under Unordered, from run to run).
+	// number of states in flight at once — admitted but not yet
+	// expanded and flushed, wherever the state is buffered (the one
+	// being expanded included). Under Unordered it varies from run to
+	// run.
 	PeakFrontier int `json:"peak_frontier"`
 	// PeakFrontierBytes prices PeakFrontier in bytes under the
 	// frontierEntryBytes accounting model (key width + flat per-atom /
 	// per-interaction machinery estimate), so EXPERIMENTS.md memory
-	// claims are measured against one reproducible model. For the
-	// work-stealing driver it prices the RESIDENT peak: states parked
-	// in the spill file are excluded, which is exactly what MemBudget
-	// bounds.
+	// claims are measured against one reproducible model. Under a
+	// MemBudget it prices the RESIDENT peak: states parked in the spill
+	// file are excluded, which is exactly what MemBudget bounds.
 	PeakFrontierBytes int64 `json:"peak_frontier_bytes"`
 	// SeenBytes is the dedup layer's final memory footprint, summed
 	// over stripes (see SeenSet.Bytes) — the number the E20 experiment
@@ -257,7 +236,7 @@ type Stats struct {
 	// exact-promotion tier overruled a colliding discriminator; 0 for
 	// exact dedup and for compact dedup at full discriminator width.
 	ExactPromotions int64 `json:"exact_promotions"`
-	// SpilledChunks counts frontier chunks the work-stealing driver
+	// SpilledChunks counts frontier chunks the work-stealing frontier
 	// serialized to the spill file under Options.MemBudget (each chunk
 	// is written once and read back once).
 	SpilledChunks int64 `json:"spilled_chunks"`
@@ -273,13 +252,14 @@ type Stats struct {
 	// enabled moves those expansions did not pursue; ProvisoFallbacks
 	// counts states where an ample choice was escalated to full
 	// expansion by the cycle proviso (an ample successor was already
-	// visited).
+	// admitted at or below the current BFS level — any admitted one on
+	// the work-stealing frontier).
 	AmpleStates      int `json:"ample_states"`
 	PrunedMoves      int `json:"pruned_moves"`
 	ProvisoFallbacks int `json:"proviso_fallbacks"`
 
 	// ReductionDegradedBy names the property whose visibility forced a
-	// reduction request back to full expansion. The drivers never set
+	// reduction request back to full expansion. Stream never sets
 	// it — bip.Verify stamps it on progress snapshots and the final
 	// report, so the wire shape carries the cause wherever Stats goes.
 	ReductionDegradedBy string `json:"reduction_degraded_by,omitempty"`
@@ -287,17 +267,18 @@ type Stats struct {
 
 // Stream explores the reachable state space of sys breadth-first and
 // feeds the event stream to sink. Options.Order == Unordered with
-// Options.Workers > 1 runs the work-stealing driver (wsteal.go); every
-// other configuration runs the sequential driver, whose stream is the
-// deterministic one. Stream returns once the space is exhausted, the
-// MaxStates bound is hit, or the sink stops it.
+// Options.Workers > 1 runs the loop on work-stealing deques
+// (wsteal.go); every other configuration runs it at one worker on a
+// FIFO queue, whose stream is the deterministic one. Stream returns
+// once the space is exhausted, the MaxStates bound is hit, or the sink
+// stops it.
 func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	// The seen sets and the work-stealing entries store state ids as
-	// int32; make that limit explicit instead of overflowing.
+	// The seen sets and the frontier entries store state ids as int32;
+	// make that limit explicit instead of overflowing.
 	if maxStates > math.MaxInt32 {
 		maxStates = math.MaxInt32
 	}
@@ -305,24 +286,76 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 && opts.Order == Unordered {
-		announceOrder(sink, Unordered)
-		return streamWorkSteal(sys, opts, workers, maxStates, sink)
+	order := Unordered
+	if workers <= 1 || opts.Order != Unordered {
+		// One worker produces the deterministic stream by construction,
+		// whatever Order asks for — announce what the sink will see.
+		order, workers = Deterministic, 1
 	}
-	// The sequential driver produces the deterministic stream by
-	// construction, whatever Order asks for — announce what the sink
-	// will actually see.
-	announceOrder(sink, Deterministic)
-	return streamSeq(sys, opts, maxStates, sink)
-}
+	announceOrder(sink, order)
 
-// seqEntry is one frontier slot of the sequential driver: the
-// materialized state, its per-interaction move table, and its BFS-tree
-// node. Entries are zeroed as soon as the state is expanded.
-type seqEntry struct {
-	st   core.State
-	vec  [][]core.Move
-	node *pathNode
+	d := &driver{
+		sys:          sys,
+		maxStates:    maxStates,
+		sink:         sink,
+		entryBytes:   frontierEntryBytes(sys),
+		stats:        Stats{States: 1, PeakFrontier: 1},
+		residentPeak: 1,
+	}
+	d.cond = sync.NewCond(&d.idleMu)
+	d.shards, d.mask = newShards(workers, opts.seenSets(), sys.BinaryKeyWidth())
+	levelLast := int32(math.MaxInt32) // deques: any admitted successor escalates
+	if order == Deterministic {
+		d.front, d.sinkMu, levelLast = &fifo{}, noLock{}, 0
+	} else {
+		d.front, d.sinkMu = newDeques(d, workers, &opts), new(sync.Mutex)
+		if d.spill != nil {
+			defer d.spill.close()
+		}
+	}
+	if opts.Progress != nil {
+		d.progress = &progressMeter{fn: opts.Progress, every: opts.progressEvery(), last: time.Now()}
+	}
+	d.states.Store(1)
+	d.inflight.Store(1)
+
+	init := sys.Initial()
+	initVec, err := sys.EnabledVector(init)
+	if err != nil {
+		return d.snapshot(), fmt.Errorf("explore state 0: %w", err)
+	}
+	key := sys.AppendBinaryKey(nil, init)
+	h0 := hashKey(key)
+	d.shards[h0&d.mask].seen.Add(h0, key, 0)
+	d.setAnnounced(0)
+	if err := sink.OnState(0, init, Discovery{Parent: -1}); err != nil {
+		stats := d.snapshot()
+		return stats, stats.finish(err)
+	}
+
+	ws := make([]*worker, workers)
+	for i := range ws {
+		ws[i] = &worker{id: i, d: d, ctx: sys.NewExploreCtx(), exp: opts.newWorkerExpander(sys), levelLast: levelLast}
+	}
+	d.front.push(ws[0], &pentry{state: init, vec: initVec})
+	// Worker 0 runs on the calling goroutine: the one-worker FIFO run
+	// starts no goroutine at all.
+	var wg sync.WaitGroup
+	for _, w := range ws[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run(opts.Ctx)
+		}()
+	}
+	ws[0].run(opts.Ctx)
+	wg.Wait()
+
+	stats := d.snapshot()
+	if d.err != nil {
+		return stats, stats.finish(d.err)
+	}
+	return stats, stats.finish(sink.Done(stats.Truncated))
 }
 
 // frontierEntryBytes is the per-resident-state accounting model behind
@@ -339,132 +372,6 @@ func frontierEntryBytes(sys *core.System) int64 {
 		48*int64(len(sys.Atoms)) + 24*int64(len(sys.Interactions))
 }
 
-func streamSeq(sys *core.System, opts Options, maxStates int, sink Sink) (stats Stats, err error) {
-	stats = Stats{States: 1, PeakFrontier: 1}
-	init := sys.Initial()
-	ctx := sys.NewExploreCtx()
-	exp := opts.newWorkerExpander(sys)
-	done := opts.ctxDone()
-	pm := newProgressMeter(&opts)
-	entryBytes := frontierEntryBytes(sys)
-	seen := opts.seenSets().NewSeenSet(sys.BinaryKeyWidth())
-	initKey := sys.AppendBinaryKey(nil, init)
-	seen.Add(hashKey(initKey), initKey, 0)
-	defer func() {
-		stats.SeenBytes = seen.Bytes()
-		stats.ExactPromotions = seen.Promotions()
-		stats.PeakFrontierBytes = int64(stats.PeakFrontier) * frontierEntryBytes(sys)
-	}()
-	initVec, err := sys.EnabledVector(init)
-	if err != nil {
-		return stats, fmt.Errorf("explore state 0: %w", err)
-	}
-	if err := sink.OnState(0, init, Discovery{Parent: -1}); err != nil {
-		return stats, stats.finish(err)
-	}
-	// queue holds the frontier; queue[head] is the next state to expand
-	// and carries id base+head. Expanded slots are zeroed and the window
-	// is compacted once the dead prefix dominates, so the driver's live
-	// memory tracks the frontier, not the visited set.
-	queue := []seqEntry{{st: init, vec: initVec}}
-	base, head := 0, 0
-	// levelLast is the id of the last state of the BFS level currently
-	// being expanded. When the head moves past it, every state of the
-	// next level has already been admitted (BFS discovers level d+1
-	// entirely while expanding level d), so the boundary advances to the
-	// last admitted id. The cycle proviso below keys on it: a successor
-	// with id <= levelLast sits at this level or an earlier one, so the
-	// edge can close a cycle in the reduced graph.
-	levelLast := 0
-	for head < len(queue) {
-		select {
-		case <-done:
-			return stats, opts.Ctx.Err()
-		default:
-		}
-		id := base + head
-		if id > levelLast {
-			levelLast = stats.States - 1
-		}
-		e := queue[head]
-		queue[head] = seqEntry{}
-		head++
-		if head > 64 && head*2 >= len(queue) {
-			n := copy(queue, queue[head:])
-			queue = queue[:n]
-			base += head
-			head = 0
-		}
-		moves, nAmple, err := exp.Expand(ctx, e.st, e.vec)
-		if err != nil {
-			return stats, fmt.Errorf("explore state %d: %w", id, err)
-		}
-		// Explore the ample prefix; escalate to the full move list if an
-		// ample successor turns out to be already visited (cycle
-		// proviso, condition C3 — see expand.go).
-		explore := nAmple
-		for mi := 0; mi < explore; mi++ {
-			m := moves[mi]
-			view, err := ctx.Scratch.Exec(e.st, m)
-			if err != nil {
-				return stats, fmt.Errorf("explore state %d: %w", id, err)
-			}
-			label := sys.Label(m)
-			ctx.Key = sys.AppendBinaryKey(ctx.Key[:0], *view)
-			h := hashKey(ctx.Key)
-			to32, dup := seen.Find(h, ctx.Key)
-			to := int(to32)
-			if !dup {
-				if stats.States >= maxStates {
-					stats.Truncated = true
-					continue
-				}
-				next := ctx.Scratch.MaterializeSlab(m, ctx.Slab)
-				nextVec, err := ctx.Deriver.DeriveSlab(e.vec, m, next, ctx.Slab)
-				if err != nil {
-					return stats, fmt.Errorf("explore state %d: %w", id, err)
-				}
-				to = stats.States
-				stats.States++
-				seen.Add(h, ctx.Key, int32(to))
-				node := &pathNode{parent: e.node, label: label}
-				queue = append(queue, seqEntry{st: next, vec: nextVec, node: node})
-				if f := len(queue) - head; f > stats.PeakFrontier {
-					stats.PeakFrontier = f
-				}
-				if err := sink.OnState(to, next, Discovery{Parent: id, Label: label, node: node}); err != nil {
-					return stats, stats.finish(err)
-				}
-			} else if to <= levelLast && explore < len(moves) {
-				explore = len(moves)
-			}
-			stats.Transitions++
-			if err := sink.OnEdge(id, to, label); err != nil {
-				return stats, stats.finish(err)
-			}
-		}
-		if nAmple < len(moves) {
-			if explore == len(moves) {
-				stats.ProvisoFallbacks++
-			} else {
-				stats.AmpleStates++
-				stats.PrunedMoves += len(moves) - nAmple
-			}
-		}
-		if err := sink.OnExpanded(id, len(moves)); err != nil {
-			return stats, stats.finish(err)
-		}
-		pm.tick(func() Stats {
-			s := stats
-			s.SeenBytes = seen.Bytes()
-			s.ExactPromotions = seen.Promotions()
-			s.PeakFrontierBytes = int64(s.PeakFrontier) * entryBytes
-			return s
-		})
-	}
-	return stats, stats.finish(sink.Done(stats.Truncated))
-}
-
 // finish folds a sink return value into the run outcome: ErrStop is a
 // normal early termination, anything else an error.
 func (s *Stats) finish(err error) error {
@@ -476,4 +383,466 @@ func (s *Stats) finish(err error) error {
 		return nil
 	}
 	return err
+}
+
+// rejectedID is the seen-set id of a state refused by MaxStates: a
+// tombstone, never an edge target.
+const rejectedID int32 = -1
+
+// pentry is one frontier-resident state: its materialized state, move
+// table, BFS-tree node and id. Entries are stored by value in the
+// frontier's own slices and chunks and zeroed when taken, so a pending
+// state costs no allocation beyond its state, table and node, and an
+// expanded one leaves nothing behind but what the SeenSet stores.
+type pentry struct {
+	state core.State
+	vec   [][]core.Move
+	node  *pathNode
+	id    int32
+}
+
+// frontier is the loop's one parameter: where admitted entries wait
+// for expansion. next hands worker w its next entry, false once the
+// exploration has terminated or stopped; push enqueues an entry w
+// admitted. A frontier that lets workers sleep must wake on
+// driver.notify.
+type frontier interface {
+	next(w *worker) (pentry, bool)
+	push(w *worker, e *pentry)
+}
+
+// fifo is the deterministic frontier: a FIFO queue drained by a single
+// worker, so states are expanded in admission (BFS) order. q[head] is
+// the next entry; expanded slots are zeroed and the window is compacted
+// once the dead prefix dominates, so live memory tracks the frontier,
+// not the visited set.
+type fifo struct {
+	q    []pentry
+	head int
+}
+
+func (f *fifo) push(_ *worker, e *pentry) { f.q = append(f.q, *e) }
+
+// next also advances the worker's BFS level bound. levelLast is the id
+// of the last state of the level being expanded: when the head moves
+// past it, every state of the next level has already been admitted (BFS
+// discovers level d+1 entirely while expanding level d), so the bound
+// advances to the last admitted id.
+func (f *fifo) next(w *worker) (pentry, bool) {
+	if f.head == len(f.q) {
+		return pentry{}, false
+	}
+	e := f.q[f.head]
+	f.q[f.head] = pentry{}
+	f.head++
+	if f.head > 64 && f.head*2 >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q = f.q[:n]
+		f.head = 0
+	}
+	if e.id > w.levelLast {
+		w.levelLast = int32(w.d.states.Load()) - 1
+	}
+	return e, true
+}
+
+// shard is one lock stripe of the dedup layer: a SeenSet holding every
+// admitted (or bound-rejected) state, guarded by mu.
+type shard struct {
+	mu   sync.Locker
+	seen SeenSet
+}
+
+// newShards sizes the lock-striped dedup layer for a worker count, one
+// SeenSet stripe per shard. A single worker gets a single stripe that
+// it alone touches, so its lock is a noLock.
+func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
+	nShards := 1
+	for workers > 1 && nShards < workers*8 && nShards < 256 {
+		nShards <<= 1
+	}
+	shards := make([]shard, nShards)
+	for i := range shards {
+		shards[i] = shard{mu: noLock{}, seen: seen.NewSeenSet(keyWidth)}
+		if workers > 1 {
+			shards[i].mu = new(sync.Mutex)
+		}
+	}
+	return shards, uint64(nShards - 1)
+}
+
+// noLock is the lock of what only one worker ever touches: the stripes
+// and the sink of a FIFO run, whose single worker is the calling
+// goroutine (Progress callbacks included). Skipping the atomics there
+// keeps the shared loop as cheap as a sequential one.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
+
+// parkedEdge is an edge held back until its target is announced (see
+// driver.parked).
+type parkedEdge struct {
+	from  int32
+	label string
+}
+
+// progressMeter rate-limits Options.Progress. Workers tick it after
+// each expansion; mu keeps the callback from running concurrently with
+// itself — a worker that finds it held skips the tick instead of
+// queueing behind it.
+type progressMeter struct {
+	fn    func(Stats)
+	every time.Duration
+	mu    sync.Mutex
+	last  time.Time // guarded by mu
+}
+
+// driver is the shared state of one exploration.
+type driver struct {
+	sys       *core.System
+	maxStates int
+	sink      Sink
+	front     frontier
+	progress  *progressMeter // nil without Options.Progress
+
+	shards []shard
+	mask   uint64
+
+	// Spill machinery (nil/0 unless the deque frontier runs under
+	// Options.MemBudget, wsteal.go): spill holds the chunks written out
+	// (spill.go), and spilled counts the in-flight states parked there.
+	// entryBytes prices one in-flight state.
+	spill      *wsSpill
+	memBudget  int64
+	entryBytes int64
+	spilled    atomic.Int64
+
+	states atomic.Int64 // admitted states (ids are 0..states-1)
+	// inflight counts admitted states not yet expanded and flushed
+	// (see expandFlush); it reaches zero only when nothing is pending
+	// anywhere.
+	inflight atomic.Int64
+	stopped  atomic.Bool
+
+	sinkMu sync.Locker // a noLock on the FIFO
+	// stats holds the counters the flush maintains (States counts
+	// OnState calls, plus Transitions, Truncated and the reduction
+	// counters), guarded by sinkMu. Counting at the flush rather than at
+	// admission keeps a stopped run's figures exactly what the sink was
+	// shown. The flush also samples the frontier peaks: PeakFrontier
+	// here, and residentPeak, its share not parked in the spill file.
+	stats        Stats
+	residentPeak int64
+	// announced is a bitset over state ids whose OnState has been
+	// emitted; parked holds edges that reached a state before its
+	// OnState (drained and deleted at announcement), which only happens
+	// when several workers race. Both are guarded by sinkMu.
+	announced []uint64
+	parked    map[int32][]parkedEdge
+
+	failOnce sync.Once
+	err      error // first terminal error (ErrStop included); set via fail
+
+	idleMu sync.Mutex
+	cond   *sync.Cond
+	gen    uint64
+}
+
+// snapshot assembles the run's Stats: the flush counters and peaks
+// under a brief sinkMu hold, and the seen-set footprint from one pass
+// over the stripes under their own locks. It serves both Progress
+// callbacks and the final result.
+func (d *driver) snapshot() Stats {
+	d.sinkMu.Lock()
+	s := d.stats
+	s.PeakFrontierBytes = d.residentPeak * d.entryBytes
+	d.sinkMu.Unlock()
+	if d.spill != nil {
+		s.SpilledChunks = d.spill.written()
+	}
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.Lock()
+		s.SeenBytes += sh.seen.Bytes()
+		s.ExactPromotions += sh.seen.Promotions()
+		sh.mu.Unlock()
+	}
+	return s
+}
+
+// setAnnounced marks id's OnState as emitted (caller holds sinkMu).
+func (d *driver) setAnnounced(id int32) {
+	w := int(id) >> 6
+	for len(d.announced) <= w {
+		d.announced = append(d.announced, 0)
+	}
+	d.announced[w] |= 1 << (uint(id) & 63)
+}
+
+// isAnnounced reports whether id's OnState has been emitted (caller
+// holds sinkMu).
+func (d *driver) isAnnounced(id int32) bool {
+	w := int(id) >> 6
+	return w < len(d.announced) && d.announced[w]&(1<<(uint(id)&63)) != 0
+}
+
+// notify wakes idle workers after new work was published, the in-flight
+// counter hit zero, or the run was stopped.
+func (d *driver) notify() {
+	d.idleMu.Lock()
+	d.gen++
+	d.cond.Broadcast()
+	d.idleMu.Unlock()
+}
+
+// fail records the first terminal condition (sink ErrStop, sink error,
+// expansion or spill error, cancellation) and stops every worker.
+func (d *driver) fail(err error) {
+	d.failOnce.Do(func() {
+		d.err = err
+		d.stopped.Store(true)
+		d.notify()
+	})
+}
+
+// admit reserves the next state id, bounded by MaxStates. The admitted
+// count is schedule-independent; which keys win the race near the
+// bound is not, under several workers.
+func (d *driver) admit() (int32, bool) {
+	for {
+		n := d.states.Load()
+		if int(n) >= d.maxStates {
+			return rejectedID, false
+		}
+		if d.states.CompareAndSwap(n, n+1) {
+			return int32(n), true
+		}
+	}
+}
+
+// moveRec is one recorded move of an expansion, flushed to the sink
+// after the state is fully expanded. A fresh target — one this
+// expansion created and will announce — has its entry in the worker's
+// born list, in move order.
+type moveRec struct {
+	label    string
+	targetID int32
+	fresh    bool
+}
+
+// worker is one exploration worker. The fields after levelLast are the
+// deque frontier's private state (wsteal.go).
+type worker struct {
+	id   int
+	d    *driver
+	ctx  *core.ExploreCtx
+	exp  WorkerExpander
+	recs []moveRec
+	born []pentry // this expansion's fresh successors
+	skip int      // expansions left before the next Progress clock read
+	// levelLast bounds the cycle proviso: an already-admitted successor
+	// escalates the expansion only if its id is <= levelLast. The FIFO
+	// keeps it at the end of the current BFS level; on the deques it
+	// stays at MaxInt32 (any admitted successor escalates).
+	levelLast int32
+
+	cur    *wsChunk // private mixed push/pop chunk, invisible to thieves
+	spare  *wsChunk // small freelist
+	steal  []*wsChunk
+	keyBuf []byte // spill read/write scratch
+}
+
+// run is the worker main loop: take an entry, poll for cancellation,
+// expand and flush it, tick the progress meter.
+func (w *worker) run(ctx context.Context) {
+	d := w.d
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	for {
+		e, ok := d.front.next(w)
+		if !ok {
+			return
+		}
+		select {
+		case <-done:
+			d.fail(ctx.Err())
+			return
+		default:
+		}
+		if err := w.expandFlush(&e); err != nil {
+			d.fail(err)
+			return
+		}
+		if d.progress != nil {
+			w.tickProgress()
+		}
+	}
+}
+
+// tickProgress fires the Progress callback if the interval has
+// elapsed, reading the clock only every progressStride expansions.
+func (w *worker) tickProgress() {
+	if w.skip > 0 {
+		w.skip--
+		return
+	}
+	w.skip = progressStride
+	p := w.d.progress
+	if !p.mu.TryLock() {
+		return
+	}
+	if now := time.Now(); now.Sub(p.last) >= p.every {
+		p.last = now
+		p.fn(w.d.snapshot())
+	}
+	p.mu.Unlock()
+}
+
+// expandFlush expands one entry, flushes its events to the sink, and
+// enqueues its fresh successors.
+func (w *worker) expandFlush(e *pentry) error {
+	d, ctx := w.d, w.ctx
+	moves, nAmple, err := w.exp.Expand(ctx, e.state, e.vec)
+	if err != nil {
+		return fmt.Errorf("explore state %d: %w", e.id, err)
+	}
+	recs, born := w.recs[:0], w.born[:0]
+	// Explore the ample prefix; escalate to the full move list if an
+	// ample successor turns out to be already admitted at or below
+	// levelLast (cycle proviso, condition C3 — see expand.go).
+	explore := nAmple
+	for mi := 0; mi < explore; mi++ {
+		m := moves[mi]
+		view, err := ctx.Scratch.Exec(e.state, m)
+		if err != nil {
+			return fmt.Errorf("explore state %d: %w", e.id, err)
+		}
+		label := d.sys.Label(m)
+		ctx.Key = d.sys.AppendBinaryKey(ctx.Key[:0], *view)
+		h := hashKey(ctx.Key)
+		sh := &d.shards[h&d.mask]
+
+		sh.mu.Lock()
+		id, dup := sh.seen.Find(h, ctx.Key)
+		created := false
+		if !dup {
+			id, created = d.admit()
+			sh.seen.Add(h, ctx.Key, id)
+		}
+		sh.mu.Unlock()
+
+		if dup && id != rejectedID && id <= w.levelLast && explore < len(moves) {
+			explore = len(moves)
+		}
+		recs = append(recs, moveRec{label: label, targetID: id, fresh: created})
+		if created {
+			// The fresh entry is private to this worker until it is
+			// pushed below; thieves first observe it through the deque
+			// mutexes.
+			st := ctx.Scratch.MaterializeSlab(m, ctx.Slab)
+			vec, err := ctx.Deriver.DeriveSlab(e.vec, m, st, ctx.Slab)
+			if err != nil {
+				return fmt.Errorf("explore state %d: %w", e.id, err)
+			}
+			born = append(born, pentry{state: st, vec: vec, node: &pathNode{parent: e.node, label: label}, id: id})
+		}
+	}
+	w.recs, w.born = recs, born
+	// The fresh successors count as in flight from here until their own
+	// expansion; this state stops counting only after they are pushed,
+	// so the counter cannot reach zero while any of them is pending.
+	d.inflight.Add(int64(len(born)))
+
+	d.sinkMu.Lock()
+	if d.stopped.Load() {
+		// The sink already settled (or the run failed): emit nothing
+		// more; counters no longer matter.
+		d.sinkMu.Unlock()
+		return nil
+	}
+	// The in-flight high-water mark is sampled at each flush: exact at
+	// one worker, a close lower bound under several.
+	in := d.inflight.Load()
+	d.stats.PeakFrontier = max(d.stats.PeakFrontier, int(in))
+	d.residentPeak = max(d.residentPeak, in-d.spilled.Load())
+	err = d.flushLocked(e, recs, born, len(moves), nAmple, explore)
+	d.sinkMu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	for i := range born {
+		d.front.push(w, &born[i])
+	}
+	// Drop the copies: a stale state here would pin its whole slab
+	// chunk after the frontier has let go of it.
+	clear(born)
+	if d.inflight.Add(-1) == 0 {
+		d.notify()
+	}
+	return nil
+}
+
+// flushLocked emits one expansion's events under the sink mutex and
+// counts them into d.stats: fresh targets are announced (OnState) and
+// drain any edges parked on them, edges to announced targets are
+// emitted directly, edges to not-yet-announced targets are parked, and
+// edges to bound-rejected tombstones are dropped (matching the
+// materialized LTS) but mark the run truncated. At one worker every
+// target is announced by the time its edge is flushed, so nothing is
+// ever parked.
+func (d *driver) flushLocked(e *pentry, recs []moveRec, born []pentry, moves, ample, explored int) error {
+	s := &d.stats
+	for i := range recs {
+		r := &recs[i]
+		id := r.targetID
+		if id == rejectedID {
+			s.Truncated = true
+			continue
+		}
+		if r.fresh {
+			t := &born[0]
+			born = born[1:]
+			s.States++
+			if err := d.sink.OnState(int(id), t.state, Discovery{Parent: int(e.id), Label: r.label, node: t.node}); err != nil {
+				return err
+			}
+			d.setAnnounced(id)
+			var pes []parkedEdge
+			if len(d.parked) > 0 {
+				pes = d.parked[id]
+				delete(d.parked, id)
+			}
+			for _, pe := range pes {
+				s.Transitions++
+				if err := d.sink.OnEdge(int(pe.from), int(id), pe.label); err != nil {
+					return err
+				}
+			}
+		}
+		if d.isAnnounced(id) {
+			s.Transitions++
+			if err := d.sink.OnEdge(int(e.id), int(id), r.label); err != nil {
+				return err
+			}
+		} else {
+			if d.parked == nil {
+				d.parked = make(map[int32][]parkedEdge)
+			}
+			d.parked[id] = append(d.parked[id], parkedEdge{from: e.id, label: r.label})
+		}
+	}
+	if ample < moves {
+		if explored == moves {
+			s.ProvisoFallbacks++
+		} else {
+			s.AmpleStates++
+			s.PrunedMoves += moves - ample
+		}
+	}
+	return d.sink.OnExpanded(int(e.id), moves)
 }

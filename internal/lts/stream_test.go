@@ -321,3 +321,53 @@ func TestMultiSettlesIndependently(t *testing.T) {
 		t.Fatal("deadlock checker ran to the end; coverage must be exhaustive")
 	}
 }
+
+// TestStoppedStatsCountWhatTheSinkSaw pins the Stats contract of a
+// stopped run on both frontiers: States is the number of OnState calls
+// the sink received (the stopping one included) and Transitions the
+// number of OnEdge calls — successors the stopping expansion admitted
+// but never announced are not counted. The stop lands at several
+// points, including the middle of an expansion.
+func TestStoppedStatsCountWhatTheSinkSaw(t *testing.T) {
+	sys, err := models.CounterGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		opts Options
+	}{
+		{"fifo", Options{}},
+		{"deques-4w", Options{Workers: 4, Order: Unordered}},
+	} {
+		for _, limit := range []int{1, 2, 42, 100} {
+			sink := &countStopSink{limit: limit}
+			stats, err := Stream(sys, f.opts, sink)
+			if err != nil {
+				t.Fatalf("%s/stop@%d: %v", f.name, limit, err)
+			}
+			if !stats.Stopped || stats.Truncated {
+				t.Fatalf("%s/stop@%d: stopped=%v truncated=%v, want a clean stop", f.name, limit, stats.Stopped, stats.Truncated)
+			}
+			if stats.States != limit || sink.states != limit || stats.Transitions != sink.edges {
+				t.Fatalf("%s/stop@%d: stats %d states/%d transitions, sink saw %d/%d",
+					f.name, limit, stats.States, stats.Transitions, sink.states, sink.edges)
+			}
+		}
+	}
+}
+
+// countStopSink counts OnState and OnEdge calls and stops at the
+// limit-th OnState.
+type countStopSink struct{ limit, states, edges int }
+
+func (s *countStopSink) OnState(int, core.State, Discovery) error {
+	s.states++
+	if s.states == s.limit {
+		return ErrStop
+	}
+	return nil
+}
+func (s *countStopSink) OnEdge(int, int, string) error { s.edges++; return nil }
+func (s *countStopSink) OnExpanded(int, int) error     { return nil }
+func (s *countStopSink) Done(bool) error               { return nil }

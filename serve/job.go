@@ -31,10 +31,11 @@ type JobRequest struct {
 // TimeoutMS tune resources only — the engine pins that verdicts are
 // identical across them — so they are deliberately NOT part of the
 // result cache key (see fingerprint). MaxStates and Reduce change the
-// report and ARE keyed. Under order "det" exploration is sequential
-// whatever Workers says; Workers speeds up only order "fast", and is
-// clamped to the host's GOMAXPROCS. Order "fast" with Workers omitted
-// explores with one worker, which is the sequential driver.
+// report and ARE keyed. Under order "det" one worker explores on the
+// FIFO frontier whatever Workers says; Workers speeds up only order
+// "fast" (the same loop on work-stealing deques), and is clamped to the
+// host's GOMAXPROCS. Order "fast" with Workers omitted explores with
+// one worker, which is the FIFO frontier again.
 type JobOptions struct {
 	Workers   int    `json:"workers,omitempty"`
 	Order     string `json:"order,omitempty"` // "det" (default) | "fast"
@@ -56,7 +57,7 @@ func (o JobOptions) Options() ([]bip.Option, error) {
 		return nil, fmt.Errorf("workers must be >= 0, got %d", o.Workers)
 	}
 	if o.Workers > 0 {
-		// The work-stealing driver starts one goroutine and one
+		// The work-stealing frontier runs one goroutine and one
 		// exploration context per worker, so the request may not size
 		// the pool past the host's parallelism. Workers are outside the
 		// cache key, so clamping changes no verdict.

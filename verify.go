@@ -272,9 +272,10 @@ func MemBudget(bytes int64) Option {
 	return func(c *verifyConfig) { c.lts.MemBudget = bytes }
 }
 
-// WithContext attaches a cancellation context to the exploration: both
-// drivers poll it and return ctx.Err() promptly when it fires,
-// making long verification runs abortable (timeouts, server shutdown).
+// WithContext attaches a cancellation context to the exploration: every
+// worker polls it once per expansion, and Verify returns ctx.Err()
+// promptly when it fires, making long verification runs abortable
+// (timeouts, server shutdown).
 func WithContext(ctx context.Context) Option {
 	return func(c *verifyConfig) { c.lts.Ctx = ctx }
 }
@@ -284,10 +285,11 @@ func WithContext(ctx context.Context) Option {
 // 100ms) it receives a cumulative Stats snapshot — states, transitions,
 // memory accounting — while the run is still going. This is the hook
 // bipd's progress streaming rides. The callback must return quickly;
-// under Unordered multi-worker exploration it is invoked from a ticker
-// goroutine and may run concurrently with the exploration itself (never
-// with another invocation of fn), so it must be safe to call from a
-// different goroutine than Verify's. There is no guaranteed final call:
+// it is invoked between state expansions by whichever exploration
+// worker finishes one, so under Unordered multi-worker exploration it
+// may run concurrently with the exploration itself (never with another
+// invocation of fn) and must be safe to call from a different
+// goroutine than Verify's. There is no guaranteed final call:
 // the returned Report carries the authoritative totals.
 func WithProgress(every time.Duration, fn func(Stats)) Option {
 	return func(c *verifyConfig) {
