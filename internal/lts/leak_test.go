@@ -11,14 +11,13 @@ import (
 	"bip/internal/faultfs"
 )
 
-// TestStreamNoGoroutineLeak runs both drivers through every way a
+// TestStreamNoGoroutineLeak runs both frontiers through every way a
 // Stream call can end — exhaustion, a sink's ErrStop, MaxStates
 // truncation, context cancellation, a sink error, and an injected spill
 // fault — and asserts that no goroutine outlives the call: the count
 // returns to its pre-call value within a short settle loop. Every run
-// installs a context and a fast Progress callback, so the work-stealing
-// driver's cancellation watcher and progress ticker are live on each
-// exit path too.
+// installs a context and a fast Progress callback, so the cancellation
+// poll and the progress meter are live on each exit path too.
 func TestStreamNoGoroutineLeak(t *testing.T) {
 	sys := spillGrid(t)
 	const states = 4 * 4 * 4 * 4 * 4
