@@ -623,11 +623,13 @@ func (d *driver) admit() (int32, bool) {
 }
 
 // moveRec is one recorded move of an expansion, flushed to the sink
-// after the state is fully expanded. A fresh target — one this
-// expansion created and will announce — has its entry in the worker's
-// born list, in move order.
+// after the state is fully expanded: its interaction (the label's
+// index) and its target. A fresh target — one this expansion created
+// and will announce — has its entry in the worker's born list, in move
+// order. The record holds no pointer, so recording it costs no GC
+// write barrier.
 type moveRec struct {
-	label    string
+	inter    int32
 	targetID int32
 	fresh    bool
 }
@@ -721,7 +723,6 @@ func (w *worker) expandFlush(e *pentry) error {
 		if err != nil {
 			return fmt.Errorf("explore state %d: %w", e.id, err)
 		}
-		label := d.sys.Label(m)
 		ctx.Key = d.sys.AppendBinaryKey(ctx.Key[:0], *view)
 		h := hashKey(ctx.Key)
 		sh := &d.shards[h&d.mask]
@@ -738,7 +739,7 @@ func (w *worker) expandFlush(e *pentry) error {
 		if dup && id != rejectedID && id <= w.levelLast && explore < len(moves) {
 			explore = len(moves)
 		}
-		recs = append(recs, moveRec{label: label, targetID: id, fresh: created})
+		recs = append(recs, moveRec{inter: int32(m.Interaction), targetID: id, fresh: created})
 		if created {
 			// The fresh entry is private to this worker until it is
 			// pushed below; thieves first observe it through the deque
@@ -748,10 +749,17 @@ func (w *worker) expandFlush(e *pentry) error {
 			if err != nil {
 				return fmt.Errorf("explore state %d: %w", e.id, err)
 			}
-			born = append(born, pentry{state: st, vec: vec, node: &pathNode{parent: e.node, label: label}, id: id})
+			born = append(born, pentry{state: st, vec: vec, node: &pathNode{parent: e.node, label: d.sys.Label(m)}, id: id})
 		}
 	}
-	w.recs, w.born = recs, born
+	// Keep grown buffers; writing back unchanged ones would only cost
+	// write barriers.
+	if cap(recs) != cap(w.recs) {
+		w.recs = recs
+	}
+	if cap(born) != cap(w.born) {
+		w.born = born
+	}
 	// The fresh successors count as in flight from here until their own
 	// expansion; this state stops counting only after they are pushed,
 	// so the counter cannot reach zero while any of them is pending.
@@ -804,11 +812,12 @@ func (d *driver) flushLocked(e *pentry, recs []moveRec, born []pentry, moves, am
 			s.Truncated = true
 			continue
 		}
+		label := d.sys.Interactions[r.inter].Name
 		if r.fresh {
 			t := &born[0]
 			born = born[1:]
 			s.States++
-			if err := d.sink.OnState(int(id), t.state, Discovery{Parent: int(e.id), Label: r.label, node: t.node}); err != nil {
+			if err := d.sink.OnState(int(id), t.state, Discovery{Parent: int(e.id), Label: label, node: t.node}); err != nil {
 				return err
 			}
 			d.setAnnounced(id)
@@ -826,14 +835,14 @@ func (d *driver) flushLocked(e *pentry, recs []moveRec, born []pentry, moves, am
 		}
 		if d.isAnnounced(id) {
 			s.Transitions++
-			if err := d.sink.OnEdge(int(e.id), int(id), r.label); err != nil {
+			if err := d.sink.OnEdge(int(e.id), int(id), label); err != nil {
 				return err
 			}
 		} else {
 			if d.parked == nil {
 				d.parked = make(map[int32][]parkedEdge)
 			}
-			d.parked[id] = append(d.parked[id], parkedEdge{from: e.id, label: r.label})
+			d.parked[id] = append(d.parked[id], parkedEdge{from: e.id, label: label})
 		}
 	}
 	if ample < moves {
