@@ -337,7 +337,10 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	for i := range ws {
 		ws[i] = &worker{id: i, d: d, ctx: sys.NewExploreCtx(), exp: opts.newWorkerExpander(sys), levelLast: levelLast}
 	}
-	d.front.push(ws[0], &pentry{state: init, vec: initVec})
+	q := d.front.stage(ws[0])
+	mark := len(*q)
+	*q = append(*q, pentry{state: init, vec: initVec})
+	d.front.push(ws[0], mark)
 	// Worker 0 runs on the calling goroutine: the one-worker FIFO run
 	// starts no goroutine at all.
 	var wg sync.WaitGroup
@@ -403,12 +406,15 @@ type pentry struct {
 
 // frontier is the loop's one parameter: where admitted entries wait
 // for expansion. next hands worker w its next entry, false once the
-// exploration has terminated or stopped; push enqueues an entry w
-// admitted. A frontier that lets workers sleep must wake on
+// exploration has terminated or stopped. stage returns the buffer w
+// appends one expansion's fresh successors to, and push makes those
+// staged from index mark on available to every worker; until then no
+// worker can take them. A frontier that lets workers sleep must wake on
 // driver.notify.
 type frontier interface {
 	next(w *worker) (pentry, bool)
-	push(w *worker, e *pentry)
+	stage(w *worker) *[]pentry
+	push(w *worker, mark int)
 }
 
 // fifo is the deterministic frontier: a FIFO queue drained by a single
@@ -421,7 +427,11 @@ type fifo struct {
 	head int
 }
 
-func (f *fifo) push(_ *worker, e *pentry) { f.q = append(f.q, *e) }
+// stage hands out the queue itself: its one worker takes nothing
+// before the expansion that stages ends, so successors are admitted in
+// place, with no copy to push or clear.
+func (f *fifo) stage(*worker) *[]pentry { return &f.q }
+func (f *fifo) push(*worker, int)       {}
 
 // next also advances the worker's BFS level bound. levelLast is the id
 // of the last state of the level being expanded: when the head moves
@@ -642,7 +652,7 @@ type worker struct {
 	ctx  *core.ExploreCtx
 	exp  WorkerExpander
 	recs []moveRec
-	born []pentry // this expansion's fresh successors
+	born []pentry // the deques' staging buffer (see frontier.stage)
 	skip int      // expansions left before the next Progress clock read
 	// levelLast bounds the cycle proviso: an already-admitted successor
 	// escalates the expansion only if its id is <= levelLast. The FIFO
@@ -712,7 +722,10 @@ func (w *worker) expandFlush(e *pentry) error {
 	if err != nil {
 		return fmt.Errorf("explore state %d: %w", e.id, err)
 	}
-	recs, born := w.recs[:0], w.born[:0]
+	recs := w.recs[:0]
+	q := d.front.stage(w)
+	staged := *q
+	mark := len(staged)
 	// Explore the ample prefix; escalate to the full move list if an
 	// ample successor turns out to be already admitted at or below
 	// levelLast (cycle proviso, condition C3 — see expand.go).
@@ -749,17 +762,18 @@ func (w *worker) expandFlush(e *pentry) error {
 			if err != nil {
 				return fmt.Errorf("explore state %d: %w", e.id, err)
 			}
-			born = append(born, pentry{state: st, vec: vec, node: &pathNode{parent: e.node, label: d.sys.Label(m)}, id: id})
+			staged = append(staged, pentry{state: st, vec: vec, node: &pathNode{parent: e.node, label: d.sys.Label(m)}, id: id})
 		}
 	}
-	// Keep grown buffers; writing back unchanged ones would only cost
-	// write barriers.
+	// Write the buffers back only when they changed: an unchanged
+	// slice header would cost GC write barriers for nothing.
 	if cap(recs) != cap(w.recs) {
 		w.recs = recs
 	}
-	if cap(born) != cap(w.born) {
-		w.born = born
+	if len(staged) != mark {
+		*q = staged
 	}
+	born := staged[mark:]
 	// The fresh successors count as in flight from here until their own
 	// expansion; this state stops counting only after they are pushed,
 	// so the counter cannot reach zero while any of them is pending.
@@ -783,12 +797,7 @@ func (w *worker) expandFlush(e *pentry) error {
 		return err
 	}
 
-	for i := range born {
-		d.front.push(w, &born[i])
-	}
-	// Drop the copies: a stale state here would pin its whole slab
-	// chunk after the frontier has let go of it.
-	clear(born)
+	d.front.push(w, mark)
 	if d.inflight.Add(-1) == 0 {
 		d.notify()
 	}

@@ -165,13 +165,28 @@ func (w *worker) newChunk() *wsChunk {
 	return new(wsChunk)
 }
 
-// push enqueues an admitted entry into w's private chunk. Full private
-// chunks are published; so is a multi-entry private chunk while the
-// worker's deque is empty, to keep work stealable during narrow phases.
-// Publishing is also the spill point: while the resident frontier
-// exceeds the memory budget, the worker sheds its own oldest published
-// chunks to disk.
-func (f *deques) push(w *worker, e *pentry) {
+// stage hands out w's born buffer: successors wait there, invisible to
+// thieves, until push moves them into the chunks.
+func (f *deques) stage(w *worker) *[]pentry { return &w.born }
+
+// push moves the staged successors into w's private chunk and empties
+// the buffer. Clearing it matters: a stale copy there would pin its
+// state's whole slab chunk after the frontier has let go of the state.
+func (f *deques) push(w *worker, mark int) {
+	for i := range w.born[mark:] {
+		f.pushOne(w, &w.born[mark+i])
+	}
+	clear(w.born)
+	w.born = w.born[:0]
+}
+
+// pushOne enqueues an admitted entry into w's private chunk. Full
+// private chunks are published; so is a multi-entry private chunk while
+// the worker's deque is empty, to keep work stealable during narrow
+// phases. Publishing is also the spill point: while the resident
+// frontier exceeds the memory budget, the worker sheds its own oldest
+// published chunks to disk.
+func (f *deques) pushOne(w *worker, e *pentry) {
 	c := w.cur
 	if c == nil {
 		c = w.newChunk()
