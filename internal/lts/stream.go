@@ -792,6 +792,11 @@ func (w *worker) expandFlush(e *pentry) error {
 	d.stats.PeakFrontier = max(d.stats.PeakFrontier, int(in))
 	d.residentPeak = max(d.residentPeak, in-d.spilled.Load())
 	err = d.flushLocked(e, recs, born, len(moves), nAmple, explore)
+	if err != nil {
+		// Stop before releasing the sink: no other worker may flush
+		// after an ErrStop or a sink error.
+		d.fail(err)
+	}
 	d.sinkMu.Unlock()
 	if err != nil {
 		return err
