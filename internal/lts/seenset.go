@@ -35,8 +35,8 @@ import "bytes"
 // share one hash computation. Implementations are NOT safe for
 // concurrent use — the exploration loop serializes access per stripe.
 type SeenSet interface {
-	// Find returns the id recorded for key (rejectedID for MaxStates
-	// tombstones) and whether the key is present.
+	// Find returns the id recorded for key and whether the key is
+	// present.
 	Find(h uint64, key []byte) (int32, bool)
 	// Add records key under id. The caller has established via Find
 	// that the key is absent.
@@ -117,7 +117,7 @@ const (
 // Per visited state it allocates nothing: only new chunks and the
 // logarithmically many table doublings touch the allocator. Ids are
 // explicit because a stripe holds non-contiguous ids under several
-// workers, and MaxStates tombstones.
+// workers.
 type exactSeen struct {
 	width int
 	// slots holds entry index + 1 (0 = empty), linear probing,

@@ -28,14 +28,17 @@ import (
 //   - Unordered order with Workers > 1: per-worker chunked deques with
 //     steal-half balancing and an optional disk spill (wsteal.go).
 //
-// Everything else is shared: expansion through the WorkerExpander,
-// dedup through lock-striped SeenSets, admission by a CAS on the id
-// counter (bounded by MaxStates), a record-then-flush of each
-// expansion's events under one sink mutex, termination on an in-flight
-// counter, cancellation polled once per expansion, a rate-limited
-// Progress meter ticked by whichever worker finishes an expansion, and
-// the Stats assembly. On the FIFO the stripe and sink locks are no-ops
-// (noLock): its one worker is all there is to exclude.
+// The frontier also admits states (reserves ids under MaxStates) and
+// decides when the exploration is over: the FIFO with plain counters
+// and an empty queue, the deques with a CAS on the id counter and an
+// in-flight counter. Everything else is shared: expansion through the
+// WorkerExpander, dedup through lock-striped SeenSets, a
+// record-then-flush of each expansion's events under one sink mutex,
+// the frontier high-water marks, cancellation polled once per
+// expansion, a rate-limited Progress meter ticked by whichever worker
+// finishes an expansion, and the Stats assembly. On the FIFO the stripe
+// and sink locks are nil: its one worker is all there is to exclude,
+// so its loop runs no atomic read-modify-write at all.
 //
 // The memory contract is what makes streaming matter for the biggest
 // workloads: the loop retains materialized states, move tables and
@@ -218,8 +221,9 @@ type Stats struct {
 	// E16 compares against the materialized state count: the maximum
 	// number of states in flight at once — admitted but not yet
 	// expanded and flushed, wherever the state is buffered (the one
-	// being expanded included). Under Unordered it varies from run to
-	// run.
+	// being expanded included). It is raised exactly, on both
+	// frontiers, each time an expansion hands its successors over;
+	// under Unordered it varies from run to run.
 	PeakFrontier int `json:"peak_frontier"`
 	// PeakFrontierBytes prices PeakFrontier in bytes under the
 	// frontierEntryBytes accounting model (key width + flat per-atom /
@@ -295,29 +299,19 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	announceOrder(sink, order)
 
 	d := &driver{
-		sys:          sys,
-		maxStates:    maxStates,
-		sink:         sink,
-		entryBytes:   frontierEntryBytes(sys),
-		stats:        Stats{States: 1, PeakFrontier: 1},
-		residentPeak: 1,
+		sys:        sys,
+		maxStates:  maxStates,
+		sink:       sink,
+		entryBytes: frontierEntryBytes(sys),
+		stats:      Stats{States: 1},
 	}
+	d.peak.Store(1)
+	d.residentPeak.Store(1)
 	d.cond = sync.NewCond(&d.idleMu)
 	d.shards, d.mask = newShards(workers, opts.seenSets(), sys.BinaryKeyWidth())
-	levelLast := int32(math.MaxInt32) // deques: any admitted successor escalates
-	if order == Deterministic {
-		d.front, d.sinkMu, levelLast = &fifo{}, noLock{}, 0
-	} else {
-		d.front, d.sinkMu = newDeques(d, workers, &opts), new(sync.Mutex)
-		if d.spill != nil {
-			defer d.spill.close()
-		}
-	}
 	if opts.Progress != nil {
 		d.progress = &progressMeter{fn: opts.Progress, every: opts.progressEvery(), last: time.Now()}
 	}
-	d.states.Store(1)
-	d.inflight.Store(1)
 
 	init := sys.Initial()
 	initVec, err := sys.EnabledVector(init)
@@ -327,7 +321,17 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	key := sys.AppendBinaryKey(nil, init)
 	h0 := hashKey(key)
 	d.shards[h0&d.mask].seen.Add(h0, key, 0)
-	d.setAnnounced(0)
+	root := pentry{state: init, vec: initVec}
+	levelLast := int32(math.MaxInt32) // deques: any admitted successor escalates
+	if order == Deterministic {
+		d.front, levelLast = newFifo(d, root), 0
+	} else {
+		d.front, d.sinkMu = newDeques(d, workers, &opts, root), new(sync.Mutex)
+		if d.spill != nil {
+			defer d.spill.close()
+		}
+		d.setAnnounced(0)
+	}
 	if err := sink.OnState(0, init, Discovery{Parent: -1}); err != nil {
 		stats := d.snapshot()
 		return stats, stats.finish(err)
@@ -337,10 +341,6 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	for i := range ws {
 		ws[i] = &worker{id: i, d: d, ctx: sys.NewExploreCtx(), exp: opts.newWorkerExpander(sys), levelLast: levelLast}
 	}
-	q := d.front.stage(ws[0])
-	mark := len(*q)
-	*q = append(*q, pentry{state: init, vec: initVec})
-	d.front.push(ws[0], mark)
 	// Worker 0 runs on the calling goroutine: the one-worker FIFO run
 	// starts no goroutine at all.
 	var wg sync.WaitGroup
@@ -388,8 +388,10 @@ func (s *Stats) finish(err error) error {
 	return err
 }
 
-// rejectedID is the seen-set id of a state refused by MaxStates: a
-// tombstone, never an edge target.
+// rejectedID marks a successor refused by MaxStates: it is recorded
+// only to drop its edge and flag the run truncated, and never enters
+// the seen set — once the bound is reached every later admission fails
+// too, so meeting the key again yields the same rejection.
 const rejectedID int32 = -1
 
 // pentry is one frontier-resident state: its materialized state, move
@@ -405,13 +407,18 @@ type pentry struct {
 }
 
 // frontier is the loop's one parameter: where admitted entries wait
-// for expansion. next hands worker w its next entry, false once the
-// exploration has terminated or stopped. stage returns the buffer w
-// appends one expansion's fresh successors to, and push makes those
-// staged from index mark on available to every worker; until then no
-// worker can take them. A frontier that lets workers sleep must wake on
-// driver.notify.
+// for expansion, and when the exploration is over. admit reserves the
+// next state id, bounded by MaxStates (the admitted count is
+// schedule-independent; which keys win the race near the bound is not,
+// under several workers). next hands worker w its next entry, false
+// once the exploration has terminated or stopped. stage returns the
+// buffer w appends one expansion's fresh successors to, and push makes
+// those staged from index mark on available to every worker — until
+// then no worker can take them — retires the expanded entry, and
+// raises the driver's frontier high-water marks. A frontier that lets
+// workers sleep must wake on driver.notify.
 type frontier interface {
+	admit() (int32, bool)
 	next(w *worker) (pentry, bool)
 	stage(w *worker) *[]pentry
 	push(w *worker, mark int)
@@ -421,17 +428,39 @@ type frontier interface {
 // worker, so states are expanded in admission (BFS) order. q[head] is
 // the next entry; expanded slots are zeroed and the window is compacted
 // once the dead prefix dominates, so live memory tracks the frontier,
-// not the visited set.
+// not the visited set. Its one worker is the only one to touch it, so
+// it counts with plain integers, and an empty queue is the end.
 type fifo struct {
+	d    *driver
 	q    []pentry
 	head int
+	n    int32 // admitted states; ids are 0..n-1
+}
+
+// newFifo returns a FIFO holding the initial entry.
+func newFifo(d *driver, root pentry) *fifo {
+	return &fifo{d: d, q: []pentry{root}, n: 1}
+}
+
+func (f *fifo) admit() (int32, bool) {
+	if int(f.n) >= f.d.maxStates {
+		return rejectedID, false
+	}
+	f.n++
+	return f.n - 1, true
 }
 
 // stage hands out the queue itself: its one worker takes nothing
 // before the expansion that stages ends, so successors are admitted in
 // place, with no copy to push or clear.
 func (f *fifo) stage(*worker) *[]pentry { return &f.q }
-func (f *fifo) push(*worker, int)       {}
+
+// push has nothing to publish; the in-flight states are the queued ones
+// plus the one just expanded.
+func (f *fifo) push(*worker, int) {
+	in := int64(len(f.q) - f.head + 1)
+	f.d.raisePeaks(in, in)
+}
 
 // next also advances the worker's BFS level bound. levelLast is the id
 // of the last state of the level being expanded: when the head moves
@@ -452,21 +481,21 @@ func (f *fifo) next(w *worker) (pentry, bool) {
 		f.head = 0
 	}
 	if e.id > w.levelLast {
-		w.levelLast = int32(w.d.states.Load()) - 1
+		w.levelLast = f.n - 1
 	}
 	return e, true
 }
 
 // shard is one lock stripe of the dedup layer: a SeenSet holding every
-// admitted (or bound-rejected) state, guarded by mu.
+// admitted state, guarded by mu.
 type shard struct {
-	mu   sync.Locker
+	mu   *sync.Mutex
 	seen SeenSet
 }
 
 // newShards sizes the lock-striped dedup layer for a worker count, one
 // SeenSet stripe per shard. A single worker gets a single stripe that
-// it alone touches, so its lock is a noLock.
+// it alone touches, so it has no lock.
 func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
 	nShards := 1
 	for workers > 1 && nShards < workers*8 && nShards < 256 {
@@ -474,7 +503,7 @@ func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
 	}
 	shards := make([]shard, nShards)
 	for i := range shards {
-		shards[i] = shard{mu: noLock{}, seen: seen.NewSeenSet(keyWidth)}
+		shards[i].seen = seen.NewSeenSet(keyWidth)
 		if workers > 1 {
 			shards[i].mu = new(sync.Mutex)
 		}
@@ -482,14 +511,22 @@ func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
 	return shards, uint64(nShards - 1)
 }
 
-// noLock is the lock of what only one worker ever touches: the stripes
-// and the sink of a FIFO run, whose single worker is the calling
-// goroutine (Progress callbacks included). Skipping the atomics there
-// keeps the shared loop as cheap as a sequential one.
-type noLock struct{}
+// lock and unlock take mu unless it is nil. The locks of what only one
+// worker ever touches — the stripe and the sink of a FIFO run, whose
+// single worker is the calling goroutine (Progress callbacks included)
+// — are nil: an uncontended lock is still an atomic instruction, and a
+// full fence, on every successor.
+func lock(mu *sync.Mutex) {
+	if mu != nil {
+		mu.Lock()
+	}
+}
 
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
+func unlock(mu *sync.Mutex) {
+	if mu != nil {
+		mu.Unlock()
+	}
+}
 
 // parkedEdge is an edge held back until its target is announced (see
 // driver.parked).
@@ -529,26 +566,24 @@ type driver struct {
 	entryBytes int64
 	spilled    atomic.Int64
 
-	states atomic.Int64 // admitted states (ids are 0..states-1)
-	// inflight counts admitted states not yet expanded and flushed
-	// (see expandFlush); it reaches zero only when nothing is pending
-	// anywhere.
-	inflight atomic.Int64
-	stopped  atomic.Bool
+	stopped atomic.Bool
+	// peak and residentPeak are the high-water marks of the in-flight
+	// states (admitted, not yet expanded and pushed) and of their share
+	// not parked in the spill file, raised by the frontier's push.
+	peak, residentPeak atomic.Int64
 
-	sinkMu sync.Locker // a noLock on the FIFO
+	sinkMu *sync.Mutex // nil on the FIFO
 	// stats holds the counters the flush maintains (States counts
 	// OnState calls, plus Transitions, Truncated and the reduction
 	// counters), guarded by sinkMu. Counting at the flush rather than at
 	// admission keeps a stopped run's figures exactly what the sink was
-	// shown. The flush also samples the frontier peaks: PeakFrontier
-	// here, and residentPeak, its share not parked in the spill file.
-	stats        Stats
-	residentPeak int64
+	// shown.
+	stats Stats
 	// announced is a bitset over state ids whose OnState has been
 	// emitted; parked holds edges that reached a state before its
-	// OnState (drained and deleted at announcement), which only happens
-	// when several workers race. Both are guarded by sinkMu.
+	// OnState (drained and deleted at announcement). Both are guarded by
+	// sinkMu, and both are only needed when several workers race: the
+	// FIFO (sinkMu nil) keeps neither.
 	announced []uint64
 	parked    map[int32][]parkedEdge
 
@@ -565,21 +600,39 @@ type driver struct {
 // over the stripes under their own locks. It serves both Progress
 // callbacks and the final result.
 func (d *driver) snapshot() Stats {
-	d.sinkMu.Lock()
+	lock(d.sinkMu)
 	s := d.stats
-	s.PeakFrontierBytes = d.residentPeak * d.entryBytes
-	d.sinkMu.Unlock()
+	unlock(d.sinkMu)
+	s.PeakFrontier = int(d.peak.Load())
+	s.PeakFrontierBytes = d.residentPeak.Load() * d.entryBytes
 	if d.spill != nil {
 		s.SpilledChunks = d.spill.written()
 	}
 	for i := range d.shards {
 		sh := &d.shards[i]
-		sh.mu.Lock()
+		lock(sh.mu)
 		s.SeenBytes += sh.seen.Bytes()
 		s.ExactPromotions += sh.seen.Promotions()
-		sh.mu.Unlock()
+		unlock(sh.mu)
 	}
 	return s
+}
+
+// raisePeaks raises the high-water marks to in in-flight states, of
+// which resident are not in the spill file. A mark only rises, so the
+// CAS runs only when it does; otherwise the FIFO pays two plain loads.
+func (d *driver) raisePeaks(in, resident int64) {
+	raise(&d.peak, in)
+	raise(&d.residentPeak, resident)
+}
+
+func raise(mark *atomic.Int64, v int64) {
+	for {
+		old := mark.Load()
+		if v <= old || mark.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // setAnnounced marks id's OnState as emitted (caller holds sinkMu).
@@ -617,25 +670,10 @@ func (d *driver) fail(err error) {
 	})
 }
 
-// admit reserves the next state id, bounded by MaxStates. The admitted
-// count is schedule-independent; which keys win the race near the
-// bound is not, under several workers.
-func (d *driver) admit() (int32, bool) {
-	for {
-		n := d.states.Load()
-		if int(n) >= d.maxStates {
-			return rejectedID, false
-		}
-		if d.states.CompareAndSwap(n, n+1) {
-			return int32(n), true
-		}
-	}
-}
-
 // moveRec is one recorded move of an expansion, flushed to the sink
 // after the state is fully expanded: its interaction (the label's
 // index) and its target. A fresh target — one this expansion created
-// and will announce — has its entry in the worker's born list, in move
+// and will announce — has its entry in the staged successors, in move
 // order. The record holds no pointer, so recording it costs no GC
 // write barrier.
 type moveRec struct {
@@ -740,16 +778,17 @@ func (w *worker) expandFlush(e *pentry) error {
 		h := hashKey(ctx.Key)
 		sh := &d.shards[h&d.mask]
 
-		sh.mu.Lock()
+		lock(sh.mu)
 		id, dup := sh.seen.Find(h, ctx.Key)
 		created := false
 		if !dup {
-			id, created = d.admit()
-			sh.seen.Add(h, ctx.Key, id)
+			if id, created = d.front.admit(); created {
+				sh.seen.Add(h, ctx.Key, id)
+			}
 		}
-		sh.mu.Unlock()
+		unlock(sh.mu)
 
-		if dup && id != rejectedID && id <= w.levelLast && explore < len(moves) {
+		if dup && id <= w.levelLast && explore < len(moves) {
 			explore = len(moves)
 		}
 		recs = append(recs, moveRec{inter: int32(m.Interaction), targetID: id, fresh: created})
@@ -773,39 +812,25 @@ func (w *worker) expandFlush(e *pentry) error {
 	if len(staged) != mark {
 		*q = staged
 	}
-	born := staged[mark:]
-	// The fresh successors count as in flight from here until their own
-	// expansion; this state stops counting only after they are pushed,
-	// so the counter cannot reach zero while any of them is pending.
-	d.inflight.Add(int64(len(born)))
 
-	d.sinkMu.Lock()
+	lock(d.sinkMu)
 	if d.stopped.Load() {
 		// The sink already settled (or the run failed): emit nothing
 		// more; counters no longer matter.
-		d.sinkMu.Unlock()
+		unlock(d.sinkMu)
 		return nil
 	}
-	// The in-flight high-water mark is sampled at each flush: exact at
-	// one worker, a close lower bound under several.
-	in := d.inflight.Load()
-	d.stats.PeakFrontier = max(d.stats.PeakFrontier, int(in))
-	d.residentPeak = max(d.residentPeak, in-d.spilled.Load())
-	err = d.flushLocked(e, recs, born, len(moves), nAmple, explore)
+	err = d.flushLocked(e, recs, staged[mark:], len(moves), nAmple, explore)
 	if err != nil {
 		// Stop before releasing the sink: no other worker may flush
 		// after an ErrStop or a sink error.
 		d.fail(err)
 	}
-	d.sinkMu.Unlock()
+	unlock(d.sinkMu)
 	if err != nil {
 		return err
 	}
-
 	d.front.push(w, mark)
-	if d.inflight.Add(-1) == 0 {
-		d.notify()
-	}
 	return nil
 }
 
@@ -813,12 +838,13 @@ func (w *worker) expandFlush(e *pentry) error {
 // counts them into d.stats: fresh targets are announced (OnState) and
 // drain any edges parked on them, edges to announced targets are
 // emitted directly, edges to not-yet-announced targets are parked, and
-// edges to bound-rejected tombstones are dropped (matching the
+// edges to bound-rejected successors are dropped (matching the
 // materialized LTS) but mark the run truncated. At one worker every
-// target is announced by the time its edge is flushed, so nothing is
-// ever parked.
+// target is announced by the time its edge is flushed — in an earlier
+// flush, or earlier in this one — so the FIFO skips the bookkeeping.
 func (d *driver) flushLocked(e *pentry, recs []moveRec, born []pentry, moves, ample, explored int) error {
 	s := &d.stats
+	solo := d.sinkMu == nil
 	for i := range recs {
 		r := &recs[i]
 		id := r.targetID
@@ -834,20 +860,19 @@ func (d *driver) flushLocked(e *pentry, recs []moveRec, born []pentry, moves, am
 			if err := d.sink.OnState(int(id), t.state, Discovery{Parent: int(e.id), Label: label, node: t.node}); err != nil {
 				return err
 			}
-			d.setAnnounced(id)
-			var pes []parkedEdge
-			if len(d.parked) > 0 {
-				pes = d.parked[id]
+			if !solo {
+				d.setAnnounced(id)
+				pes := d.parked[id]
 				delete(d.parked, id)
-			}
-			for _, pe := range pes {
-				s.Transitions++
-				if err := d.sink.OnEdge(int(pe.from), int(id), pe.label); err != nil {
-					return err
+				for _, pe := range pes {
+					s.Transitions++
+					if err := d.sink.OnEdge(int(pe.from), int(id), pe.label); err != nil {
+						return err
+					}
 				}
 			}
 		}
-		if d.isAnnounced(id) {
+		if solo || d.isAnnounced(id) {
 			s.Transitions++
 			if err := d.sink.OnEdge(int(e.id), int(id), label); err != nil {
 				return err

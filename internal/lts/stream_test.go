@@ -371,3 +371,50 @@ func (s *countStopSink) OnState(int, core.State, Discovery) error {
 func (s *countStopSink) OnEdge(int, int, string) error { s.edges++; return nil }
 func (s *countStopSink) OnExpanded(int, int) error     { return nil }
 func (s *countStopSink) Done(bool) error               { return nil }
+
+// TestTruncatedSeenHoldsOnlyAdmitted pins that a successor refused by
+// MaxStates never enters the seen set: a truncated FIFO run reports the
+// SeenBytes of a set holding exactly its MaxStates admitted keys, not
+// those keys plus the frontier's unadmitted successors.
+func TestTruncatedSeenHoldsOnlyAdmitted(t *testing.T) {
+	sys, err := models.CounterGrid(5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := sys.BinaryKeyWidth()
+	for _, seen := range []SeenSets{ExactSeen{}, CompactSeen{}} {
+		// 700 admitted keys stay under the initial table's 3/4 load;
+		// the next BFS level's unadmitted successors would push a
+		// tombstone-keeping set past it.
+		const limit = 700
+		want := seen.NewSeenSet(width)
+		sink := &keySink{sys: sys, set: want}
+		stats, err := Stream(sys, Options{MaxStates: limit, Seen: seen}, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Truncated || stats.States != limit || sink.n != limit {
+			t.Fatalf("%T: truncated=%v states=%d announced=%d, want a run cut at %d", seen, stats.Truncated, stats.States, sink.n, limit)
+		}
+		if stats.SeenBytes != want.Bytes() {
+			t.Fatalf("%T: SeenBytes %d, a set of the %d admitted keys holds %d", seen, stats.SeenBytes, limit, want.Bytes())
+		}
+	}
+}
+
+// keySink adds every announced state's key to set.
+type keySink struct {
+	sys *core.System
+	set SeenSet
+	n   int
+}
+
+func (s *keySink) OnState(id int, st core.State, _ Discovery) error {
+	key := s.sys.AppendBinaryKey(nil, st)
+	s.set.Add(hashKey(key), key, int32(id))
+	s.n++
+	return nil
+}
+func (s *keySink) OnEdge(int, int, string) error { return nil }
+func (s *keySink) OnExpanded(int, int) error     { return nil }
+func (s *keySink) Done(bool) error               { return nil }

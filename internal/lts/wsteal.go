@@ -21,13 +21,14 @@ import (
 //     is empty publishes its private chunk early, so work never hides
 //     in a private buffer while peers starve.
 //
-//   - Idle workers sleep on the driver's condition variable, whose
+//   - Ids are reserved by a CAS on the admitted-state counter. Idle
+//     workers sleep on the driver's condition variable, whose
 //     generation is bumped by every publish, by the final in-flight
 //     decrement and by stop/error; a worker records the generation
 //     before its last scan, so a publish in between is never lost. The
 //     in-flight counter reaching zero means no state is pending
-//     anywhere: children are counted before they are pushed, and their
-//     parent stops counting only after (expandFlush).
+//     anywhere: children are counted before they are published, and
+//     their parent stops counting only after (push).
 //
 //   - With Options.MemBudget set, the frontier spills: whenever the
 //     resident pending states exceed the budget (priced by
@@ -81,18 +82,41 @@ type wsDeque struct {
 
 // deques is the work-stealing frontier: one wsDeque per worker.
 type deques struct {
-	d  *driver
-	qs []wsDeque
+	d      *driver
+	qs     []wsDeque
+	states atomic.Int64 // admitted states (ids are 0..states-1)
+	// inflight counts admitted states not yet expanded and pushed; it
+	// reaches zero only when nothing is pending anywhere.
+	inflight atomic.Int64
 }
 
-// newDeques builds the frontier for workers workers, arming the spill
-// layer when opts sets a memory budget.
-func newDeques(d *driver, workers int, opts *Options) *deques {
+// newDeques builds the frontier for workers workers with the initial
+// entry published on worker 0's deque, arming the spill layer when opts
+// sets a memory budget.
+func newDeques(d *driver, workers int, opts *Options, root pentry) *deques {
 	if opts.MemBudget > 0 {
 		d.memBudget = opts.MemBudget
 		d.spill = newWsSpill(d.sys.BinaryKeyWidth(), opts.fs())
 	}
-	return &deques{d: d, qs: make([]wsDeque, workers)}
+	f := &deques{d: d, qs: make([]wsDeque, workers)}
+	c := new(wsChunk)
+	c.e[0], c.n = root, 1
+	f.qs[0].push(c)
+	f.states.Store(1)
+	f.inflight.Store(1)
+	return f
+}
+
+func (f *deques) admit() (int32, bool) {
+	for {
+		n := f.states.Load()
+		if int(n) >= f.d.maxStates {
+			return rejectedID, false
+		}
+		if f.states.CompareAndSwap(n, n+1) {
+			return int32(n), true
+		}
+	}
 }
 
 // push publishes a full (or shed) chunk.
@@ -172,12 +196,21 @@ func (f *deques) stage(w *worker) *[]pentry { return &w.born }
 // push moves the staged successors into w's private chunk and empties
 // the buffer. Clearing it matters: a stale copy there would pin its
 // state's whole slab chunk after the frontier has let go of the state.
+// The successors count as in flight before any of them is published,
+// and the expanded entry stops counting only after, so the counter
+// cannot reach zero while any of them is pending.
 func (f *deques) push(w *worker, mark int) {
+	d := f.d
+	in := f.inflight.Add(int64(len(w.born) - mark))
+	d.raisePeaks(in, in-d.spilled.Load())
 	for i := range w.born[mark:] {
 		f.pushOne(w, &w.born[mark+i])
 	}
 	clear(w.born)
 	w.born = w.born[:0]
+	if f.inflight.Add(-1) == 0 {
+		d.notify()
+	}
 }
 
 // pushOne enqueues an admitted entry into w's private chunk. Full
@@ -213,7 +246,7 @@ func (f *deques) maybeSpill(w *worker) {
 	if d.spill == nil {
 		return
 	}
-	for (d.inflight.Load()-d.spilled.Load())*d.entryBytes > d.memBudget {
+	for (f.inflight.Load()-d.spilled.Load())*d.entryBytes > d.memBudget {
 		c := f.qs[w.id].takeOldest()
 		if c == nil {
 			return
@@ -260,7 +293,7 @@ func (f *deques) next(w *worker) (pentry, bool) {
 		if f.takeWork(w) {
 			continue
 		}
-		if d.inflight.Load() == 0 {
+		if f.inflight.Load() == 0 {
 			d.notify() // release the other sleepers
 			return pentry{}, false
 		}
