@@ -44,18 +44,13 @@ type wsSpillRec struct {
 // clean terminal error with the temp file still closed and removed
 // (spill_fault_test.go).
 type wsSpill struct {
-	width int
-	fs    faultfs.FS
+	fs faultfs.FS
 
 	mu      sync.Mutex
 	f       faultfs.File
 	off     int64
 	recs    []*wsSpillRec
 	nWrites int64
-}
-
-func newWsSpill(keyWidth int, fs faultfs.FS) *wsSpill {
-	return &wsSpill{width: keyWidth, fs: fs}
 }
 
 // write serializes one chunk: every entry is reduced to its binary key
@@ -104,21 +99,6 @@ func (s *wsSpill) take() *wsSpillRec {
 	s.recs[n-1] = nil
 	s.recs = s.recs[:n-1]
 	return rec
-}
-
-// read loads a taken record's key block into buf. The caller owns the
-// record exclusively (take removed it), so no locking is needed for
-// the file region; ReadAt carries no shared offset.
-func (s *wsSpill) read(rec *wsSpillRec, buf []byte) ([]byte, error) {
-	need := rec.n * s.width
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	if _, err := s.f.ReadAt(buf, rec.off); err != nil {
-		return buf, fmt.Errorf("lts: frontier spill read: %w", err)
-	}
-	return buf, nil
 }
 
 // written returns how many chunks were spilled over the run.

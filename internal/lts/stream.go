@@ -68,14 +68,6 @@ const DefaultProgressEvery = 100 * time.Millisecond
 // still honoring ProgressEvery to within a few expansions.
 const progressStride = 16
 
-// progressEvery resolves the callback interval.
-func (o *Options) progressEvery() time.Duration {
-	if o.ProgressEvery > 0 {
-		return o.ProgressEvery
-	}
-	return DefaultProgressEvery
-}
-
 // ErrStop is the sentinel a Sink returns to end exploration early
 // without reporting an error (a checker found its violation, a collector
 // has all it needs). Stream swallows it: it returns nil after a
@@ -305,12 +297,14 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 		entryBytes: frontierEntryBytes(sys),
 		stats:      Stats{States: 1},
 	}
-	d.peak.Store(1)
-	d.residentPeak.Store(1)
+	d.raisePeaks(1, 1)
 	d.cond = sync.NewCond(&d.idleMu)
 	d.shards, d.mask = newShards(workers, opts.seenSets(), sys.BinaryKeyWidth())
 	if opts.Progress != nil {
-		d.progress = &progressMeter{fn: opts.Progress, every: opts.progressEvery(), last: time.Now()}
+		d.progress = &progressMeter{fn: opts.Progress, every: opts.ProgressEvery, last: time.Now()}
+		if d.progress.every <= 0 {
+			d.progress.every = DefaultProgressEvery
+		}
 	}
 
 	init := sys.Initial()
@@ -324,7 +318,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	root := pentry{state: init, vec: initVec}
 	levelLast := int32(math.MaxInt32) // deques: any admitted successor escalates
 	if order == Deterministic {
-		d.front, levelLast = newFifo(d, root), 0
+		d.front, levelLast = &fifo{d: d, q: []pentry{root}, n: 1}, 0
 	} else {
 		d.front, d.sinkMu = newDeques(d, workers, &opts, root), new(sync.Mutex)
 		if d.spill != nil {
@@ -413,15 +407,15 @@ type pentry struct {
 // under several workers). next hands worker w its next entry, false
 // once the exploration has terminated or stopped. stage returns the
 // buffer w appends one expansion's fresh successors to, and push makes
-// those staged from index mark on available to every worker — until
-// then no worker can take them — retires the expanded entry, and
-// raises the driver's frontier high-water marks. A frontier that lets
-// workers sleep must wake on driver.notify.
+// them available to every worker — until then no worker can take them
+// — retires the expanded entry, and raises the driver's frontier
+// high-water marks. A frontier that lets workers sleep must wake on
+// driver.notify.
 type frontier interface {
 	admit() (int32, bool)
 	next(w *worker) (pentry, bool)
 	stage(w *worker) *[]pentry
-	push(w *worker, mark int)
+	push(w *worker)
 }
 
 // fifo is the deterministic frontier: a FIFO queue drained by a single
@@ -435,11 +429,6 @@ type fifo struct {
 	q    []pentry
 	head int
 	n    int32 // admitted states; ids are 0..n-1
-}
-
-// newFifo returns a FIFO holding the initial entry.
-func newFifo(d *driver, root pentry) *fifo {
-	return &fifo{d: d, q: []pentry{root}, n: 1}
 }
 
 func (f *fifo) admit() (int32, bool) {
@@ -457,7 +446,7 @@ func (f *fifo) stage(*worker) *[]pentry { return &f.q }
 
 // push has nothing to publish; the in-flight states are the queued ones
 // plus the one just expanded.
-func (f *fifo) push(*worker, int) {
+func (f *fifo) push(*worker) {
 	in := int64(len(f.q) - f.head + 1)
 	f.d.raisePeaks(in, in)
 }
@@ -619,7 +608,7 @@ func (d *driver) snapshot() Stats {
 }
 
 // raisePeaks raises the high-water marks to in in-flight states, of
-// which resident are not in the spill file. A mark only rises, so the
+// which resident are not in the spill file. A mark only rises, so its
 // CAS runs only when it does; otherwise the FIFO pays two plain loads.
 func (d *driver) raisePeaks(in, resident int64) {
 	raise(&d.peak, in)
@@ -627,11 +616,7 @@ func (d *driver) raisePeaks(in, resident int64) {
 }
 
 func raise(mark *atomic.Int64, v int64) {
-	for {
-		old := mark.Load()
-		if v <= old || mark.CompareAndSwap(old, v) {
-			return
-		}
+	for old := mark.Load(); v > old && !mark.CompareAndSwap(old, v); old = mark.Load() {
 	}
 }
 
@@ -830,7 +815,7 @@ func (w *worker) expandFlush(e *pentry) error {
 	if err != nil {
 		return err
 	}
-	d.front.push(w, mark)
+	d.front.push(w)
 	return nil
 }
 

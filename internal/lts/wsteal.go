@@ -2,6 +2,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -96,7 +97,7 @@ type deques struct {
 func newDeques(d *driver, workers int, opts *Options, root pentry) *deques {
 	if opts.MemBudget > 0 {
 		d.memBudget = opts.MemBudget
-		d.spill = newWsSpill(d.sys.BinaryKeyWidth(), opts.fs())
+		d.spill = &wsSpill{fs: opts.fs()}
 	}
 	f := &deques{d: d, qs: make([]wsDeque, workers)}
 	c := new(wsChunk)
@@ -142,40 +143,21 @@ func (q *wsDeque) pop() *wsChunk {
 	return c
 }
 
-// takeOldest removes the single oldest published chunk (spill side):
-// the states least likely to be wanted soon, mirroring where thieves
-// steal.
-func (q *wsDeque) takeOldest() *wsChunk {
+// takeOldest appends the oldest published chunks to buf: half of them
+// for a thief, one for the spill — the states least likely to be wanted
+// soon, mirroring where thieves steal. Only one deque lock is ever held
+// at a time, so cross-steals cannot deadlock.
+func (q *wsDeque) takeOldest(buf []*wsChunk, half bool) []*wsChunk {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := len(q.chunks)
-	if n == 0 {
-		return nil
+	take := min(n, 1)
+	if half {
+		take = (n + 1) / 2
 	}
-	c := q.chunks[0]
-	rest := copy(q.chunks, q.chunks[1:])
-	q.chunks[rest] = nil
-	q.chunks = q.chunks[:rest]
-	q.published.Store(int32(rest))
-	return c
-}
-
-// stealHalf removes the oldest half of the published chunks (thief
-// side). Only one deque lock is ever held at a time, so cross-steals
-// cannot deadlock.
-func (q *wsDeque) stealHalf(buf []*wsChunk) []*wsChunk {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.chunks)
-	if n == 0 {
-		return buf
-	}
-	take := (n + 1) / 2
 	buf = append(buf, q.chunks[:take]...)
 	rest := copy(q.chunks, q.chunks[take:])
-	for i := rest; i < n; i++ {
-		q.chunks[i] = nil
-	}
+	clear(q.chunks[rest:])
 	q.chunks = q.chunks[:rest]
 	q.published.Store(int32(rest))
 	return buf
@@ -196,42 +178,34 @@ func (f *deques) stage(w *worker) *[]pentry { return &w.born }
 // push moves the staged successors into w's private chunk and empties
 // the buffer. Clearing it matters: a stale copy there would pin its
 // state's whole slab chunk after the frontier has let go of the state.
-// The successors count as in flight before any of them is published,
-// and the expanded entry stops counting only after, so the counter
-// cannot reach zero while any of them is pending.
-func (f *deques) push(w *worker, mark int) {
+// Full private chunks are published; so is a multi-entry private chunk
+// while the worker's deque is empty, to keep work stealable during
+// narrow phases. Publishing is also the spill point (maybeSpill). The
+// successors count as in flight before any of them is published, and
+// the expanded entry stops counting only after, so the counter cannot
+// reach zero while any of them is pending.
+func (f *deques) push(w *worker) {
 	d := f.d
-	in := f.inflight.Add(int64(len(w.born) - mark))
+	in := f.inflight.Add(int64(len(w.born)))
 	d.raisePeaks(in, in-d.spilled.Load())
-	for i := range w.born[mark:] {
-		f.pushOne(w, &w.born[mark+i])
+	for _, e := range w.born {
+		if w.cur == nil {
+			w.cur = w.newChunk()
+		}
+		c := w.cur
+		c.e[c.n] = e
+		c.n++
+		if c.n == wsChunkCap || (c.n > 1 && f.qs[w.id].published.Load() == 0) {
+			f.qs[w.id].push(c)
+			w.cur = nil
+			d.notify()
+			f.maybeSpill(w)
+		}
 	}
 	clear(w.born)
 	w.born = w.born[:0]
 	if f.inflight.Add(-1) == 0 {
 		d.notify()
-	}
-}
-
-// pushOne enqueues an admitted entry into w's private chunk. Full
-// private chunks are published; so is a multi-entry private chunk while
-// the worker's deque is empty, to keep work stealable during narrow
-// phases. Publishing is also the spill point: while the resident
-// frontier exceeds the memory budget, the worker sheds its own oldest
-// published chunks to disk.
-func (f *deques) pushOne(w *worker, e *pentry) {
-	c := w.cur
-	if c == nil {
-		c = w.newChunk()
-		w.cur = c
-	}
-	c.e[c.n] = *e
-	c.n++
-	if c.n == wsChunkCap || (c.n > 1 && f.qs[w.id].published.Load() == 0) {
-		f.qs[w.id].push(c)
-		w.cur = nil
-		f.d.notify()
-		f.maybeSpill(w)
 	}
 }
 
@@ -247,10 +221,11 @@ func (f *deques) maybeSpill(w *worker) {
 		return
 	}
 	for (f.inflight.Load()-d.spilled.Load())*d.entryBytes > d.memBudget {
-		c := f.qs[w.id].takeOldest()
-		if c == nil {
+		w.steal = f.qs[w.id].takeOldest(w.steal[:0], false)
+		if len(w.steal) == 0 {
 			return
 		}
+		c := w.steal[0]
 		err := d.spill.write(d.sys, c, w)
 		n := c.n
 		*c = wsChunk{}
@@ -324,7 +299,7 @@ func (f *deques) takeWork(w *worker) bool {
 		if f.qs[v].published.Load() == 0 {
 			continue
 		}
-		w.steal = f.qs[v].stealHalf(w.steal[:0])
+		w.steal = f.qs[v].takeOldest(w.steal[:0], true)
 		if len(w.steal) == 0 {
 			continue
 		}
@@ -341,8 +316,7 @@ func (f *deques) takeWork(w *worker) bool {
 	// is last on purpose — resident work drains before reloads widen
 	// the frontier again.
 	if d.spill != nil {
-		rec := d.spill.take()
-		if rec != nil {
+		if rec := d.spill.take(); rec != nil {
 			c, err := w.reload(rec)
 			if err != nil {
 				d.fail(err)
@@ -356,18 +330,20 @@ func (f *deques) takeWork(w *worker) bool {
 	return false
 }
 
-// reload rebuilds one spilled chunk: each state is decoded from its
-// fixed-width binary key and its move table recomputed from scratch —
-// the price of eviction is one EnabledVector per reloaded state.
+// reload rebuilds one taken spill record: its key block is read back
+// (the caller owns the record exclusively, so the file region needs no
+// lock, and ReadAt carries no shared offset), each state is decoded
+// from its fixed-width binary key and its move table recomputed from
+// scratch — the price of eviction is one EnabledVector per reloaded
+// state.
 func (w *worker) reload(rec *wsSpillRec) (*wsChunk, error) {
 	d := w.d
-	buf, err := d.spill.read(rec, w.keyBuf[:0])
-	w.keyBuf = buf
-	if err != nil {
-		return nil, err
+	width := d.sys.BinaryKeyWidth()
+	w.keyBuf = slices.Grow(w.keyBuf[:0], rec.n*width)[:rec.n*width]
+	if _, err := d.spill.f.ReadAt(w.keyBuf, rec.off); err != nil {
+		return nil, fmt.Errorf("lts: frontier spill read: %w", err)
 	}
 	c := w.newChunk()
-	width := d.sys.BinaryKeyWidth()
 	for i := 0; i < rec.n; i++ {
 		st, err := d.sys.StateFromBinaryKey(w.keyBuf[i*width : (i+1)*width])
 		if err != nil {
