@@ -341,6 +341,31 @@ func TestAmpleVisibilityPinsCluster(t *testing.T) {
 	}
 }
 
+// TestAmpleForeignSystemKeepsVisibility: an expander handed a system
+// other than the one it was built for applies the same visibility to
+// that system, so it prunes no move the property observes; and when
+// the visibility does not resolve there, the worker expands fully.
+func TestAmpleForeignSystemKeepsVisibility(t *testing.T) {
+	build := func(n int) *core.System {
+		sys, err := models.DiamondGrid(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	vis := Visibility{Labels: []string{"a3", "b3"}}
+	own, foreign := build(5), build(5)
+	requireExactStream(t, "expander from another system",
+		explore(t, foreign, Options{Expander: ampleFor(t, foreign, vis)}),
+		explore(t, foreign, Options{Expander: ampleFor(t, own, vis)}))
+
+	// DiamondGrid(3) has no a3/b3: the rebuild fails and the worker
+	// falls back to full expansion (3^3 states).
+	if got := explore(t, build(3), Options{Expander: ampleFor(t, own, vis)}); got.NumStates() != 27 {
+		t.Fatalf("unresolvable visibility explored %d states, want the full 27", got.NumStates())
+	}
+}
+
 // noopSink drops the stream; used to read bare Stats.
 type noopSink struct{}
 
