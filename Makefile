@@ -42,10 +42,14 @@ race:
 # work-stealing differential, spill, early-exit and goroutine-leak
 # tests, plus the deterministic-route tests (worker defaults, the golden
 # stream, cancellation, progress), which run the same admission, flush
-# and termination protocol on the one-worker FIFO frontier. Each
-# pass is its own test process under the 600 s hang timeout: one pass
-# takes about 30 s on 2 CPUs, so a single -count=200 process could not
-# finish inside any timeout that still catches a hang promptly.
+# and termination protocol on the one-worker FIFO frontier. Each pass
+# then repeats bipd's lifecycle tests (crash recovery, cancellation,
+# shutdown, degradation, panic isolation) at GOMAXPROCS 1, 2 and 4: a
+# job's terminal transition races between HTTP handlers and the worker
+# pool, and exactly one of them may win it. Each pass is its own test
+# process under the 600 s hang timeout: one pass takes about 30 s on 2
+# CPUs, so a single -count=200 process could not finish inside any
+# timeout that still catches a hang promptly.
 # CI runs it with STRESS_COUNT=20.
 STRESS_COUNT ?= 200
 stress:
@@ -54,6 +58,9 @@ stress:
 		$(GO) test -race -count=1 -cpu 1,2,4,8 \
 			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers' \
 			-timeout 600s ./internal/lts || exit 1; \
+		$(GO) test -race -count=1 -cpu 1,2,4 \
+			-run 'Crash|Recover|Cancel|Lifecycle|Shutdown|Degrade|Panic' \
+			-timeout 600s ./serve || exit 1; \
 	done
 
 # bench prints one line per paper experiment (E1–E23); full tables via

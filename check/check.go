@@ -1,21 +1,23 @@
 // Package check exposes the verification machinery underneath
-// bip.Verify: the streaming exploration drivers and their Sink
+// bip.Verify: the streaming exploration loop and its Sink
 // interface, the composable on-the-fly checkers, the materialized LTS
 // with its analyses (reachability, bisimulation, trace inclusion), and
 // the compositional D-Finder-style verifier that proves deadlock-freedom
 // without touching the product state space.
 //
 // The streaming surface is the one to build on: Stream drives an
-// exploration into any Sink — the sequential breadth-first explorer
-// under the default Deterministic order, at any worker count, or the
-// work-stealing explorer under Unordered with Workers > 1, whose state
-// set and verdicts are the same but whose state numbering and event
-// order depend on scheduling. A Sink observes OnState / OnEdge /
-// OnExpanded / Done events (in deterministic order unless Unordered) and
-// may stop the exploration early by returning ErrStop; checkers retain
-// O(frontier) live memory and capture counterexample paths from the
-// frontier-resident BFS tree (Discovery.Path). Explore materializes the
-// whole graph by running the LTS itself as the sink.
+// exploration into any Sink. Every exploration runs one worker loop,
+// and only its frontier varies: under the default Deterministic order,
+// at any worker count, one worker drains a FIFO queue in breadth-first
+// order; under Unordered with Workers > 1, the workers share chunked
+// work-stealing deques, with the same state set and verdicts but state
+// numbering and event order that depend on scheduling. A Sink
+// observes OnState / OnEdge / OnExpanded / Done events (in
+// deterministic order unless Unordered) and may stop the exploration
+// early by returning ErrStop; checkers retain O(frontier) live memory
+// and capture counterexample paths from the frontier-resident BFS tree
+// (Discovery.Path). Explore materializes the whole graph by running the
+// LTS itself as the sink.
 package check
 
 import (
@@ -36,9 +38,9 @@ type (
 	// Options configures an exploration (bound, raw semantics, workers,
 	// stream order).
 	Options = lts.Options
-	// Order selects the event-stream discipline: Deterministic runs
-	// the sequential explorer at any worker count; Unordered with
-	// Workers > 1 runs the barrier-free work-stealing explorer.
+	// Order selects the exploration loop's frontier: Deterministic
+	// runs one worker on the FIFO queue at any worker count; Unordered
+	// with Workers > 1 runs the workers on work-stealing deques.
 	Order = lts.Order
 	// OrderSink is the optional Sink extension through which drivers
 	// announce the stream order before the first event.
@@ -105,8 +107,8 @@ var ErrStop = lts.ErrStop
 
 // Stream-order constants; see Order.
 const (
-	// Deterministic (the zero value, so the default) runs the
-	// sequential explorer whatever the worker count, so the event
+	// Deterministic (the zero value, so the default) runs one worker
+	// on the FIFO frontier whatever the worker count, so the event
 	// stream is bit-identical at any Workers.
 	Deterministic = lts.Deterministic
 	// Unordered lets workers emit events as expansion completes: the

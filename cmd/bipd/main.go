@@ -49,7 +49,7 @@ func main() {
 	pool := flag.Int("pool", 2, "concurrent explorations")
 	queue := flag.Int("queue", 16, "jobs accepted beyond the running ones (full queue rejects with 429)")
 	cache := flag.Int("cache", 64, "completed reports kept in the content-addressed cache")
-	tick := flag.Duration("tick", 100*time.Millisecond, "progress interval (stats refresh, SSE events, cancellation latency)")
+	tick := flag.Duration("tick", 100*time.Millisecond, "progress interval (stats refresh, SSE events); cancellation is checked once per expansion")
 	timeout := flag.Duration("timeout", time.Minute, "default per-job wall clock (overridable per job via timeout_ms; <0 disables)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace: running jobs beyond this are canceled")
 	data := flag.String("data", "", "data directory for crash-safe persistence (journal + report store); empty runs in-memory")

@@ -44,7 +44,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadFile(name string) ([]byte, error)
-	ReadDir(name string) ([]os.DirEntry, error)
 }
 
 // OS is the real filesystem — the default of every consumer.
@@ -60,7 +59,6 @@ func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(p
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
 
 // Hooks is an FS that delegates to Inner (OS when nil) but consults an
 // optional per-operation hook first; a hook returning a non-nil error
@@ -183,10 +181,6 @@ func (h *Hooks) Remove(name string) error {
 
 func (h *Hooks) ReadFile(name string) ([]byte, error) {
 	return h.inner().ReadFile(name)
-}
-
-func (h *Hooks) ReadDir(name string) ([]os.DirEntry, error) {
-	return h.inner().ReadDir(name)
 }
 
 // hookedFile wraps a File so per-file operations consult the Hooks and

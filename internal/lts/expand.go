@@ -142,6 +142,9 @@ func (f fullWorker) Expand(ctx *core.ExploreCtx, st core.State, vec [][]core.Mov
 // validated system and one visibility declaration.
 type AmpleExpander struct {
 	sys *core.System
+	// vis is the declaration the expander was built with, kept so a
+	// worker for another system can be rebuilt under the same one.
+	vis Visibility
 	// clusterOK[c]: cluster c may serve as a strict ample set — it is
 	// reducible (no priority entanglement) and invisible to the
 	// property (no visible interaction, no visible atom).
@@ -162,6 +165,7 @@ func NewAmpleExpander(sys *core.System, vis Visibility) (*AmpleExpander, error) 
 	nc := sys.NumClusters()
 	a := &AmpleExpander{
 		sys:          sys,
+		vis:          vis,
 		clusterOK:    make([]bool, nc),
 		interCluster: make([]int32, len(sys.Interactions)),
 	}
@@ -187,20 +191,16 @@ func NewAmpleExpander(sys *core.System, vis Visibility) (*AmpleExpander, error) 
 	return a, nil
 }
 
-// NewWorkerExpander implements Expander. The worker must expand states
-// of the system the AmpleExpander was built for.
+// NewWorkerExpander implements Expander. Given a system other than the
+// one the AmpleExpander was built for, it rebuilds the reducer for that
+// system under the same visibility (cluster indices do not carry
+// across systems), and expands fully if the visibility does not
+// resolve there.
 func (a *AmpleExpander) NewWorkerExpander(sys *core.System, raw bool) WorkerExpander {
 	if sys != a.sys {
-		// Cross-system reuse would silently misapply cluster indices;
-		// rebuild eligibility for the new system with the same policy.
-		fresh := &AmpleExpander{sys: sys}
-		fresh.clusterOK = make([]bool, sys.NumClusters())
-		for c := range fresh.clusterOK {
-			fresh.clusterOK[c] = sys.ClusterReducible(c)
-		}
-		fresh.interCluster = make([]int32, len(sys.Interactions))
-		for i := range sys.Interactions {
-			fresh.interCluster[i] = int32(sys.InteractionCluster(i))
+		fresh, err := NewAmpleExpander(sys, a.vis)
+		if err != nil {
+			return fullWorker{raw: raw}
 		}
 		a = fresh
 	}

@@ -144,12 +144,11 @@ type Event struct {
 // job is the server-side state of one verification run. The mutex
 // covers every mutable field; done is closed exactly once on reaching
 // a terminal state, which is how SSE subscribers learn the outcome
-// without a broadcast that could be dropped.
+// without a broadcast that could be dropped. Server.finish makes every
+// terminal transition.
 type job struct {
 	id      string
 	fp      string
-	sys     *bip.System
-	opts    []bip.Option // semantic options; ctx/progress added per run
 	timeout time.Duration
 	// lint holds the submission's auto-lint findings; set once before
 	// the job is published, then read-only.
@@ -158,13 +157,20 @@ type job struct {
 	// substitutes a misbehaving engine to exercise panic isolation. Set
 	// before the job is published, then read-only.
 	verify func(sys *bip.System, opts ...bip.Option) (*bip.Report, error)
-	// recovered marks a journal-restored job; set before publication.
+	// recovered marks a journal-restored job; journaled marks a job
+	// whose submit record is in the journal, so its end needs a
+	// terminal record. Both are set before the job is published.
 	recovered bool
+	journaled bool
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// sys and opts are the run inputs (opts holds the semantic options;
+	// ctx and progress are added per run). They are dropped when the
+	// job turns terminal: the server keeps every job for its lifetime.
+	sys          *bip.System
+	opts         []bip.Option
 	state        string
 	cached       bool
-	panicked     bool
 	errMsg       string
 	progress     *bip.Stats
 	statesPerSec float64
@@ -176,9 +182,21 @@ type job struct {
 	done         chan struct{}
 }
 
-func newJob(id, fp string, sys *bip.System, opts []bip.Option, timeout time.Duration) *job {
+// outcome is how a job ends. cached marks a report taken from the
+// report store rather than computed by the job; panicked marks a run
+// that ended in a recovered engine panic.
+type outcome struct {
+	state    string
+	report   *bip.Report
+	errMsg   string
+	cached   bool
+	panicked bool
+}
+
+func newJob(id string, p prepared, verify func(*bip.System, ...bip.Option) (*bip.Report, error)) *job {
 	return &job{
-		id: id, fp: fp, sys: sys, opts: opts, timeout: timeout,
+		id: id, fp: p.fp, sys: p.sys, opts: p.opts, timeout: p.timeout,
+		lint: p.lint, verify: verify,
 		state: StateQueued,
 		subs:  make(map[chan Event]struct{}),
 		done:  make(chan struct{}),
@@ -242,53 +260,42 @@ func (jb *job) onProgress(st bip.Stats) {
 	}
 }
 
-// finish moves the job to a terminal state. Idempotent: the first
-// terminal transition wins (a DELETE racing the natural completion).
-func (jb *job) finish(state string, rep *bip.Report, errMsg string) bool {
+// settle moves the job from state from to o's terminal state and drops
+// its run inputs. It reports false, changing nothing, if the job is no
+// longer in state from: a queued job is claimed either by a worker
+// (run) or by a terminal transition, never both.
+func (jb *job) settle(from string, o outcome) bool {
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
-	if jb.state == StateDone || jb.state == StateFailed || jb.state == StateCanceled {
+	if jb.state != from {
 		return false
 	}
-	jb.state, jb.report, jb.errMsg = state, rep, errMsg
+	jb.state, jb.report, jb.errMsg, jb.cached = o.state, o.report, o.errMsg, o.cached
+	jb.sys, jb.opts, jb.cancel = nil, nil, nil
 	close(jb.done)
 	return true
 }
 
-// requestCancel asks a queued or running job to stop. A queued job is
-// finished on the spot (the worker skips it); a running job has its
-// context canceled and reaches StateCanceled as soon as the engine
-// observes the cancellation — within one progress tick. Returns false
-// for already-terminal jobs.
-func (jb *job) requestCancel() bool {
+// stop cancels a running job's context; the engine notices within one
+// expansion and the worker then finishes the job. A no-op for a job
+// that is not running.
+func (jb *job) stop() {
 	jb.mu.Lock()
-	switch jb.state {
-	case StateQueued:
-		jb.mu.Unlock()
-		return jb.finish(StateCanceled, nil, "canceled before start")
-	case StateRunning:
-		cancel := jb.cancel
-		jb.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return true
-	}
+	cancel := jb.cancel
 	jb.mu.Unlock()
-	return false
+	if cancel != nil {
+		cancel()
+	}
 }
 
 // callVerify runs the engine behind a recover barrier: a panicking
 // exploration must take down one job, not the worker that hosts it and
 // with it the whole pool. The captured stack rides the failed job's
 // error so the defect is debuggable from the job view alone.
-func (jb *job) callVerify(opts []bip.Option) (rep *bip.Report, err error) {
+func (jb *job) callVerify(sys *bip.System, opts []bip.Option) (rep *bip.Report, panicked bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			jb.mu.Lock()
-			jb.panicked = true
-			jb.mu.Unlock()
-			rep = nil
+			rep, panicked = nil, true
 			err = fmt.Errorf("internal: panic during verification: %v\n%s", p, debug.Stack())
 		}
 	}()
@@ -296,26 +303,19 @@ func (jb *job) callVerify(opts []bip.Option) (rep *bip.Report, err error) {
 	if verify == nil {
 		verify = bip.Verify
 	}
-	return verify(jb.sys, opts...)
+	rep, err = verify(sys, opts...)
+	return rep, false, err
 }
 
-// recoveredPanic reports whether the run ended in a recovered engine
-// panic; the worker feeds it into the service-level counter.
-func (jb *job) recoveredPanic() bool {
+// run executes a queued job with cancellation and deadline wired
+// through bip.WithContext, reporting progress every tick, and returns
+// how it ended. It reports false, without running, if the job left the
+// queued state first (canceled while queued).
+func (jb *job) run(tick time.Duration) (outcome, bool) {
 	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	return jb.panicked
-}
-
-// run executes the verification with cancellation and deadline wired
-// through bip.WithContext, reporting progress every tick. It returns
-// the terminal state it reached.
-func (jb *job) run(tick time.Duration) string {
-	jb.mu.Lock()
-	if jb.state != StateQueued { // canceled while queued
-		st := jb.state
+	if jb.state != StateQueued {
 		jb.mu.Unlock()
-		return st
+		return outcome{}, false
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	if jb.timeout > 0 {
@@ -323,25 +323,20 @@ func (jb *job) run(tick time.Duration) string {
 	}
 	jb.cancel = cancel
 	jb.state = StateRunning
+	sys, opts := jb.sys, jb.opts
 	jb.mu.Unlock()
 	defer cancel()
 
-	opts := make([]bip.Option, 0, len(jb.opts)+2)
-	opts = append(opts, jb.opts...)
-	opts = append(opts, bip.WithContext(ctx), bip.WithProgress(tick, jb.onProgress))
-	rep, err := jb.callVerify(opts)
+	opts = append(opts[:len(opts):len(opts)], bip.WithContext(ctx), bip.WithProgress(tick, jb.onProgress))
+	rep, panicked, err := jb.callVerify(sys, opts)
 	switch {
 	case err == nil:
-		jb.finish(StateDone, rep, "")
+		return outcome{state: StateDone, report: rep}, true
 	case errors.Is(err, context.Canceled):
-		jb.finish(StateCanceled, nil, "canceled")
+		return outcome{state: StateCanceled, errMsg: "canceled"}, true
 	case errors.Is(err, context.DeadlineExceeded):
-		jb.finish(StateFailed, nil, fmt.Sprintf("timeout after %s", jb.timeout))
+		return outcome{state: StateFailed, errMsg: fmt.Sprintf("timeout after %s", jb.timeout)}, true
 	default:
-		jb.finish(StateFailed, nil, err.Error())
+		return outcome{state: StateFailed, errMsg: err.Error(), panicked: panicked}, true
 	}
-	jb.mu.Lock()
-	st := jb.state
-	jb.mu.Unlock()
-	return st
 }

@@ -197,3 +197,35 @@ func TestRecoverReadsNoReportsUntilAsked(t *testing.T) {
 		}
 	}
 }
+
+// TestLifecycleTerminalJobsDropRunInputs: the server keeps every job
+// for its lifetime, so a job that turns terminal — by running, by a
+// cache hit or by a DELETE while queued — drops its parsed system and
+// options.
+func TestLifecycleTerminalJobsDropRunInputs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Pool: 1, Tick: 5 * time.Millisecond})
+	ran, _ := submit(t, ts, JobRequest{Model: pingpong})
+	waitTerminal(t, ts, ran.ID, 10*time.Second)
+	waitFor(t, 5*time.Second, func() bool { _, _, size := s.CacheStats(); return size == 1 })
+	hit, _ := submit(t, ts, JobRequest{Model: pingpong})
+	if !hit.Cached {
+		t.Fatalf("resubmission not answered from the report store: %+v", hit)
+	}
+	blocker, _ := submit(t, ts, longJob())
+	waitState(t, ts, blocker.ID, StateRunning, 5*time.Second)
+	queued, _ := submit(t, ts, JobRequest{Model: gridModel(4, 3)})
+	cancelJob(t, ts, queued.ID)
+	for _, id := range []string{ran.ID, hit.ID, queued.ID} {
+		s.mu.Lock()
+		jb := s.jobs[id]
+		s.mu.Unlock()
+		jb.mu.Lock()
+		state, sys, opts := jb.state, jb.sys, jb.opts
+		jb.mu.Unlock()
+		if !isTerminal(state) || sys != nil || opts != nil {
+			t.Fatalf("job %s (%s) keeps its run inputs: sys %v, %d options", id, state, sys != nil, len(opts))
+		}
+	}
+	cancelJob(t, ts, blocker.ID)
+	waitTerminal(t, ts, blocker.ID, 5*time.Second)
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"sync"
 
 	"bip"
@@ -73,10 +74,14 @@ func writeBlob(h interface{ Write([]byte) (int, error) }, s string) {
 	h.Write([]byte(s))
 }
 
-// reportCache is a bounded LRU of completed reports keyed by
-// fingerprint. Cached *bip.Report values are shared between hits and
-// must be treated as immutable.
-type reportCache struct {
+// reports is the two-tier report store, keyed by fingerprint: a
+// bounded LRU in memory in front of the durable copies under
+// DataDir/reports (the disk tier is absent without DataDir). Nothing
+// is read at startup; a disk hit re-warms memory. Stored *bip.Report
+// values are shared between hits and must be treated as immutable.
+type reports struct {
+	disk *store // nil without DataDir
+
 	mu     sync.Mutex
 	cap    int
 	ll     *list.List // front = most recently used
@@ -85,49 +90,103 @@ type reportCache struct {
 	misses int64
 }
 
-type cacheEntry struct {
-	key string
+type reportEntry struct {
+	fp  string
 	rep *bip.Report
 }
 
-func newReportCache(capacity int) *reportCache {
-	return &reportCache{
+func newReports(capacity int, disk *store) *reports {
+	return &reports{
+		disk:  disk,
 		cap:   capacity,
 		ll:    list.New(),
 		byKey: make(map[string]*list.Element, capacity),
 	}
 }
 
-func (c *reportCache) get(key string) (*bip.Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry).rep, true
+// get looks fp up in memory, then on disk. A hit in either tier counts
+// as a hit.
+func (r *reports) get(fp string) (*bip.Report, bool) {
+	r.mu.Lock()
+	if el, ok := r.byKey[fp]; ok {
+		r.ll.MoveToFront(el)
+		r.hits++
+		rep := el.Value.(*reportEntry).rep
+		r.mu.Unlock()
+		return rep, true
 	}
-	c.misses++
-	return nil, false
+	r.mu.Unlock()
+	rep := r.load(fp)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rep == nil {
+		r.misses++
+		return nil, false
+	}
+	r.hits++
+	r.remember(fp, rep)
+	return rep, true
 }
 
-func (c *reportCache) put(key string, rep *bip.Report) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).rep = rep
-		c.ll.MoveToFront(el)
+// put stores a computed report: memory first, then the durable copy.
+func (r *reports) put(fp string, rep *bip.Report) {
+	r.mu.Lock()
+	r.remember(fp, rep)
+	r.mu.Unlock()
+	r.persist(fp, rep)
+}
+
+// remember makes fp the most recently used memory entry, evicting the
+// least recently used past capacity. Callers hold r.mu.
+func (r *reports) remember(fp string, rep *bip.Report) {
+	if el, ok := r.byKey[fp]; ok {
+		el.Value.(*reportEntry).rep = rep
+		r.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep})
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.byKey, el.Value.(*cacheEntry).key)
+	r.byKey[fp] = r.ll.PushFront(&reportEntry{fp: fp, rep: rep})
+	for r.ll.Len() > r.cap {
+		el := r.ll.Back()
+		r.ll.Remove(el)
+		delete(r.byKey, el.Value.(*reportEntry).fp)
 	}
 }
 
-func (c *reportCache) stats() (hits, misses int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+// load reads the durable copy of fp; a missing or unreadable entry is
+// a miss (nil).
+func (r *reports) load(fp string) *bip.Report {
+	if r.disk == nil {
+		return nil
+	}
+	data, err := r.disk.fs.ReadFile(r.disk.reportPath(fp))
+	if err != nil {
+		return nil
+	}
+	var rep bip.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil
+	}
+	return &rep
+}
+
+// persist writes the durable copy of a report, atomically so readers
+// only ever see whole reports. A fault degrades the store instead of
+// failing the caller.
+func (r *reports) persist(fp string, rep *bip.Report) {
+	if r.disk == nil || !r.disk.writable() {
+		return
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		return
+	}
+	if err := r.disk.writeAtomic("report-*", r.disk.reportPath(fp), data); err != nil {
+		r.disk.degrade("report write", err)
+	}
+}
+
+func (r *reports) stats() (hits, misses int64, size int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hits, r.misses, r.ll.Len()
 }

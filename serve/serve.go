@@ -66,8 +66,9 @@ type Config struct {
 	// CacheSize bounds the completed-report LRU (default 64).
 	CacheSize int
 	// Tick is the progress interval: how often running jobs refresh
-	// their stats, stream SSE events, and observe cancellation
-	// (default 100ms).
+	// their stats and stream SSE events (default 100ms). Cancellation
+	// does not wait for it: the engine checks a job's context once per
+	// expansion.
 	Tick time.Duration
 	// DefaultTimeout bounds each job's wall clock when the submission
 	// does not set timeout_ms (default 1 minute; <0 disables).
@@ -106,10 +107,10 @@ func (c Config) withDefaults() Config {
 // Server is the verification service. Create with New, mount Handler
 // on an http.Server, and Shutdown to drain.
 type Server struct {
-	cfg    Config
-	cache  *reportCache
-	store  *store      // nil without DataDir
-	quotas *quotaTable // nil without Quota
+	cfg     Config
+	reports *reports
+	store   *store      // nil without DataDir
+	quotas  *quotaTable // nil without Quota
 	// verify substitutes the engine entry point in tests (panic
 	// isolation); nil means bip.Verify.
 	verify func(sys *bip.System, opts ...bip.Option) (*bip.Report, error)
@@ -147,54 +148,52 @@ func New(cfg Config) (*Server, error) { return newServer(cfg, faultfs.OS) }
 // degradation tests use to fault journal and report writes.
 func newServer(cfg Config, fs faultfs.FS) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:   cfg,
-		cache: newReportCache(cfg.CacheSize),
-		jobs:  make(map[string]*job),
-	}
+	s := &Server{cfg: cfg, jobs: make(map[string]*job)}
 	if cfg.Quota.enabled() {
 		s.quotas = newQuotaTable(cfg.Quota)
 	}
-	var requeue []*job
+	var pending []journalRec
 	if cfg.DataDir != "" {
-		st, pending, maxID, err := openStore(cfg.DataDir, fs)
-		if err != nil {
+		var maxID int64
+		var err error
+		if s.store, pending, maxID, err = openStore(cfg.DataDir, fs); err != nil {
 			return nil, err
 		}
-		s.store = st
 		s.nextID.Store(maxID)
-		// Re-warm the LRU from the report store so resubmissions of
-		// pre-crash work are cache hits again.
-		st.loadReports(func(fp string, rep *bip.Report) { s.cache.put(fp, rep) })
-		var keep []journalRec
-		for _, rec := range pending {
-			p, err := s.prepare(*rec.Req)
-			if err != nil {
-				// Only a hand-edited journal can get here: the record was
-				// validated before it was written.
-				st.logf("bipd: dropping unreplayable journal entry %s: %v", rec.ID, err)
-				continue
-			}
-			jb := newJob(rec.ID, p.fp, p.sys, p.opts, p.timeout)
-			jb.lint, jb.verify, jb.recovered = p.lint, s.verify, true
-			if rep, ok := st.getReport(p.fp); ok {
-				// The crash hit between the report write and the journal's
-				// terminal record. The fingerprint proves the stored report
-				// answers this exact submission — born done, no re-run.
-				jb.cached, jb.state, jb.report = true, StateDone, rep
-				close(jb.done)
-				s.jobs[jb.id] = jb
-				s.total.Add(1)
-				s.done.Add(1)
-				s.jobsRecovered.Add(1)
-				continue
-			}
-			requeue = append(requeue, jb)
-			keep = append(keep, rec)
+	}
+	s.reports = newReports(cfg.CacheSize, s.store)
+	var requeue []*job
+	var keep []journalRec
+	for _, rec := range pending {
+		p, err := s.prepare(*rec.Req)
+		if err != nil {
+			// Only a hand-edited journal can get here: the record was
+			// validated before it was written.
+			s.store.logf("bipd: dropping unreplayable journal entry %s: %v", rec.ID, err)
+			continue
 		}
-		// Compact before the pool starts: the journal shrinks to the
-		// still-pending submissions and reopens for appending.
-		if err := st.compact(keep); err != nil {
+		jb := newJob(rec.ID, p, s.verify)
+		jb.recovered = true
+		s.jobs[jb.id] = jb
+		s.total.Add(1)
+		s.jobsRecovered.Add(1)
+		if rep, ok := s.reports.get(p.fp); ok {
+			// The crash hit between the report write and the journal's
+			// terminal record. The fingerprint proves the stored report
+			// answers this exact submission, so the job ends without a
+			// re-run; compaction drops its submit record, so it needs no
+			// terminal one.
+			s.finish(jb, StateQueued, outcome{state: StateDone, report: rep, cached: true})
+			continue
+		}
+		jb.journaled = true
+		requeue = append(requeue, jb)
+		keep = append(keep, rec)
+	}
+	// Compact before the pool starts: the journal shrinks to the
+	// still-pending submissions and reopens for appending.
+	if s.store != nil {
+		if err := s.store.compact(keep); err != nil {
 			return nil, err
 		}
 	}
@@ -202,11 +201,8 @@ func newServer(cfg Config, fs faultfs.FS) (*Server, error) {
 	// be rejected by the very overload protection it predates.
 	s.queue = make(chan *job, cfg.Queue+len(requeue))
 	for _, jb := range requeue {
-		s.jobs[jb.id] = jb
 		s.queue <- jb
 		s.queued.Add(1)
-		s.total.Add(1)
-		s.jobsRecovered.Add(1)
 	}
 	for i := 0; i < cfg.Pool; i++ {
 		s.wg.Add(1)
@@ -215,6 +211,8 @@ func newServer(cfg Config, fs faultfs.FS) (*Server, error) {
 	return s, nil
 }
 
+// worker runs queued jobs; a job that turned terminal while queued is
+// dropped unrun.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for jb := range s.queue {
@@ -224,34 +222,65 @@ func (s *Server) worker() {
 			continue
 		}
 		s.running.Add(1)
-		switch jb.run(s.cfg.Tick) {
-		case StateDone:
-			s.done.Add(1)
-			s.cache.put(jb.fp, jb.report)
-			if s.store != nil {
-				// Report first, terminal record second: a crash between the
-				// two re-queues the job, and recovery then finds the report
-				// by fingerprint — never a journal that promises a report
-				// the store does not have.
-				s.store.putReport(jb.fp, jb.report)
-				s.store.appendTerminal(StateDone, jb.id, "")
-			}
-		case StateFailed:
-			s.failed.Add(1)
-			if jb.recoveredPanic() {
-				s.recoveredPanics.Add(1)
-			}
-			if s.store != nil {
-				s.store.appendTerminal(StateFailed, jb.id, jb.view().Error)
-			}
-		case StateCanceled:
-			s.canceled.Add(1)
-			if s.store != nil {
-				s.store.appendTerminal(StateCanceled, jb.id, "")
-			}
+		if o, ran := jb.run(s.cfg.Tick); ran {
+			s.finish(jb, StateRunning, o)
 		}
 		s.running.Add(-1)
 	}
+}
+
+// finish is every terminal transition of a job: a run's outcome (from
+// StateRunning), and a cancellation before start, a cached answer or a
+// recovered job whose report is stored (from StateQueued). Only the
+// transition that wins the job's state moves it, so each step below
+// happens once per job: the job turns terminal and drops its run
+// inputs, its counter moves, a report it computed is stored, and, if
+// it has a submit record, its terminal record is journaled. The report
+// goes first, so the journal never promises a report the store lacks.
+// The job is visible as terminal before either write: no fsync delays
+// a verdict.
+func (s *Server) finish(jb *job, from string, o outcome) bool {
+	if !jb.settle(from, o) {
+		return false
+	}
+	switch o.state {
+	case StateDone:
+		s.done.Add(1)
+	case StateFailed:
+		s.failed.Add(1)
+	case StateCanceled:
+		s.canceled.Add(1)
+	}
+	if o.panicked {
+		s.recoveredPanics.Add(1)
+	}
+	if o.state == StateDone && !o.cached {
+		s.reports.put(jb.fp, o.report)
+	}
+	if jb.journaled {
+		s.store.appendTerminal(o.state, jb.id, o.errMsg)
+	}
+	return true
+}
+
+// cancel ends a queued job on the spot, its terminal record durable
+// before cancel returns; a running job has its context canceled, and
+// its worker finishes it once the engine notices.
+func (s *Server) cancel(jb *job) {
+	if !s.finish(jb, StateQueued, outcome{state: StateCanceled, errMsg: "canceled before start"}) {
+		jb.stop()
+	}
+}
+
+// liveJobs snapshots the job table.
+func (s *Server) liveJobs() []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, jb := range s.jobs {
+		jobs = append(jobs, jb)
+	}
+	return jobs
 }
 
 // Shutdown drains the service: new submissions are rejected with 503,
@@ -274,11 +303,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-drained:
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		for _, jb := range s.jobs {
-			jb.requestCancel()
+		for _, jb := range s.liveJobs() {
+			s.cancel(jb)
 		}
-		s.mu.Unlock()
 		<-drained
 		return ctx.Err()
 	}
@@ -303,20 +330,17 @@ func (s *Server) Crash() {
 		s.store.goSilent()
 	}
 	close(s.queue)
-	live := make([]*job, 0, len(s.jobs))
-	for _, jb := range s.jobs {
-		live = append(live, jb)
-	}
 	s.mu.Unlock()
-	for _, jb := range live {
-		jb.requestCancel()
+	for _, jb := range s.liveJobs() {
+		s.cancel(jb)
 	}
 	s.wg.Wait()
 }
 
-// CacheStats exposes the report cache counters for tests and harnesses.
+// CacheStats exposes the report store's counters for tests and
+// harnesses: hits in either tier, misses, and reports held in memory.
 func (s *Server) CacheStats() (hits, misses int64, size int) {
-	return s.cache.stats()
+	return s.reports.stats()
 }
 
 // Recovered exposes the journal-recovery counter for tests and
@@ -494,41 +518,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
-	jb := newJob(id, p.fp, p.sys, p.opts, p.timeout)
-	jb.lint, jb.verify = p.lint, s.verify
-
-	rep, hit := s.cache.get(p.fp)
-	if !hit && s.store != nil {
-		// LRU miss but the report store may still hold it (evicted, or
-		// persisted by an earlier incarnation); a disk hit re-warms the
-		// LRU.
-		if drep, ok := s.store.getReport(p.fp); ok {
-			rep, hit = drep, true
-			s.cache.put(p.fp, drep)
-		}
-	}
-	if hit {
-		// Answered without an exploration: the job is born terminal.
-		jb.cached, jb.state, jb.report = true, StateDone, rep
-		close(jb.done)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "shutting down")
-			return
-		}
-		s.jobs[id] = jb
-		s.mu.Unlock()
-		s.total.Add(1)
-		s.done.Add(1)
-		writeJSON(w, http.StatusOK, jb.view())
-		return
-	}
+	jb := newJob(id, p, s.verify)
+	rep, hit := s.reports.get(p.fp)
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		return
+	}
+	if hit {
+		s.jobs[id] = jb
+		s.mu.Unlock()
+		s.total.Add(1)
+		// Answered without an exploration and never journaled: a restart
+		// answers a resubmission from the report store again.
+		s.finish(jb, StateQueued, outcome{state: StateDone, report: rep, cached: true})
+		writeJSON(w, http.StatusOK, jb.view())
 		return
 	}
 	// Every send happens under s.mu, so len==cap is a reliable full
@@ -546,6 +552,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// design — accepting faster than surviving would be lying.
 	if s.store != nil {
 		s.store.appendSubmit(id, p.fp, req)
+		jb.journaled = true
 	}
 	s.jobs[id] = jb
 	s.queue <- jb
@@ -577,17 +584,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	if jb.requestCancel() && s.store != nil {
-		jb.mu.Lock()
-		canceled := jb.state == StateCanceled
-		jb.mu.Unlock()
-		if canceled {
-			// Canceled while queued: no worker will journal the terminal
-			// record, so the handler does — otherwise a restart would
-			// resurrect a job the client explicitly killed.
-			s.store.appendTerminal(StateCanceled, jb.id, "")
-		}
-	}
+	s.cancel(jb)
 	writeJSON(w, http.StatusOK, jb.view())
 }
 
@@ -669,7 +666,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, size := s.cache.stats()
+	hits, misses, size := s.reports.stats()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "bipd_jobs_total %d\n", s.total.Load())
 	fmt.Fprintf(w, "bipd_jobs_queued %d\n", s.queued.Load())

@@ -70,14 +70,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		// Cancel whatever is still live so the drain is prompt.
-		s.mu.Lock()
-		jobs := make([]*job, 0, len(s.jobs))
-		for _, jb := range s.jobs {
-			jobs = append(jobs, jb)
-		}
-		s.mu.Unlock()
-		for _, jb := range jobs {
-			jb.requestCancel()
+		for _, jb := range s.liveJobs() {
+			s.cancel(jb)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bip"
 	"bip/internal/faultfs"
 )
 
@@ -34,7 +33,13 @@ import (
 //   - The REPORT STORE records outcomes: reports/<fingerprint>.json,
 //     written to a temp file and renamed into place, so a reader never
 //     observes a half-written report and a crash mid-write leaves only
-//     a stray temp file, never a corrupt entry.
+//     a stray temp file, never a corrupt entry. It is the disk tier of
+//     the reports type (reports.go), read only when a lookup misses
+//     memory, never in bulk at startup.
+//
+// Server.finish writes both for a job reaching a terminal state: the
+// report first, then the terminal record, so the journal never names a
+// finished job whose report the store lacks.
 //
 // The journal tolerates a torn tail: a crash can truncate the final
 // line, so replay stops at the first malformed record instead of
@@ -174,37 +179,18 @@ func (s *store) reportPath(fp string) string {
 }
 
 // compact rewrites the journal to exactly the surviving submissions
-// (temp file + rename, so a crash mid-compaction leaves the old journal
-// intact) and opens it for appending. Runs once, before the worker pool
-// starts.
+// (atomically, so a crash mid-compaction leaves the old journal intact)
+// and opens it for appending. Runs once, before the worker pool starts.
 func (s *store) compact(keep []journalRec) error {
-	tmp, err := s.fs.CreateTemp(s.dir, "journal-*")
-	if err != nil {
-		return fmt.Errorf("serve: journal compact: %w", err)
-	}
-	name := tmp.Name()
+	var buf bytes.Buffer
 	for _, rec := range keep {
 		line, err := json.Marshal(rec)
-		if err == nil {
-			_, err = tmp.Write(append(line, '\n'))
-		}
 		if err != nil {
-			tmp.Close()
-			s.fs.Remove(name)
 			return fmt.Errorf("serve: journal compact: %w", err)
 		}
+		buf.Write(append(line, '\n'))
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		s.fs.Remove(name)
-		return fmt.Errorf("serve: journal compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		s.fs.Remove(name)
-		return fmt.Errorf("serve: journal compact: %w", err)
-	}
-	if err := s.fs.Rename(name, s.journalPath()); err != nil {
-		s.fs.Remove(name)
+	if err := s.writeAtomic("journal-*", s.journalPath(), buf.Bytes()); err != nil {
 		return fmt.Errorf("serve: journal compact: %w", err)
 	}
 	f, err := s.fs.OpenFile(s.journalPath(), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -215,6 +201,31 @@ func (s *store) compact(keep []journalRec) error {
 	s.journal = f
 	s.mu.Unlock()
 	return nil
+}
+
+// writeAtomic replaces dst with data through a temp file in the data
+// directory: write, fsync, close, rename, so a reader or a restart sees
+// the old content or the new, never a torn file. On failure the temp
+// file is removed.
+func (s *store) writeAtomic(pattern, dst string, data []byte) error {
+	tmp, err := s.fs.CreateTemp(s.dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		s.fs.Remove(tmp.Name())
+	}
+	return err
 }
 
 // append journals one record, fsync'd so an acknowledged submission
@@ -248,80 +259,12 @@ func (s *store) appendTerminal(state, id, errMsg string) {
 	s.append(journalRec{Op: state, ID: id, Err: errMsg})
 }
 
-// putReport persists a completed report under its fingerprint, temp
-// file + rename so readers only ever see whole reports. Faults degrade.
-func (s *store) putReport(fp string, rep *bip.Report) {
+// writable reports whether persistence writes still go to disk:
+// neither degraded nor silenced.
+func (s *store) writable() bool {
 	s.mu.Lock()
-	if s.degraded || s.silent {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return
-	}
-	tmp, err := s.fs.CreateTemp(s.dir, "report-*")
-	if err != nil {
-		s.degrade("report create", err)
-		return
-	}
-	name := tmp.Name()
-	fail := func(stage string, err error) {
-		tmp.Close()
-		s.fs.Remove(name)
-		s.degrade(stage, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		fail("report write", err)
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		fail("report sync", err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		s.fs.Remove(name)
-		s.degrade("report close", err)
-		return
-	}
-	if err := s.fs.Rename(name, s.reportPath(fp)); err != nil {
-		s.fs.Remove(name)
-		s.degrade("report rename", err)
-	}
-}
-
-// getReport loads a persisted report by fingerprint; a miss (or an
-// unreadable entry) is just a miss.
-func (s *store) getReport(fp string) (*bip.Report, bool) {
-	data, err := s.fs.ReadFile(s.reportPath(fp))
-	if err != nil {
-		return nil, false
-	}
-	var rep bip.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, false
-	}
-	return &rep, true
-}
-
-// loadReports streams every persisted report to visit (fingerprint,
-// report), in directory order — the restart path that re-warms the LRU.
-func (s *store) loadReports(visit func(fp string, rep *bip.Report)) {
-	entries, err := s.fs.ReadDir(s.reportsDir())
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		fp, ok := strings.CutSuffix(name, ".json")
-		if !ok {
-			continue
-		}
-		if rep, ok := s.getReport(fp); ok {
-			visit(fp, rep)
-		}
-	}
+	defer s.mu.Unlock()
+	return !s.degraded && !s.silent
 }
 
 // degrade flips the store into in-memory mode: the fault is logged and

@@ -24,14 +24,8 @@ func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		s.mu.Lock()
-		jobs := make([]*job, 0, len(s.jobs))
-		for _, jb := range s.jobs {
-			jobs = append(jobs, jb)
-		}
-		s.mu.Unlock()
-		for _, jb := range jobs {
-			jb.requestCancel()
+		for _, jb := range s.liveJobs() {
+			s.cancel(jb)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -162,9 +156,10 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// TestStoreReportRoundTrip: putReport is atomic (temp + rename) and
-// getReport returns exactly what was stored; unknown fingerprints and
-// corrupt entries are plain misses.
+// TestStoreReportRoundTrip: put writes the durable copy atomically
+// (temp + rename), and get through an empty memory tier returns exactly
+// what was stored; unknown fingerprints and corrupt entries are plain
+// misses.
 func TestStoreReportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, pending, _, err := openStore(dir, faultfs.OS)
@@ -185,21 +180,22 @@ func TestStoreReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.putReport("abc123", rep)
-	got, ok := st.getReport("abc123")
+	newReports(1, st).put("abc123", rep)
+	disk := newReports(1, st)
+	got, ok := disk.get("abc123")
 	if !ok {
 		t.Fatal("stored report missing")
 	}
 	if got.States != rep.States {
 		t.Fatalf("round trip changed States: %d != %d", got.States, rep.States)
 	}
-	if _, ok := st.getReport("nope"); ok {
+	if _, ok := disk.get("nope"); ok {
 		t.Fatal("hit on unknown fingerprint")
 	}
 	if err := os.WriteFile(filepath.Join(dir, "reports", "bad.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.getReport("bad"); ok {
+	if _, ok := disk.get("bad"); ok {
 		t.Fatal("hit on corrupt report")
 	}
 	// No stray temp files: the only entries are the journal and reports/.
