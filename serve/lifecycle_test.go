@@ -229,3 +229,55 @@ func TestLifecycleTerminalJobsDropRunInputs(t *testing.T) {
 	cancelJob(t, ts, blocker.ID)
 	waitTerminal(t, ts, blocker.ID, 5*time.Second)
 }
+
+// TestLifecycleCancelRaceSettlesOnce: DELETEs race the workers for a
+// batch of queued jobs. Whichever side wins each job, it ends exactly
+// once: one terminal record in the journal and one count in the
+// terminal counters.
+func TestLifecycleCancelRaceSettlesOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Pool: 2, Queue: 16, Tick: 5 * time.Millisecond, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, s)
+	const jobs = 12
+	ids := make([]string, jobs)
+	for i := range ids {
+		// Distinct fingerprints: every job is admitted, none is a hit.
+		v, status := submit(t, ts, JobRequest{Model: gridModel(4, 8+i)})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, status)
+		}
+		ids[i] = v.ID
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}(id)
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		ops := journalOps(t, dir, id)
+		if len(ops) != 2 || ops[0] != "submit" || !isTerminal(ops[1]) {
+			t.Fatalf("journal holds %v for %s, want submit and one terminal record", ops, id)
+		}
+	}
+	if ended := s.done.Load() + s.failed.Load() + s.canceled.Load(); ended != jobs {
+		t.Fatalf("terminal counters sum to %d, want %d", ended, jobs)
+	}
+}

@@ -555,11 +555,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		jb.journaled = true
 	}
 	s.jobs[id] = jb
+	// The 202 carries the job as accepted: once it is on the queue, a
+	// worker may finish a small job before the response is written.
+	accepted := jb.view()
 	s.queue <- jb
 	s.mu.Unlock()
 	s.queued.Add(1)
 	s.total.Add(1)
-	writeJSON(w, http.StatusAccepted, jb.view())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) lookup(r *http.Request) (*job, bool) {
