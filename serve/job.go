@@ -276,18 +276,6 @@ func (jb *job) settle(from string, o outcome) bool {
 	return true
 }
 
-// stop cancels a running job's context; the engine notices within one
-// expansion and the worker then finishes the job. A no-op for a job
-// that is not running.
-func (jb *job) stop() {
-	jb.mu.Lock()
-	cancel := jb.cancel
-	jb.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
 // callVerify runs the engine behind a recover barrier: a panicking
 // exploration must take down one job, not the worker that hosts it and
 // with it the whole pool. The captured stack rides the failed job's

@@ -265,10 +265,16 @@ func (s *Server) finish(jb *job, from string, o outcome) bool {
 
 // cancel ends a queued job on the spot, its terminal record durable
 // before cancel returns; a running job has its context canceled, and
-// its worker finishes it once the engine notices.
+// its worker finishes it once the engine notices, within one expansion.
 func (s *Server) cancel(jb *job) {
-	if !s.finish(jb, StateQueued, outcome{state: StateCanceled, errMsg: "canceled before start"}) {
-		jb.stop()
+	if s.finish(jb, StateQueued, outcome{state: StateCanceled, errMsg: "canceled before start"}) {
+		return
+	}
+	jb.mu.Lock()
+	stop := jb.cancel
+	jb.mu.Unlock()
+	if stop != nil {
+		stop()
 	}
 }
 
