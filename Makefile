@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race stress bench bench-par verify apicheck examples bipd-smoke lint-models
+.PHONY: all fmt vet build test race stress fuzz bench bench-par verify apicheck examples bipd-smoke lint-models
 
 all: verify
 
@@ -62,6 +62,20 @@ stress:
 			-run 'Crash|Recover|Cancel|Lifecycle|Shutdown|Degrade|Panic' \
 			-timeout 600s ./serve || exit 1; \
 	done
+
+# fuzz runs each fuzz target for FUZZTIME past its seed corpus, which
+# plain `go test` already replays: the model parser (carrying every
+# model that parses on through lint and a bounded, deadlined
+# verification), the property parser, the static analyzer and bipd's
+# journal replay. A failing input lands in the package's testdata/fuzz
+# directory; commit it as a regression seed once the fault is mended.
+# CI runs it with the default budget.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProp$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./lint
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) ./serve
 
 # bench prints one line per paper experiment (E1–E23); full tables via
 # `go run ./cmd/bipbench` (reference run recorded in EXPERIMENTS.md).

@@ -39,7 +39,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Job.Workers, "workers", runtime.NumCPU(), "work-stealing workers for -order fast, capped at GOMAXPROCS (default: all CPUs; negative is an error); -order det explores sequentially")
 	fs.StringVar(&f.Job.Order, "order", "det", "exploration order: det (sequential, deterministic stream) | fast (work-stealing over -workers; same verdicts, scheduling-dependent numbering)")
 	fs.StringVar(&f.Job.Seen, "seen", "exact", "visited-state storage: exact (full keys) | compact (hash-compacted, ~12 B/state)")
-	fs.Int64Var(&f.Job.MemBudget, "mem", 0, "frontier memory budget in bytes (0 = unbounded; negative is an error; spills to disk under -order fast)")
+	fs.Int64Var(&f.Job.MemBudget, "mem", 0, "frontier memory budget in bytes for -order fast, whose work-stealing frontier spills to disk past it (0 = unbounded; negative, or positive without -order fast, is an error)")
 	fs.IntVar(&f.Job.MaxStates, "max-states", 0, fmt.Sprintf("exploration bound (0 = library default, %d; negative is an error)", check.DefaultMaxStates))
 	fs.BoolVar(&f.Job.Reduce, "reduce", false, "ample-set partial-order reduction (degrades to full expansion when a property needs it)")
 	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock bound shared by every exploration (0 = none; negative is an error); timed-out runs exit non-zero")
@@ -56,7 +56,8 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Options lowers the exploration flags through serve.JobOptions.Options
-// (negative -workers, -max-states, -mem and -timeout are errors) and
+// (negative -workers, -max-states, -mem and -timeout are errors, as is
+// a positive -mem without -order fast) and
 // adds the -timeout context, whose cancel the caller defers.
 func (f *Flags) Options() ([]bip.Option, context.CancelFunc, error) {
 	job := f.Job

@@ -101,6 +101,8 @@ func TestFlagsRejectBadValues(t *testing.T) {
 	for _, args := range [][]string{
 		{"-max-states", "-5"},
 		{"-mem", "-7"},
+		{"-mem", "4096"},
+		{"-mem", "4096", "-order", "det"},
 		{"-workers", "-1"},
 		{"-timeout", "-1ms"},
 		{"-timeout", "-1ns"},

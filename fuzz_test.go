@@ -1,7 +1,10 @@
 package bip_test
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"bip"
 )
@@ -10,8 +13,11 @@ import (
 // depends on: arbitrary bytes submitted as a model or property must
 // come back as an error value, never a panic — a panicking parser
 // would let one malformed HTTP request kill every job on the server.
+// FuzzParse carries every model that parses on through the rest of
+// bipd's pipeline: lint, then a bounded verification under a deadline.
 // The seed corpus runs under plain `go test`, so CI exercises the
-// malformed shapes below even without a fuzzing budget.
+// malformed shapes below even without a fuzzing budget; `make fuzz`
+// explores beyond it.
 
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -38,6 +44,9 @@ func FuzzParse(f *testing.F) {
 		"system \x00\xff\xfe",
 		"system x\natom A { var n: int = 0\n location a\n init a\n from a to a on p do n := ((((((((n",
 		"system x // no body",
+		// Valid: guarded data transfer, a conditional priority and an
+		// invariant reach the interaction and priority compilers.
+		"system d\natom A {\n  var x: int = 0\n  port p(x)\n  location s\n  init s\n  invariant x < 5\n  from s to s on p when x < 3 do x := x + 1\n}\ninstance a : A\ninstance b : A\nconnector c = a.p + b.p when a.x <= b.x do b.x := a.x + 1\nconnector u = a.p\npriority u < c when a.x == 0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -46,6 +55,24 @@ func FuzzParse(f *testing.F) {
 		sys, err := bip.Parse(src)
 		if err == nil && sys == nil {
 			t.Fatalf("Parse(%q) returned neither a system nor an error", src)
+		}
+		if err != nil {
+			return
+		}
+		// A parsed model is validated, so lint must accept it.
+		if _, err := bip.Lint(sys); err != nil {
+			t.Fatalf("Lint of parsed model %q: %v", src, err)
+		}
+		// Evaluation errors (a division by zero, say) are verdicts the
+		// caller gets as errors; only a panic or a run that outlives its
+		// deadline fails.
+		const deadline = time.Second
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		start := time.Now()
+		_, err = bip.Verify(sys, bip.MaxStates(64), bip.WithContext(ctx))
+		if errors.Is(err, context.DeadlineExceeded) || time.Since(start) > deadline {
+			t.Fatalf("Verify of %q ran past its %v deadline (err %v)", src, deadline, err)
 		}
 	})
 }

@@ -76,8 +76,8 @@ func (t Transition) String() string {
 }
 
 // Atom is an atomic BIP component. Construct atoms with Builder, which
-// validates cross-references; a hand-built Atom can be checked with
-// Validate.
+// validates cross-references and compiles the atom; a hand-built Atom
+// must pass Validate before use.
 type Atom struct {
 	Name        string
 	Locations   []string
@@ -111,7 +111,8 @@ type Atom struct {
 	// layout lays out every state's variable store (declaration order);
 	// it is built once by Validate and shared by all states of the atom.
 	// The per-transition compiled guards/actions run on those stores'
-	// value slices directly. Entries are nil when the transition has no
+	// value slices directly, so every store handed to the atom must be
+	// laid out by it. Entries are nil exactly when the transition has no
 	// guard/action.
 	layout   *expr.Layout
 	cGuards  []expr.CompiledBool
@@ -211,17 +212,16 @@ func (a *Atom) Validate() error {
 			}
 		}
 	}
-	a.buildIndices()
-	return nil
+	return a.buildIndices()
 }
 
 // buildIndices precomputes the (location, port) transition index, the
-// variable layout of the atom's states, and compiles guards and actions
-// against that layout. Called at the end of a successful Validate, so
-// every referenced name is known to be declared and compilation cannot
-// fail; if it ever does, the nil compiled entry makes the caller fall
-// back to the interpreter, which reports the real error.
-func (a *Atom) buildIndices() {
+// variable layout of the atom's states, and compiles guards, actions and
+// invariants against that layout. Called at the end of Validate, once
+// every referenced name is known to be declared; a compile failure is a
+// Validate error, so a validated atom carries compiled code for every
+// guard, action and invariant.
+func (a *Atom) buildIndices() error {
 	a.transOn = make(map[locPort]transGroup)
 	for i, t := range a.Transitions {
 		k := locPort{loc: t.From, port: t.Port}
@@ -235,38 +235,24 @@ func (a *Atom) buildIndices() {
 	a.cGuards = make([]expr.CompiledBool, len(a.Transitions))
 	a.cActions = make([]expr.CompiledStmt, len(a.Transitions))
 	for i, t := range a.Transitions {
+		var err error
 		if t.Guard != nil {
-			if g, err := expr.CompileBool(t.Guard, layout); err == nil {
-				a.cGuards[i] = g
+			if a.cGuards[i], err = expr.CompileBool(t.Guard, layout); err != nil {
+				return fmt.Errorf("atom %s: transition %d: guard: %w", a.Name, i, err)
 			}
 		}
 		if t.Action != nil {
-			if c, err := expr.CompileStmt(t.Action, layout); err == nil {
-				a.cActions[i] = c
+			if a.cActions[i], err = expr.CompileStmt(t.Action, layout); err != nil {
+				return fmt.Errorf("atom %s: transition %d: action: %w", a.Name, i, err)
 			}
 		}
 	}
 	a.cInvs = make([]expr.CompiledBool, len(a.Invariants))
 	for i, inv := range a.Invariants {
-		if c, err := expr.CompileBool(inv, layout); err == nil {
-			a.cInvs[i] = c
+		var err error
+		if a.cInvs[i], err = expr.CompileBool(inv, layout); err != nil {
+			return fmt.Errorf("atom %s: invariant %d: %w", a.Name, i, err)
 		}
-	}
-}
-
-// compiledGuard and compiledAction return the compiled form of
-// transition i, or nil when unavailable (unvalidated atom, or transitions
-// appended after Validate).
-func (a *Atom) compiledGuard(i int) expr.CompiledBool {
-	if i < len(a.cGuards) {
-		return a.cGuards[i]
-	}
-	return nil
-}
-
-func (a *Atom) compiledAction(i int) expr.CompiledStmt {
-	if i < len(a.cActions) {
-		return a.cActions[i]
 	}
 	return nil
 }
@@ -290,39 +276,14 @@ func (a *Atom) newLayout() *expr.Layout {
 // declared variables in declaration order. It is nil before Validate.
 func (a *Atom) Layout() *expr.Layout { return a.layout }
 
-// compiled reports whether code compiled at Validate time may run on
-// vars: the store must be laid out by this atom's own layout. A store
-// over any other layout is read and written by name through the
-// interpreter, which is the reference semantics.
-func (a *Atom) compiled(vars expr.Slots) bool {
-	return a.layout != nil && vars.L == a.layout
-}
-
-// valueOf returns the value of declared variable i in vars.
-func (a *Atom) valueOf(vars expr.Slots, i int) expr.Value {
-	if a.compiled(vars) {
-		return vars.V[i]
-	}
-	v, _ := vars.Get(a.Vars[i].Name)
-	return v
-}
-
-// BrokenInvariant evaluates the atom's invariants at vars and returns
-// the index of the first one that does not hold, or -1 when all hold. A
-// non-nil error reports an evaluation failure of invariant idx.
-// Invariants compiled at Validate time run on the store's values
-// directly; the interpreter remains the fallback (and the reference
-// semantics).
+// BrokenInvariant evaluates the atom's invariants at vars, which must be
+// laid out by the atom, and returns the index of the first one that does
+// not hold, or -1 when all hold. A non-nil error reports an evaluation
+// failure of invariant idx. The invariants compiled at Validate time run
+// on the store's values directly.
 func (a *Atom) BrokenInvariant(vars expr.Slots) (idx int, err error) {
-	compiled := a.compiled(vars)
-	for i, inv := range a.Invariants {
-		var holds bool
-		var err error
-		if compiled && i < len(a.cInvs) && a.cInvs[i] != nil {
-			holds, err = a.cInvs[i](vars.V)
-		} else {
-			holds, err = expr.EvalBool(inv, vars)
-		}
+	for i, inv := range a.cInvs {
+		holds, err := inv(vars.V)
 		if err != nil {
 			return i, err
 		}
@@ -371,33 +332,20 @@ func (a *Atom) HasVar(name string) bool {
 
 // InitialState returns a fresh state at the initial location with all
 // variables at their declared initial values, laid out by the atom's
-// layout.
+// layout. The atom must have been validated.
 func (a *Atom) InitialState() State {
-	l := a.layout
-	if l == nil {
-		l = a.newLayout()
-	}
 	vals := make([]expr.Value, len(a.Vars))
 	for i, v := range a.Vars {
 		vals[i] = v.Init
 	}
-	return State{Loc: a.Initial, Vars: expr.Slots{L: l, V: vals}}
+	return State{Loc: a.Initial, Vars: expr.Slots{L: a.layout, V: vals}}
 }
 
 // TransitionsOn returns the indices of transitions labelled by port that
 // leave location from. The result preserves declaration order and is
 // owned by the caller.
 func (a *Atom) TransitionsOn(from, port string) []int {
-	if a.transOn != nil {
-		return append([]int(nil), a.transOn[locPort{loc: from, port: port}].idx...)
-	}
-	var out []int
-	for i, t := range a.Transitions {
-		if t.From == from && t.Port == port {
-			out = append(out, i)
-		}
-	}
-	return out
+	return append([]int(nil), a.transOn[locPort{loc: from, port: port}].idx...)
 }
 
 // Enabled returns the indices of transitions labelled by port that are
@@ -416,49 +364,18 @@ func (a *Atom) Enabled(s State, port string) ([]int, error) {
 // directly. The caller must treat the result as read-only. This is the
 // per-port enabledness primitive of the engines' hot path.
 func (a *Atom) EnabledView(s State, port string) ([]int, error) {
-	if a.transOn == nil {
-		// Hand-assembled atom that skipped Validate: fall back to a scan.
-		return a.enabledScan(s, port)
-	}
 	g := a.transOn[locPort{loc: s.Loc, port: port}]
 	if !g.guarded {
 		return g.idx, nil
 	}
-	compiled := a.compiled(s.Vars)
 	var out []int
 	for _, i := range g.idx {
-		var ok bool
-		var err error
-		if cg := a.compiledGuard(i); cg != nil && compiled {
-			ok, err = cg(s.Vars.V)
-			if err != nil {
-				err = fmt.Errorf("atom %s: %w", a.Name, err)
+		ok := true
+		if cg := a.cGuards[i]; cg != nil {
+			var err error
+			if ok, err = cg(s.Vars.V); err != nil {
+				return nil, fmt.Errorf("atom %s: %w", a.Name, err)
 			}
-		} else {
-			ok, err = expr.EvalBool(a.Transitions[i].Guard, s.Vars)
-			if err != nil {
-				err = fmt.Errorf("atom %s: %w", a.Name, err)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
-func (a *Atom) enabledScan(s State, port string) ([]int, error) {
-	var out []int
-	for i, t := range a.Transitions {
-		if t.From != s.Loc || t.Port != port {
-			continue
-		}
-		ok, err := expr.EvalBool(t.Guard, s.Vars)
-		if err != nil {
-			return nil, fmt.Errorf("atom %s: %w", a.Name, err)
 		}
 		if ok {
 			out = append(out, i)
@@ -493,17 +410,10 @@ func (a *Atom) ExecInPlace(s State, i int) (string, error) {
 	if t.From != s.Loc {
 		return "", fmt.Errorf("atom %s: transition %d starts at %q, state is at %q", a.Name, i, t.From, s.Loc)
 	}
-	if t.Action == nil {
-		return t.To, nil
-	}
-	var err error
-	if ca := a.compiledAction(i); ca != nil && a.compiled(s.Vars) {
-		err = ca(s.Vars.V)
-	} else {
-		err = t.Action.Exec(s.Vars)
-	}
-	if err != nil {
-		return "", fmt.Errorf("atom %s: %w", a.Name, err)
+	if ca := a.cActions[i]; ca != nil {
+		if err := ca(s.Vars.V); err != nil {
+			return "", fmt.Errorf("atom %s: %w", a.Name, err)
+		}
 	}
 	return t.To, nil
 }
@@ -520,9 +430,9 @@ func (a *Atom) AppendStateKey(buf []byte, s State) []byte {
 	buf = strconv.AppendInt(buf, int64(len(s.Loc)), 10)
 	buf = append(buf, ':')
 	buf = append(buf, s.Loc...)
-	for i := range a.Vars {
+	for _, v := range s.Vars.V {
 		buf = append(buf, '|')
-		buf = a.valueOf(s.Vars, i).AppendText(buf)
+		buf = v.AppendText(buf)
 	}
 	return buf
 }
@@ -563,14 +473,8 @@ func (a *Atom) AppendBinaryKey(buf []byte, s State) []byte {
 		panic(fmt.Sprintf("behavior: atom %s: binary key for undeclared location %q (atom not validated?)", a.Name, s.Loc))
 	}
 	buf = append(buf, byte(li), byte(li>>8), byte(li>>16), byte(li>>24))
-	if a.compiled(s.Vars) {
-		for _, v := range s.Vars.V {
-			buf = v.AppendBinary(buf)
-		}
-		return buf
-	}
-	for i := range a.Vars {
-		buf = a.valueOf(s.Vars, i).AppendBinary(buf)
+	for _, v := range s.Vars.V {
+		buf = v.AppendBinary(buf)
 	}
 	return buf
 }
@@ -640,9 +544,11 @@ func (a *Atom) String() string {
 }
 
 // State is the dynamic state of an atom: a control location and a
-// valuation of its variables. States built by the semantics
-// (InitialState, Exec, and System-level decoding of binary keys) carry
-// stores laid out by the atom's layout.
+// valuation of its variables. The store must be laid out by the atom's
+// layout: the atom's compiled code addresses it by slot, and a store
+// over any other layout is not interpreted by name. States built by the
+// semantics (InitialState, Exec, clones, and System-level decoding of
+// binary keys) are laid out so.
 type State struct {
 	Loc  string
 	Vars expr.Slots

@@ -85,30 +85,6 @@ func TestExecInPlaceMatchesExec(t *testing.T) {
 	}
 }
 
-// TestExecCompiledExtraVars checks that states carrying variables beyond
-// the declared ones still go through the interpreter path unchanged (the
-// compiled code only runs on stores over the atom's own layout). The
-// store comes from another atom that also declares "ghost".
-func TestExecCompiledExtraVars(t *testing.T) {
-	a := counterAtom(t)
-	other, err := NewBuilder("other").Location("lo").Int("ghost", 0).Int("n", 0).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := other.InitialState()
-	_ = st.Vars.Set("ghost", expr.IntVal(9))
-	next, err := a.Exec(st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := next.Vars.Get("n"); !v.Equal(expr.IntVal(1)) {
-		t.Fatalf("n = %s, want 1", v)
-	}
-	if v, _ := next.Vars.Get("ghost"); !v.Equal(expr.IntVal(9)) {
-		t.Fatalf("ghost = %s, want preserved 9", v)
-	}
-}
-
 func TestAppendStateKeyAgreesWithEqual(t *testing.T) {
 	a := counterAtom(t)
 	states := []State{

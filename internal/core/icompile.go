@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"bip/internal/expr"
@@ -12,9 +13,11 @@ import (
 // layout. The hot paths (movesOfInteraction, execInto) then fill a flat
 // frame with one slot read per exported variable and run a closure,
 // instead of splitting "comp.var" strings and resolving component
-// indices on every single access through qualEnv. The qualEnv
-// interpreter remains the reference semantics and the fallback for
-// anything the compiler does not cover.
+// indices on every single access through qualEnv. Compilation is total:
+// a failure is a Validate error, so the closures are the only execution
+// path of a validated System. The qualEnv interpreter remains the
+// reference semantics (System.QualEnv, System.Dominated) that the
+// differential tests hold the closures to.
 
 // slotRef pre-resolves one frame slot of an interaction's layout to the
 // variable it mirrors: atom index plus the variable's slot in that
@@ -25,18 +28,18 @@ type slotRef struct {
 }
 
 // interComp is the compiled form of one interaction: the slot layout
-// over its exported scope plus the compiled guard and action (nil when
-// absent or not compilable, in which case callers interpret).
+// over its exported scope plus the compiled guard and action (nil
+// exactly when the interaction has no guard or no action).
 type interComp struct {
 	slots  []slotRef
 	guard  expr.CompiledBool
 	action expr.CompiledStmt
 }
 
-// compileInteractions builds s.icomp and s.maxISlots. Called at the end
-// of a successful Validate, so every scope name resolves; a compilation
-// failure only disables the fast path for that interaction.
-func (s *System) compileInteractions() {
+// compileInteractions builds s.icomp and s.maxISlots. Called from
+// Validate once every scope name is known to resolve; a compile or
+// slot-resolution failure is returned as a Validate error.
+func (s *System) compileInteractions() error {
 	s.icomp = make([]interComp, len(s.Interactions))
 	s.maxISlots = 0
 	for i, in := range s.Interactions {
@@ -45,28 +48,27 @@ func (s *System) compileInteractions() {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		refs, ok := s.slotRefs(names)
-		if !ok {
-			continue
+		refs, layout, err := s.slotLayout(names)
+		if err != nil {
+			return fmt.Errorf("system %s: interaction %q: %w", s.Name, in.Name, err)
 		}
-		ic := interComp{slots: refs}
-		if layout, err := expr.NewLayout(names); err == nil {
-			if in.Guard != nil {
-				if g, err := expr.CompileBool(in.Guard, layout); err == nil {
-					ic.guard = g
-				}
-			}
-			if in.Action != nil {
-				if c, err := expr.CompileStmt(in.Action, layout); err == nil {
-					ic.action = c
-				}
+		ic := &s.icomp[i]
+		ic.slots = refs
+		if in.Guard != nil {
+			if ic.guard, err = expr.CompileBool(in.Guard, layout); err != nil {
+				return fmt.Errorf("system %s: interaction %q guard: %w", s.Name, in.Name, err)
 			}
 		}
-		s.icomp[i] = ic
+		if in.Action != nil {
+			if ic.action, err = expr.CompileStmt(in.Action, layout); err != nil {
+				return fmt.Errorf("system %s: interaction %q action: %w", s.Name, in.Name, err)
+			}
+		}
 		if len(names) > s.maxISlots {
 			s.maxISlots = len(names)
 		}
 	}
+	return nil
 }
 
 // compilePriorities slot-compiles the conditional priority rules' When
@@ -74,9 +76,9 @@ func (s *System) compileInteractions() {
 // the condition reads. Called after compileInteractions in Validate, so
 // s.maxISlots can absorb the widest condition and a single iframe serves
 // both the interaction hot paths and the state-based priority filter
-// (dominatedAt). A compilation failure only disables the fast path for
-// that rule; the qualEnv interpreter remains the reference semantics.
-func (s *System) compilePriorities() {
+// (dominatedAt). A compile or slot-resolution failure is returned as a
+// Validate error.
+func (s *System) compilePriorities() error {
 	for lo := range s.higher {
 		for ri := range s.higher[lo] {
 			rp := &s.higher[lo][ri]
@@ -85,42 +87,44 @@ func (s *System) compilePriorities() {
 				continue
 			}
 			names := expr.Vars(rp.When)
-			refs, ok := s.slotRefs(names)
-			if !ok {
-				continue
+			refs, layout, err := s.slotLayout(names)
+			if err == nil {
+				rp.cond, err = expr.CompileBool(rp.When, layout)
 			}
-			layout, err := expr.NewLayout(names)
 			if err != nil {
-				continue
+				return fmt.Errorf("system %s: priority %s < %s: %w",
+					s.Name, s.Interactions[lo].Name, s.Interactions[rp.High].Name, err)
 			}
-			cond, err := expr.CompileBool(rp.When, layout)
-			if err != nil {
-				continue
-			}
-			rp.slots, rp.cond = refs, cond
+			rp.slots = refs
 			if len(names) > s.maxISlots {
 				s.maxISlots = len(names)
 			}
 		}
 	}
+	return nil
 }
 
-// slotRefs resolves qualified variable names to store slots. It
-// reports false when some name does not resolve.
-func (s *System) slotRefs(names []string) ([]slotRef, bool) {
+// slotLayout resolves qualified variable names to store slots and lays
+// them out, in the given order, as the frame layout compiled code runs
+// on.
+func (s *System) slotLayout(names []string) ([]slotRef, *expr.Layout, error) {
 	refs := make([]slotRef, len(names))
 	for k, n := range names {
 		ai, v, err := s.splitQualified(n)
 		if err != nil {
-			return nil, false
+			return nil, nil, err
 		}
 		slot, ok := s.Atoms[ai].Layout().Slot(v)
 		if !ok {
-			return nil, false
+			return nil, nil, fmt.Errorf("variable %q has no slot", n)
 		}
 		refs[k] = slotRef{atom: ai, slot: slot}
 	}
-	return refs, true
+	layout, err := expr.NewLayout(names)
+	if err != nil {
+		return nil, nil, err
+	}
+	return refs, layout, nil
 }
 
 // newIFrame returns a scratch frame large enough for any interaction's

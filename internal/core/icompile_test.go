@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bip/internal/behavior"
@@ -79,31 +80,107 @@ func TestBinaryKeyDistinguishesLocationsAndValues(t *testing.T) {
 	}
 }
 
-// forceInterpreted strips the compiled interaction guard/action closures
-// so that every evaluation goes through the qualEnv interpreter — the
-// reference semantics of the differential test below.
-func forceInterpreted(sys *System) {
-	for i := range sys.icomp {
-		sys.icomp[i].guard = nil
-		sys.icomp[i].action = nil
+// interpretedEnabled is the reference for System.Enabled, computed with
+// the expr interpreter throughout: local guards by name on each atom's
+// store, interaction guards through QualEnv, and priorities through the
+// interpreting Dominated. Moves come in the order Enabled lists them:
+// by interaction, then with the first port's choice varying slowest.
+func interpretedEnabled(sys *System, st State) ([]Move, error) {
+	env := sys.QualEnv(&st)
+	raw := make([][]Move, len(sys.Interactions))
+	enabled := make([]bool, len(sys.Interactions))
+	for ii, in := range sys.Interactions {
+		choices := [][]int{nil}
+		for _, pr := range in.Ports {
+			ai := sys.AtomIndex(pr.Comp)
+			var en []int
+			for ti, tr := range sys.Atoms[ai].Transitions {
+				if tr.From != st.Locs[ai] || tr.Port != pr.Port {
+					continue
+				}
+				ok, err := expr.EvalBool(tr.Guard, st.Vars[ai])
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					en = append(en, ti)
+				}
+			}
+			var next [][]int
+			for _, c := range choices {
+				for _, ti := range en {
+					next = append(next, append(append([]int(nil), c...), ti))
+				}
+			}
+			choices = next
+		}
+		if len(choices) == 0 {
+			continue
+		}
+		ok, err := expr.EvalBool(in.Guard, env)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		for _, c := range choices {
+			raw[ii] = append(raw[ii], Move{Interaction: ii, Choices: c})
+		}
+		enabled[ii] = true
 	}
+	var out []Move
+	for ii, ms := range raw {
+		if len(ms) == 0 {
+			continue
+		}
+		dominated, err := sys.Dominated(ii, enabled, env)
+		if err != nil {
+			return nil, err
+		}
+		if !dominated {
+			out = append(out, ms...)
+		}
+	}
+	return out, nil
+}
+
+// interpretedExec is the reference for System.Exec: the interaction's
+// data transfer runs through QualEnv on a deep copy of st, then each
+// participant's chosen transition action runs by name on its store.
+func interpretedExec(sys *System, st State, m Move) (State, error) {
+	next := st.Clone()
+	in := sys.Interactions[m.Interaction]
+	if in.Action != nil {
+		if err := in.Action.Exec(sys.QualEnv(&next)); err != nil {
+			return State{}, err
+		}
+	}
+	for pi, pr := range in.Ports {
+		ai := sys.AtomIndex(pr.Comp)
+		tr := sys.Atoms[ai].Transitions[m.Choices[pi]]
+		if tr.Action != nil {
+			if err := tr.Action.Exec(next.Vars[ai]); err != nil {
+				return State{}, err
+			}
+		}
+		next.Locs[ai] = tr.To
+	}
+	return next, nil
 }
 
 // TestInteractionCompiledAgreesWithInterpreter is the semantic oracle
-// for interaction-level slot compilation: on random systems (guarded
+// for slot compilation at the system level: on random systems (guarded
 // interactions with data transfer, conditional priorities), the
-// compiled and interpreted paths must agree on every enabled-move set
-// and every successor state along random runs.
+// compiled semantics and the interpreted reference above must agree on
+// every enabled-move set and every successor state along random runs.
 func TestInteractionCompiledAgreesWithInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randSystem(t, rng)
-		ref := randSystem(t, rand.New(rand.NewSource(seed))) // identical build
-		forceInterpreted(ref)
-
-		st, rst := sys.Initial(), ref.Initial()
+		st := sys.Initial()
 		for step := 0; step < 50; step++ {
-			want, err := ref.Enabled(rst)
+			want, err := interpretedEnabled(sys, st)
 			if err != nil {
 				t.Fatalf("seed %d step %d: interpreted Enabled: %v", seed, step, err)
 			}
@@ -113,7 +190,7 @@ func TestInteractionCompiledAgreesWithInterpreter(t *testing.T) {
 			}
 			if !movesEqual(want, got) {
 				t.Fatalf("seed %d step %d: move sets differ\n interp:   %s\n compiled: %s",
-					seed, step, fmtMoves(ref, want), fmtMoves(sys, got))
+					seed, step, fmtMoves(sys, want), fmtMoves(sys, got))
 			}
 			if len(want) == 0 {
 				break
@@ -123,14 +200,58 @@ func TestInteractionCompiledAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: compiled Exec: %v", seed, step, err)
 			}
-			rnext, err := ref.Exec(rst, m)
+			rnext, err := interpretedExec(sys, st, m)
 			if err != nil {
 				t.Fatalf("seed %d step %d: interpreted Exec: %v", seed, step, err)
 			}
 			if !next.Equal(rnext) {
 				t.Fatalf("seed %d step %d: successors diverge after %s", seed, step, sys.Label(m))
 			}
-			st, rst = next, rnext
+			st = next
+		}
+	}
+}
+
+// TestValidateRejectsUncompilable pins that compilation is total on a
+// validated system: an expression the slot compiler rejects (here a
+// binary node with no operator, which names only declared variables and
+// so passes the name checks) fails Validate at each of the three compile
+// steps instead of leaving the code to an interpreter at run time.
+func TestValidateRejectsUncompilable(t *testing.T) {
+	bad := func(x string) expr.Expr { return expr.Binary{Op: expr.OpInvalid, X: expr.V(x), Y: expr.I(1)} }
+	atom := func(guard, inv expr.Expr) *behavior.Builder {
+		b := behavior.NewBuilder("a").Location("s").Int("x", 0).Port("p", "x").
+			TransitionG("s", "p", "s", guard, nil)
+		if inv != nil {
+			b.Invariant(inv)
+		}
+		return b
+	}
+	build := func(a *behavior.Builder, iguard, when expr.Expr) error {
+		at, err := a.Build()
+		if err != nil {
+			return err
+		}
+		b := NewSystem("u").Add(at).ConnectGD("i", iguard, nil, P("a", "p")).Connect("j", P("a", "p"))
+		if when != nil {
+			b.PriorityWhen("j", "i", when)
+		}
+		_, err = b.Build()
+		return err
+	}
+	cases := []struct {
+		name          string
+		err           error
+		wantSubstring string
+	}{
+		{"transition guard", build(atom(bad("x"), nil), nil, nil), "transition 0: guard"},
+		{"invariant", build(atom(nil, bad("x")), nil, nil), "invariant 0"},
+		{"interaction guard", build(atom(nil, nil), bad("a.x"), nil), `interaction "i" guard`},
+		{"priority condition", build(atom(nil, nil), nil, bad("a.x")), "priority j < i"},
+	}
+	for _, c := range cases {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.wantSubstring) {
+			t.Errorf("%s: Validate error %v, want one naming %q", c.name, c.err, c.wantSubstring)
 		}
 	}
 }

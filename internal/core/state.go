@@ -139,21 +139,16 @@ func (st State) Equal(o State) bool {
 }
 
 // qualEnv exposes a State as an expr.Env with qualified variable names
-// ("comp.var"). When restrict is non-nil, only the listed names are
-// readable/writable — used to enforce that interaction code touches only
-// port-exported variables.
+// ("comp.var"): the interpreter's view of a global state, which is the
+// reference semantics the compiled paths are tested against.
 type qualEnv struct {
-	sys      *System
-	st       *State
-	restrict map[string]bool
+	sys *System
+	st  *State
 }
 
 var _ expr.Env = (*qualEnv)(nil)
 
 func (q *qualEnv) Get(name string) (expr.Value, bool) {
-	if q.restrict != nil && !q.restrict[name] {
-		return expr.Value{}, false
-	}
 	ai, v, err := q.sys.splitQualified(name)
 	if err != nil {
 		return expr.Value{}, false
@@ -162,9 +157,6 @@ func (q *qualEnv) Get(name string) (expr.Value, bool) {
 }
 
 func (q *qualEnv) Set(name string, val expr.Value) error {
-	if q.restrict != nil && !q.restrict[name] {
-		return fmt.Errorf("variable %q not accessible in this interaction", name)
-	}
 	ai, v, err := q.sys.splitQualified(name)
 	if err != nil {
 		return err
@@ -240,19 +232,11 @@ func (s *System) movesOfInteractionSlab(st *State, ii int, buf []Move, frame []e
 		}
 		options[pi] = en
 	}
-	// Interaction guard over exported variables: compiled against the
-	// interaction's slot layout when possible (one map read per slot, no
-	// per-access string splitting), interpreted through qualEnv otherwise.
-	if in.Guard != nil {
-		ic := &s.icomp[ii]
-		var ok bool
-		var err error
-		if ic.guard != nil {
-			ok, err = ic.guard(ic.fillIFrame(frame, st))
-		} else {
-			env := &qualEnv{sys: s, st: st, restrict: s.scopes[ii]}
-			ok, err = expr.EvalBool(in.Guard, env)
-		}
+	// Interaction guard over exported variables, compiled against the
+	// interaction's slot layout: one slot read per exported variable, no
+	// per-access string splitting.
+	if ic := &s.icomp[ii]; ic.guard != nil {
+		ok, err := ic.guard(ic.fillIFrame(frame, st))
 		if err != nil {
 			return nil, fmt.Errorf("interaction %q: %w", in.Name, err)
 		}
@@ -363,19 +347,12 @@ func (s *System) Exec(st State, m Move) (State, error) {
 func (s *System) execInto(next *State, m Move, frame []expr.Value) error {
 	in := s.Interactions[m.Interaction]
 	pa := s.portAtoms[m.Interaction]
-	if in.Action != nil {
-		if ic := &s.icomp[m.Interaction]; ic.action != nil {
-			f := ic.fillIFrame(frame, next)
-			if err := ic.action(f); err != nil {
-				return fmt.Errorf("interaction %q: %w", in.Name, err)
-			}
-			ic.storeIFrame(f, next)
-		} else {
-			env := &qualEnv{sys: s, st: next, restrict: s.scopes[m.Interaction]}
-			if err := in.Action.Exec(env); err != nil {
-				return fmt.Errorf("interaction %q: %w", in.Name, err)
-			}
+	if ic := &s.icomp[m.Interaction]; ic.action != nil {
+		f := ic.fillIFrame(frame, next)
+		if err := ic.action(f); err != nil {
+			return fmt.Errorf("interaction %q: %w", in.Name, err)
 		}
+		ic.storeIFrame(f, next)
 	}
 	for pi, ai := range pa {
 		loc, err := s.Atoms[ai].ExecInPlace(next.Local(ai), m.Choices[pi])

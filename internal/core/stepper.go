@@ -188,32 +188,20 @@ func (s *System) Dominated(ii int, enabled []bool, env expr.Env) (bool, error) {
 
 // dominatedAt is Dominated specialized to a global state: conditional
 // rules compiled at Validate time (compilePriorities) fill the caller's
-// scratch frame with one slot read per variable and run a closure;
-// rules the compiler does not cover fall back to the qualEnv
-// interpreter.
+// scratch frame with one slot read per variable and run a closure.
 func (s *System) dominatedAt(ii int, enabled []bool, st *State, frame []expr.Value) (bool, error) {
-	var env *qualEnv
 	for _, rp := range s.higher[ii] {
 		if !enabled[rp.High] {
 			continue
 		}
-		if rp.When == nil {
+		if rp.cond == nil { // unconditional rule
 			return true, nil
 		}
-		var ok bool
-		var err error
-		if rp.cond != nil {
-			f := frame[:len(rp.slots)]
-			for k, ref := range rp.slots {
-				f[k] = st.Vars[ref.atom].V[ref.slot]
-			}
-			ok, err = rp.cond(f)
-		} else {
-			if env == nil {
-				env = &qualEnv{sys: s, st: st}
-			}
-			ok, err = expr.EvalBool(rp.When, env)
+		f := frame[:len(rp.slots)]
+		for k, ref := range rp.slots {
+			f[k] = st.Vars[ref.atom].V[ref.slot]
 		}
+		ok, err := rp.cond(f)
 		if err != nil {
 			return false, fmt.Errorf("priority %s < %s: %w",
 				s.Interactions[ii].Name, s.Interactions[rp.High].Name, err)

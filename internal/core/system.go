@@ -146,8 +146,7 @@ type PriorityRule struct {
 	When expr.Expr
 
 	// slots/cond are the slot-compiled form of When over its qualified
-	// variables (icompile.go); nil when When is nil or not compilable,
-	// in which case the state-based priority filter interprets.
+	// variables (icompile.go); nil exactly when When is nil.
 	slots []slotRef
 	cond  expr.CompiledBool
 }
@@ -226,8 +225,12 @@ func (s *System) Validate() error {
 		}
 		s.higher[lo] = append(s.higher[lo], PriorityRule{High: hi, When: p.When})
 	}
-	s.compileInteractions()
-	s.compilePriorities()
+	if err := s.compileInteractions(); err != nil {
+		return err
+	}
+	if err := s.compilePriorities(); err != nil {
+		return err
+	}
 	s.computeIndependence()
 	s.keyWidth = 0
 	for _, a := range s.Atoms {

@@ -91,7 +91,7 @@ func (c CompactSeen) NewSeenSet(keyWidth int) SeenSet {
 	if c.RemainderBits > 0 && c.RemainderBits < 64 {
 		s.verify = true
 		s.dmask = (uint64(1) << c.RemainderBits) - 1
-		s.perKey = arenaChunk / keyWidth
+		s.perKey = arenaChunk / max(keyWidth, 1)
 		if s.perKey < 1 {
 			s.perKey = 1
 		}
@@ -132,7 +132,7 @@ type exactSeen struct {
 }
 
 func newExactSeen(width int) *exactSeen {
-	per := arenaChunk / width
+	per := arenaChunk / max(width, 1) // a system without atoms has 0-byte keys
 	if per < 1 {
 		per = 1
 	}

@@ -143,6 +143,25 @@ func TestCompactSeenCollisionInjection(t *testing.T) {
 	}
 }
 
+// TestSeenSetsZeroWidthKeys: a system without atoms is valid and has
+// one state, whose binary key is 0 bytes wide. Every seen-set
+// implementation must store it (sizing key arenas by that width used to
+// divide by zero).
+func TestSeenSetsZeroWidthKeys(t *testing.T) {
+	sys := &core.System{Name: "empty"}
+	if err := sys.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, seen := range []SeenSets{ExactSeen{}, CompactSeen{}, CompactSeen{RemainderBits: 8}} {
+		for _, ord := range []Order{Deterministic, Unordered} {
+			l := explore(t, sys, Options{Seen: seen, Order: ord, Workers: 2})
+			if l.NumStates() != 1 {
+				t.Fatalf("%T/%v: %d states, want 1", seen, ord, l.NumStates())
+			}
+		}
+	}
+}
+
 // TestSpillRoundTrip starves the work-stealing frontier: a budget of a
 // handful of entries forces nearly every published chunk through the
 // spill file and back, so the run only completes if spilled states

@@ -35,7 +35,10 @@ type JobRequest struct {
 // FIFO frontier whatever Workers says; Workers speeds up only order
 // "fast" (the same loop on work-stealing deques), and is clamped to the
 // host's GOMAXPROCS. Order "fast" with Workers omitted explores with
-// one worker, which is the FIFO frontier again.
+// one worker, which is the FIFO frontier again. MemBudget bounds only
+// the work-stealing deques, so it is rejected under order "det" (or
+// omitted), whose FIFO frontier stays resident, rather than accepted and
+// ignored.
 type JobOptions struct {
 	Workers   int    `json:"workers,omitempty"`
 	Order     string `json:"order,omitempty"` // "det" (default) | "fast"
@@ -48,9 +51,9 @@ type JobOptions struct {
 }
 
 // Options validates the settings and lowers them to bip.Option values:
-// negative numbers and unknown order or seen names are errors. The
-// timeout is only validated here; the caller turns it into a context
-// (bip.WithContext).
+// negative numbers, unknown order or seen names, and a mem_budget under
+// the deterministic order are errors. The timeout is only validated
+// here; the caller turns it into a context (bip.WithContext).
 func (o JobOptions) Options() ([]bip.Option, error) {
 	var opts []bip.Option
 	if o.Workers < 0 {
@@ -87,6 +90,9 @@ func (o JobOptions) Options() ([]bip.Option, error) {
 		return nil, fmt.Errorf("mem_budget must be >= 0, got %d", o.MemBudget)
 	}
 	if o.MemBudget > 0 {
+		if o.Order != "fast" {
+			return nil, fmt.Errorf("mem_budget needs order fast: the det order's FIFO frontier stays resident")
+		}
 		opts = append(opts, bip.MemBudget(o.MemBudget))
 	}
 	if o.Reduce {

@@ -400,6 +400,8 @@ func TestBadSubmissions(t *testing.T) {
 		{"bad order", `{"model": ` + jsonQuote(pingpong) + `, "options": {"order": "zig"}}`},
 		{"bad seen", `{"model": ` + jsonQuote(pingpong) + `, "options": {"seen": "fuzzy"}}`},
 		{"negative workers", `{"model": ` + jsonQuote(pingpong) + `, "options": {"workers": -1}}`},
+		{"mem_budget without order fast", `{"model": ` + jsonQuote(pingpong) + `, "options": {"mem_budget": 4096}}`},
+		{"mem_budget under order det", `{"model": ` + jsonQuote(pingpong) + `, "options": {"mem_budget": 4096, "order": "det"}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -426,6 +428,24 @@ func TestBadSubmissions(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s status %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestMemBudgetUnderFastOrder: the frontier budget that order det
+// rejects (TestBadSubmissions) is accepted where it bounds something,
+// the work-stealing frontier, and the job completes with its verdict.
+func TestMemBudgetUnderFastOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	v, status := submit(t, ts, JobRequest{
+		Model:   pingpong,
+		Options: JobOptions{MemBudget: 4096, Order: "fast", Workers: 2},
+	})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d, want 202", status)
+	}
+	fin := waitTerminal(t, ts, v.ID, 10*time.Second)
+	if fin.State != StateDone || fin.Report == nil || fin.Report.States != 21 {
+		t.Fatalf("job ended %s (err %q, report %+v), want done with 21 states", fin.State, fin.Error, fin.Report)
 	}
 }
 
