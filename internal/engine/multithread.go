@@ -108,20 +108,14 @@ func RunMT(sys *core.System, opts MTOptions) (*MTResult, error) {
 func componentLoop(atom *behavior.Atom, ci int, offers chan<- offer, cmds <-chan command) error {
 	st := atom.InitialState()
 	for {
-		en := make(map[string][]int, len(atom.Ports))
-		for _, p := range atom.Ports {
-			ts, err := atom.EnabledView(st, p.Name)
-			if err != nil {
-				return fmt.Errorf("component %s: %w", atom.Name, err)
-			}
-			if len(ts) > 0 {
-				en[p.Name] = ts
-			}
+		o, err := makeOffer(atom, ci, st)
+		if err != nil {
+			return err
 		}
 		// Offer current capabilities; the command may arrive before the
 		// offer is consumed (stop case), so watch both.
 		select {
-		case offers <- offer{comp: ci, enabled: en, vars: st.Vars}:
+		case offers <- o:
 		case c := <-cmds:
 			if c.stop {
 				return nil
@@ -132,21 +126,45 @@ func componentLoop(atom *behavior.Atom, ci int, offers chan<- offer, cmds <-chan
 		if c.stop {
 			return nil
 		}
-		// Apply the engine's variable updates (interaction data
-		// transfer results), then fire the local transition. The local
-		// action runs here, inside the component's own goroutine —
-		// concurrently with other components' actions.
-		for k, v := range c.updates {
-			if err := st.Vars.Set(k, v); err != nil {
-				return fmt.Errorf("component %s: %w", atom.Name, err)
-			}
+		if err := c.execute(atom, &st); err != nil {
+			return err
 		}
-		loc, err := atom.ExecInPlace(st, c.trans)
+	}
+}
+
+// makeOffer reports component ci's enabled transitions per port at st,
+// sharing its variable store.
+func makeOffer(atom *behavior.Atom, ci int, st behavior.State) (offer, error) {
+	en := make(map[string][]int, len(atom.Ports))
+	for _, p := range atom.Ports {
+		ts, err := atom.EnabledView(st, p.Name)
 		if err != nil {
+			return offer{}, fmt.Errorf("component %s: %w", atom.Name, err)
+		}
+		if len(ts) > 0 {
+			en[p.Name] = ts
+		}
+	}
+	return offer{comp: ci, enabled: en, vars: st.Vars}, nil
+}
+
+// execute carries out an execute command on the component's state:
+// apply the engine's variable updates (interaction data transfer
+// results), then fire the local transition. The local action runs in
+// the component's own goroutine — concurrently with other components'
+// actions.
+func (c command) execute(atom *behavior.Atom, st *behavior.State) error {
+	for k, v := range c.updates {
+		if err := st.Vars.Set(k, v); err != nil {
 			return fmt.Errorf("component %s: %w", atom.Name, err)
 		}
-		st.Loc = loc
 	}
+	loc, err := atom.ExecInPlace(*st, c.trans)
+	if err != nil {
+		return fmt.Errorf("component %s: %w", atom.Name, err)
+	}
+	st.Loc = loc
+	return nil
 }
 
 // coordinator is the engine proper plus its incremental evaluation
