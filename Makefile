@@ -46,7 +46,11 @@ race:
 # then repeats bipd's lifecycle tests (crash recovery, cancellation,
 # shutdown, degradation, panic isolation) at GOMAXPROCS 1, 2 and 4: a
 # job's terminal transition races between HTTP handlers and the worker
-# pool, and exactly one of them may win it. Each pass is its own test
+# pool, and exactly one of them may win it. It then repeats the engines'
+# sharing tests at GOMAXPROCS 1, 2, 4 and 8: the multi-threaded
+# coordinator writes data-transfer results into stores its components
+# offered before it sends their commands, and the distributed protocol
+# shares published stores across rounds. Each pass is its own test
 # process under the 600 s hang timeout: one pass takes about 30 s on 2
 # CPUs, so a single -count=200 process could not finish inside any
 # timeout that still catches a hang promptly.
@@ -61,6 +65,9 @@ stress:
 		$(GO) test -race -count=1 -cpu 1,2,4 \
 			-run 'Crash|Recover|Cancel|Lifecycle|Shutdown|Degrade|Panic' \
 			-timeout 600s ./serve || exit 1; \
+		$(GO) test -race -count=1 -cpu 1,2,4,8 \
+			-run 'RunMT|Deployment|OfferStores' \
+			-timeout 600s ./internal/engine ./internal/distributed || exit 1; \
 	done
 
 # fuzz runs each fuzz target for FUZZTIME past its seed corpus, which

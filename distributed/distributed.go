@@ -34,7 +34,9 @@ const (
 	Ordered = idist.Ordered
 )
 
-// Deploy builds the three-layer distributed system for sys.
+// Deploy builds the three-layer distributed system for sys. The
+// protocols implement the unprioritized semantics, so a system with
+// priority rules is refused.
 func Deploy(sys *bip.System, cfg Config) (*Deployment, error) { return idist.Deploy(sys, cfg) }
 
 // ReplayLabels validates a committed interaction order against the

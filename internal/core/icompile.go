@@ -10,10 +10,11 @@ import (
 // This file compiles interaction-level guards and data-transfer actions
 // the same way transition guards/actions are compiled in behavior: once,
 // at Validate time, against a per-interaction qualified-variable slot
-// layout. The hot paths (movesOfInteraction, execInto) then fill a flat
-// frame with one slot read per exported variable and run a closure,
-// instead of splitting "comp.var" strings and resolving component
-// indices on every single access through qualEnv. Compilation is total:
+// layout. The hot paths (movesOfInteraction, execInto) and the engines
+// (TableDeriver.Guard, TableDeriver.Transfer) then fill a flat frame
+// with one slot read per exported variable and run a closure, instead
+// of splitting "comp.var" strings and resolving component indices on
+// every single access through qualEnv. Compilation is total:
 // a failure is a Validate error, so the closures are the only execution
 // path of a validated System. The qualEnv interpreter remains the
 // reference semantics (System.QualEnv, System.Dominated) that the
@@ -43,8 +44,9 @@ func (s *System) compileInteractions() error {
 	s.icomp = make([]interComp, len(s.Interactions))
 	s.maxISlots = 0
 	for i, in := range s.Interactions {
-		names := make([]string, 0, len(s.scopes[i]))
-		for n := range s.scopes[i] {
+		scope := s.exportedScope(in)
+		names := make([]string, 0, len(scope))
+		for n := range scope {
 			names = append(names, n)
 		}
 		sort.Strings(names)
@@ -129,15 +131,48 @@ func (s *System) slotLayout(names []string) ([]slotRef, *expr.Layout, error) {
 
 // newIFrame returns a scratch frame large enough for any interaction's
 // compiled guard or action (and any compiled priority condition), or nil
-// when neither exists. Frames are owned by step contexts (Stepper, TableDeriver,
+// when neither exists. Frames are owned by step contexts (TableDeriver,
 // ScratchExec) or allocated per call by the from-scratch API, never by
 // the System itself — that is what keeps a validated System read-only
-// and therefore safe to share across exploration workers.
+// and therefore safe to share across exploration workers and engines.
 func (s *System) newIFrame() []expr.Value {
 	if s.maxISlots == 0 {
 		return nil
 	}
 	return make([]expr.Value, s.maxISlots)
+}
+
+// guard evaluates interaction ii's compiled guard over the
+// participants' stores in st.Vars; an interaction without a guard holds.
+// It is core's one interaction-guard evaluation: move enumeration and
+// the engines (through TableDeriver.Guard) all run it.
+func (s *System) guard(ii int, st *State, frame []expr.Value) (bool, error) {
+	ic := &s.icomp[ii]
+	if ic.guard == nil {
+		return true, nil
+	}
+	ok, err := ic.guard(ic.fillIFrame(frame, st))
+	if err != nil {
+		return false, fmt.Errorf("interaction %q: %w", s.Interactions[ii].Name, err)
+	}
+	return ok, nil
+}
+
+// transfer runs interaction ii's compiled data transfer in place on the
+// participants' stores in st.Vars, which the caller must own. It is
+// core's one data-transfer execution: execInto and the engines (through
+// TableDeriver.Transfer) all run it.
+func (s *System) transfer(ii int, st *State, frame []expr.Value) error {
+	ic := &s.icomp[ii]
+	if ic.action == nil {
+		return nil
+	}
+	f := ic.fillIFrame(frame, st)
+	if err := ic.action(f); err != nil {
+		return fmt.Errorf("interaction %q: %w", s.Interactions[ii].Name, err)
+	}
+	ic.storeIFrame(f, st)
+	return nil
 }
 
 // fillIFrame copies the interaction's exported variables from st into

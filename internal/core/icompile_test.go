@@ -16,10 +16,8 @@ func TestBinaryKeyCanonical(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randSystem(t, rng)
-		sp := sys.NewStepper()
-		prev := sys.Initial()
+		cur, prev := sys.Initial(), sys.Initial()
 		for step := 0; step < 30; step++ {
-			cur := sp.State()
 			kc := sys.AppendBinaryKey(nil, cur)
 			kp := sys.AppendBinaryKey(nil, prev)
 			if len(kc) != sys.BinaryKeyWidth() {
@@ -32,13 +30,12 @@ func TestBinaryKeyCanonical(t *testing.T) {
 			if (string(kc) == string(kp)) != (sys.StateKey(cur) == sys.StateKey(prev)) {
 				t.Fatalf("seed %d step %d: binary key disagrees with StateKey", seed, step)
 			}
-			moves, err := sp.Enabled()
+			moves, err := sys.Enabled(cur)
 			if err != nil || len(moves) == 0 {
 				break
 			}
-			prev = cur.Clone()
-			m := Move{Interaction: moves[0].Interaction, Choices: append([]int(nil), moves[0].Choices...)}
-			if err := sp.Exec(m); err != nil {
+			prev = cur
+			if cur, err = sys.Exec(cur, moves[0]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -25,11 +25,10 @@ func TestDominatedAtAgreesWithInterpreter(t *testing.T) {
 		if !hasWhen && seed%3 != 0 {
 			continue // still exercise a few unconditional systems
 		}
-		sp := sys.NewStepper()
+		st := sys.Initial()
 		frame := sys.newIFrame()
 		enabled := make([]bool, len(sys.Interactions))
 		for step := 0; step < 40; step++ {
-			st := sp.State()
 			vec, err := sys.EnabledVector(st)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -50,14 +49,14 @@ func TestDominatedAtAgreesWithInterpreter(t *testing.T) {
 						seed, step, sys.Interactions[ii].Name, want, got)
 				}
 			}
-			moves, err := sp.Enabled()
+			moves, err := sys.Enabled(st)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			if len(moves) == 0 {
 				break
 			}
-			if err := sp.Exec(moves[rng.Intn(len(moves))]); err != nil {
+			if st, err = sys.Exec(st, moves[rng.Intn(len(moves))]); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
@@ -102,10 +101,9 @@ func TestInvariantCheckerAgreesWithInterpreter(t *testing.T) {
 	}
 
 	chk := sys.NewInvariantChecker()
-	sp := sys.NewStepper()
+	st := sys.Initial()
 	sawViolation := false
 	for step := 0; step < 6; step++ {
-		st := sp.State()
 		got := chk.Check(st)
 		want := interpret(st)
 		if (want == nil) != (got == nil) {
@@ -115,11 +113,11 @@ func TestInvariantCheckerAgreesWithInterpreter(t *testing.T) {
 		if got != nil {
 			sawViolation = true
 		}
-		moves, err := sp.Enabled()
+		moves, err := sys.Enabled(st)
 		if err != nil || len(moves) == 0 {
 			t.Fatalf("step %d: moves=%d err=%v", step, len(moves), err)
 		}
-		if err := sp.Exec(moves[0]); err != nil {
+		if st, err = sys.Exec(st, moves[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

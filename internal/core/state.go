@@ -165,8 +165,9 @@ func (q *qualEnv) Set(name string, val expr.Value) error {
 }
 
 // QualEnv returns a read/write view of st with qualified names, spanning
-// every variable of every component. It is used by state predicates
-// (invariant checks, priority conditions) and by tests.
+// every variable of every component: the interpreter's view of a state,
+// which the tests hold the compiled guards, transfers and priority
+// conditions to.
 func (s *System) QualEnv(st *State) expr.Env {
 	return &qualEnv{sys: s, st: st}
 }
@@ -235,14 +236,12 @@ func (s *System) movesOfInteractionSlab(st *State, ii int, buf []Move, frame []e
 	// Interaction guard over exported variables, compiled against the
 	// interaction's slot layout: one slot read per exported variable, no
 	// per-access string splitting.
-	if ic := &s.icomp[ii]; ic.guard != nil {
-		ok, err := ic.guard(ic.fillIFrame(frame, st))
-		if err != nil {
-			return nil, fmt.Errorf("interaction %q: %w", in.Name, err)
-		}
-		if !ok {
-			return buf, nil
-		}
+	ok, err := s.guard(ii, st, frame)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return buf, nil
 	}
 	// Cartesian product of per-port choices.
 	var choiceArr [8]int
@@ -345,16 +344,11 @@ func (s *System) Exec(st State, m Move) (State, error) {
 // must be discarded. frame is the caller's scratch for the compiled data
 // transfer (see movesOfInteraction).
 func (s *System) execInto(next *State, m Move, frame []expr.Value) error {
-	in := s.Interactions[m.Interaction]
-	pa := s.portAtoms[m.Interaction]
-	if ic := &s.icomp[m.Interaction]; ic.action != nil {
-		f := ic.fillIFrame(frame, next)
-		if err := ic.action(f); err != nil {
-			return fmt.Errorf("interaction %q: %w", in.Name, err)
-		}
-		ic.storeIFrame(f, next)
+	if err := s.transfer(m.Interaction, next, frame); err != nil {
+		return err
 	}
-	for pi, ai := range pa {
+	in := s.Interactions[m.Interaction]
+	for pi, ai := range s.portAtoms[m.Interaction] {
 		loc, err := s.Atoms[ai].ExecInPlace(next.Local(ai), m.Choices[pi])
 		if err != nil {
 			return fmt.Errorf("interaction %q: %w", in.Name, err)

@@ -132,17 +132,16 @@ func fmtMoves(sys *System, ms []Move) string {
 }
 
 // TestStepperDifferential is the semantic-equivalence oracle required by
-// the incremental engine: on random systems, the from-scratch Enabled /
-// EnabledRaw, the incremental Stepper, and the derived-table path both
-// exploration drivers run (ScratchExec.MaterializeSlab,
+// the incremental paths: on random systems, the from-scratch Enabled /
+// EnabledRaw and the derived-table path that exploration and the
+// single-threaded engine run (ScratchExec.MaterializeSlab,
 // TableDeriver.DeriveSlab, TableDeriver.Enabled/Raw) must produce
 // identical states and move sets after every step of random runs. The
-// walk continues from the slab-materialized state, as the drivers do.
+// walk continues from the slab-materialized state, as they do.
 func TestStepperDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randSystem(t, rng)
-		sp := sys.NewStepper()
 		st := sys.Initial()
 		vec, err := sys.EnabledVector(st)
 		if err != nil {
@@ -156,25 +155,9 @@ func TestStepperDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: Enabled: %v", seed, step, err)
 			}
-			got, err := sp.Enabled()
-			if err != nil {
-				t.Fatalf("seed %d step %d: stepper Enabled: %v", seed, step, err)
-			}
-			if !movesEqual(want, got) {
-				t.Fatalf("seed %d step %d: move sets differ\n scratch: %s\n stepper: %s",
-					seed, step, fmtMoves(sys, want), fmtMoves(sys, got))
-			}
 			wantRaw, err := sys.EnabledRaw(st)
 			if err != nil {
 				t.Fatalf("seed %d step %d: EnabledRaw: %v", seed, step, err)
-			}
-			gotRaw, err := sp.EnabledRaw()
-			if err != nil {
-				t.Fatalf("seed %d step %d: stepper EnabledRaw: %v", seed, step, err)
-			}
-			if !movesEqual(wantRaw, gotRaw) {
-				t.Fatalf("seed %d step %d: raw move sets differ\n scratch: %s\n stepper: %s",
-					seed, step, fmtMoves(sys, wantRaw), fmtMoves(sys, gotRaw))
 			}
 			fromVec, err := deriver.Enabled(vec, st, nil)
 			if err != nil {
@@ -191,9 +174,7 @@ func TestStepperDifferential(t *testing.T) {
 			if len(want) == 0 {
 				break // deadlock
 			}
-			pick := want[rng.Intn(len(want))]
-			// Copy the move: the stepper invalidates its slices on Exec.
-			m := Move{Interaction: pick.Interaction, Choices: append([]int(nil), pick.Choices...)}
+			m := want[rng.Intn(len(want))]
 			next, err := sys.Exec(st, m)
 			if err != nil {
 				t.Fatalf("seed %d step %d: Exec: %v", seed, step, err)
@@ -206,12 +187,6 @@ func TestStepperDifferential(t *testing.T) {
 			if !view.Equal(next) || !mat.Equal(next) {
 				t.Fatalf("seed %d step %d: scratch successor diverges from Exec", seed, step)
 			}
-			if err := sp.Exec(m); err != nil {
-				t.Fatalf("seed %d step %d: stepper Exec: %v", seed, step, err)
-			}
-			if !next.Equal(sp.State()) {
-				t.Fatalf("seed %d step %d: states diverged after %s", seed, step, sys.Label(m))
-			}
 			vec, err = deriver.DeriveSlab(vec, m, mat, slab)
 			if err != nil {
 				t.Fatalf("seed %d step %d: DeriveSlab: %v", seed, step, err)
@@ -221,62 +196,23 @@ func TestStepperDifferential(t *testing.T) {
 	}
 }
 
-// TestStepperReset checks that a stepper can be repositioned at an
-// arbitrary state and that the new state is deep-copied.
-func TestStepperReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sys := randSystem(t, rng)
-	st := sys.Initial()
-	sp := sys.NewStepper()
-	sp.Reset(st)
-	moves, err := sp.Enabled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) > 0 {
-		m := Move{Interaction: moves[0].Interaction, Choices: append([]int(nil), moves[0].Choices...)}
-		if err := sp.Exec(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The caller's state must be untouched by the stepper's in-place run.
-	if !st.Equal(sys.Initial()) {
-		t.Fatal("Reset aliased the caller's state")
-	}
-	sp.Reset(st)
-	got, err := sp.Enabled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sys.Enabled(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !movesEqual(want, got) {
-		t.Fatalf("after Reset: %s, want %s", fmtMoves(sys, got), fmtMoves(sys, want))
-	}
-}
-
 // TestStateKeyCanonical checks the fast system-level key agrees with
 // state equality.
 func TestStateKeyCanonical(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randSystem(t, rng)
-		sp := sys.NewStepper()
-		prev := sys.Initial()
+		cur, prev := sys.Initial(), sys.Initial()
 		for step := 0; step < 30; step++ {
-			cur := sp.State()
 			if (sys.StateKey(cur) == sys.StateKey(prev)) != cur.Equal(prev) {
 				t.Fatalf("seed %d step %d: StateKey disagrees with Equal", seed, step)
 			}
-			moves, err := sp.Enabled()
+			moves, err := sys.Enabled(cur)
 			if err != nil || len(moves) == 0 {
 				break
 			}
-			prev = cur.Clone()
-			m := Move{Interaction: moves[0].Interaction, Choices: append([]int(nil), moves[0].Choices...)}
-			if err := sp.Exec(m); err != nil {
+			prev = cur
+			if cur, err = sys.Exec(cur, moves[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -364,9 +300,10 @@ func TestClosePrioritiesBeforeValidate(t *testing.T) {
 	}
 }
 
-// BenchmarkEnabledScratchVsStepper quantifies the incremental win on a
-// chain of worker pairs: the from-scratch path rescans every interaction
-// per step, the stepper recomputes only the two incident ones.
+// BenchmarkEnabledScratch and BenchmarkEnabledDerived quantify the
+// incremental win on a chain of worker pairs: the from-scratch path
+// rescans every interaction per step, the derived-table walk (the
+// single-threaded engine's) recomputes only the two incident ones.
 func benchSystem(b *testing.B, pairs int) *System {
 	w := behavior.NewBuilder("w").Location("s").Int("x", 0).
 		Port("step", "x").
@@ -401,16 +338,26 @@ func BenchmarkEnabledScratch(b *testing.B) {
 	}
 }
 
-func BenchmarkEnabledStepper(b *testing.B) {
+func BenchmarkEnabledDerived(b *testing.B) {
 	sys := benchSystem(b, 64)
-	sp := sys.NewStepper()
+	ctx := sys.NewExploreCtx()
+	st := sys.Initial()
+	vec, err := sys.EnabledVector(st)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		moves, err := sp.Enabled()
+		ctx.Moves, err = ctx.Deriver.Enabled(vec, st, ctx.Moves[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sp.Exec(moves[i%len(moves)]); err != nil {
+		m := ctx.Moves[i%len(ctx.Moves)]
+		if _, err := ctx.Scratch.Exec(st, m); err != nil {
+			b.Fatal(err)
+		}
+		st = ctx.Scratch.MaterializeSlab(m, ctx.Slab)
+		if vec, err = ctx.Deriver.DeriveSlab(vec, m, st, ctx.Slab); err != nil {
 			b.Fatal(err)
 		}
 	}

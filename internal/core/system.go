@@ -119,11 +119,8 @@ type System struct {
 	// declaration order. Firing an interaction only changes the local
 	// states of its participants, so after a step only the interactions
 	// incident to those atoms can change enabledness — this index is what
-	// makes incremental move enumeration (Stepper, lts exploration) cheap.
+	// makes incremental move enumeration (TableDeriver.DeriveSlab) cheap.
 	incident [][]int
-	// scopes[i] is interaction i's exported variable scope, precomputed so
-	// guard/action evaluation does not rebuild it per state.
-	scopes []map[string]bool
 	// icomp[i] is interaction i's compiled guard/action over a
 	// per-interaction qualified-variable slot layout (icompile.go);
 	// maxISlots sizes the scratch frames the compiled code runs on (it
@@ -159,10 +156,6 @@ func (s *System) PortAtoms(ii int) []int { return s.portAtoms[ii] }
 // ai, in declaration order. Read-only.
 func (s *System) IncidentTo(ai int) []int { return s.incident[ai] }
 
-// Scope returns interaction ii's exported variable scope ("comp.var"
-// names its guard and action may access). Read-only.
-func (s *System) Scope(ii int) map[string]bool { return s.scopes[ii] }
-
 // Validate checks cross-references and builds lookup indices. Builders
 // call it automatically; hand-assembled systems must call it before use.
 func (s *System) Validate() error {
@@ -195,7 +188,6 @@ func (s *System) Validate() error {
 	// Resolve the structural indices the semantics hot paths rely on.
 	s.portAtoms = make([][]int, len(s.Interactions))
 	s.incident = make([][]int, len(s.Atoms))
-	s.scopes = make([]map[string]bool, len(s.Interactions))
 	for i, in := range s.Interactions {
 		pa := make([]int, len(in.Ports))
 		for pi, pr := range in.Ports {
@@ -203,7 +195,6 @@ func (s *System) Validate() error {
 			s.incident[pa[pi]] = append(s.incident[pa[pi]], i)
 		}
 		s.portAtoms[i] = pa
-		s.scopes[i] = s.exportedScope(in)
 	}
 	s.higher = make([][]PriorityRule, len(s.Interactions))
 	for _, p := range s.Priorities {

@@ -18,6 +18,12 @@
 // The committed interaction order is recorded and can be replayed
 // through the reference semantics — the executable correctness witness
 // of the transformation (experiments E5–E7).
+//
+// The interaction protocols implement the unprioritized semantics: an
+// IP node sees only its own block's interactions, so it cannot tell
+// whether a higher-priority interaction elsewhere is enabled. Deploy
+// therefore refuses a system with priority rules instead of running
+// interactions those rules forbid.
 package distributed
 
 import (
@@ -87,8 +93,13 @@ type Stats struct {
 	MsgPerCommit float64
 }
 
-// Deploy builds the three-layer system for sys.
+// Deploy builds the three-layer system for sys. A system with priority
+// rules is refused (see the package doc).
 func Deploy(sys *core.System, cfg Config) (*Deployment, error) {
+	if len(sys.Priorities) > 0 {
+		return nil, fmt.Errorf("distributed: system %s: priority %s cannot be deployed: the interaction protocols implement the unprioritized semantics",
+			sys.Name, sys.Priorities[0])
+	}
 	if cfg.CRP == 0 {
 		cfg.CRP = Ordered
 	}
@@ -226,8 +237,9 @@ func (d *Deployment) Run() (*Stats, error) {
 }
 
 // ReplayLabels validates a committed label sequence against the
-// reference semantics: each label must correspond to an enabled move
-// when replayed in order. It returns the number of steps replayed.
+// reference semantics of a deployable (priority-free) system: each label
+// must correspond to an enabled move when replayed in order. It returns
+// the number of steps replayed.
 func ReplayLabels(sys *core.System, labels []string) (int, error) {
 	st := sys.Initial()
 	for i, lab := range labels {

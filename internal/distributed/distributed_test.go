@@ -243,3 +243,21 @@ func TestCRPString(t *testing.T) {
 		t.Fatal("CRP.String broken")
 	}
 }
+
+// TestDeployRefusesPriorities: the interaction protocols implement the
+// unprioritized semantics, so a prioritized model would fire
+// interactions its rules forbid; Deploy refuses it and names the first
+// rule.
+func TestDeployRefusesPriorities(t *testing.T) {
+	sys, err := models.Temperature(0, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Deploy(sys, Config{})
+	if err == nil {
+		t.Fatal("Deploy accepted a prioritized system")
+	}
+	if want := sys.Priorities[0].String(); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Deploy error %q does not name the first priority %q", err, want)
+	}
+}

@@ -36,12 +36,13 @@ type (
 		Comp    string
 		Attempt int64
 	}
-	// commitMsg: IP → component: fire the transition with the
-	// interaction's data-transfer results.
+	// commitMsg: IP → component: fire the transition on Vars, a fresh
+	// store holding the interaction's data-transfer results, which the
+	// component adopts.
 	commitMsg struct {
 		Attempt int64
 		Trans   int
-		Updates expr.MapEnv
+		Vars    expr.Slots
 	}
 	abortMsg struct {
 		Attempt int64
@@ -100,12 +101,12 @@ func (c *compNode) offer() offerMsg {
 		}
 	}
 	// The offer shares the component's variable store instead of cloning
-	// it per round. This is the MT engine's channel-ordering argument
-	// transplanted to the protocol layer: a published store is never
-	// written again — a commit builds the successor state on a fresh
-	// store (see the commitMsg case) — so IPs may keep reading their
-	// snapshots (guards, data transfer) long after the component moved
-	// on. TestOfferStoresImmutableAfterCommit pins this discipline.
+	// it per round. A published store is never written again — the IP
+	// runs the data transfer on a clone and the commit builds the
+	// successor state on that fresh store (see the commitMsg case) — so
+	// IPs may keep reading their snapshots (guards, data transfer) long
+	// after the component moved on. TestOfferStoresImmutableAfterCommit
+	// pins this discipline.
 	return offerMsg{Comp: c.atom.Name, Seq: c.seq, Enabled: enabled, Vars: c.st.Vars}
 }
 
@@ -138,16 +139,10 @@ func (c *compNode) Recv(ctx network.Context, from network.NodeID, msg any) {
 			// A commit outside a valid reservation is a protocol bug.
 			panic(fmt.Sprintf("distributed: %s: commit without reservation", c.atom.Name))
 		}
-		// Never mutate the published store: apply the interaction's
-		// updates and the local action on a fresh clone, so every offer
-		// that shares the old store stays a faithful snapshot of the
-		// state it advertised.
-		next := behavior.State{Loc: c.st.Loc, Vars: c.st.Vars.Clone()}
-		for k, v := range m.Updates {
-			if err := next.Vars.Set(k, v); err != nil {
-				panic(fmt.Sprintf("distributed: %s: %v", c.atom.Name, err))
-			}
-		}
+		// Never mutate the published store: the local action runs on the
+		// fresh store the IP sent, so every offer that shares the old
+		// store stays a faithful snapshot of the state it advertised.
+		next := behavior.State{Loc: c.st.Loc, Vars: m.Vars}
 		loc, err := c.atom.ExecInPlace(next, m.Trans)
 		if err != nil {
 			panic(fmt.Sprintf("distributed: %s: %v", c.atom.Name, err))
@@ -208,8 +203,13 @@ type ipNode struct {
 	nBlocks  int
 	shared   map[string]bool
 
-	offers     map[string]offerMsg
-	rr         int
+	offers map[string]offerMsg
+	rr     int
+	// st holds the offered stores of the participants of the interaction
+	// being evaluated or committed (its Locs are unused); the deriver
+	// runs core's compiled guards and data transfer over it.
+	st         core.State
+	deriver    *core.TableDeriver
 	attemptCtr int64
 	attempt    attemptState
 
@@ -234,6 +234,8 @@ func newIPNode(sys *core.System, blockIdx int, block []int, compBlocks map[strin
 		nBlocks:  nBlocks,
 		shared:   shared,
 		offers:   make(map[string]offerMsg),
+		st:       core.State{Vars: make([]expr.Slots, len(sys.Atoms))},
+		deriver:  sys.NewTableDeriver(),
 	}
 }
 
@@ -315,32 +317,16 @@ func (n *ipNode) enabledInBlock() []int {
 }
 
 func (n *ipNode) interactionEnabled(ii int) bool {
-	in := n.sys.Interactions[ii]
-	for _, pr := range in.Ports {
+	pa := n.sys.PortAtoms(ii)
+	for pi, pr := range n.sys.Interactions[ii].Ports {
 		o, ok := n.offers[pr.Comp]
 		if !ok || len(o.Enabled[pr.Port]) == 0 {
 			return false
 		}
+		n.st.Vars[pa[pi]] = o.Vars
 	}
-	if in.Guard != nil {
-		env := n.offerEnv(in)
-		ok, err := expr.EvalBool(in.Guard, env)
-		if err != nil || !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (n *ipNode) offerEnv(in *core.Interaction) expr.MapEnv {
-	env := make(expr.MapEnv)
-	for _, pr := range in.Ports {
-		o := n.offers[pr.Comp]
-		for i, k := range o.Vars.L.Names() {
-			env[pr.Comp+"."+k] = o.Vars.V[i]
-		}
-	}
-	return env
+	ok, err := n.deriver.Guard(ii, &n.st)
+	return err == nil && ok
 }
 
 // tryStart begins a new attempt when none is active and some interaction
@@ -426,37 +412,25 @@ func (n *ipNode) sendReserve(ctx network.Context) {
 	ctx.Send(compID(comp), reserveMsg{Seq: o.Seq, Attempt: n.attempt.id})
 }
 
-// commitAttempt executes the interaction: data transfer on the reserved
-// snapshot, commit to every participant, observation, cleanup.
+// commitAttempt executes the interaction: data transfer on clones of
+// the reserved snapshot's stores, commit to every participant with its
+// new store, observation, cleanup.
 func (n *ipNode) commitAttempt(ctx network.Context) {
-	in := n.sys.Interactions[n.attempt.inter]
-	env := make(expr.MapEnv)
-	for _, pr := range in.Ports {
-		o := n.attempt.snapshot[pr.Comp]
-		for i, k := range o.Vars.L.Names() {
-			env[pr.Comp+"."+k] = o.Vars.V[i]
-		}
+	ii := n.attempt.inter
+	in := n.sys.Interactions[ii]
+	pa := n.sys.PortAtoms(ii)
+	for pi, pr := range in.Ports {
+		n.st.Vars[pa[pi]] = n.attempt.snapshot[pr.Comp].Vars.Clone()
 	}
-	if in.Action != nil {
-		if err := in.Action.Exec(env); err != nil {
-			panic(fmt.Sprintf("distributed: interaction %q: %v", in.Name, err))
-		}
+	if err := n.deriver.Transfer(ii, &n.st); err != nil {
+		panic(fmt.Sprintf("distributed: %v", err))
 	}
-	for _, pr := range in.Ports {
+	for pi, pr := range in.Ports {
 		o := n.attempt.snapshot[pr.Comp]
-		updates := make(expr.MapEnv)
-		prefix := pr.Comp + "."
-		for k, v := range env {
-			if len(k) > len(prefix) && k[:len(prefix)] == prefix {
-				if old, _ := o.Vars.Get(k[len(prefix):]); !old.Equal(v) {
-					updates[k[len(prefix):]] = v
-				}
-			}
-		}
 		ctx.Send(compID(pr.Comp), commitMsg{
 			Attempt: n.attempt.id,
 			Trans:   o.Enabled[pr.Port][0],
-			Updates: updates,
+			Vars:    n.st.Vars[pa[pi]],
 		})
 		// Drop the consumed offer unless a fresher one already arrived.
 		if cur, ok := n.offers[pr.Comp]; ok && cur.Seq == o.Seq {

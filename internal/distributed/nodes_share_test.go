@@ -44,10 +44,14 @@ func (p *probeIP) Recv(ctx network.Context, from network.NodeID, msg any) {
 	case reserveOKMsg:
 		// Commit with a data-transfer update, like a real IP would.
 		p.commits++
+		vars := p.cur.Vars.Clone()
+		if err := vars.Set("x", expr.IntVal(int64(100*p.commits))); err != nil {
+			panic(err)
+		}
 		ctx.Send(p.comp, commitMsg{
 			Attempt: p.attempt,
 			Trans:   p.cur.Enabled["p"][0],
-			Updates: expr.MapEnv{"x": expr.IntVal(int64(100 * p.commits))},
+			Vars:    vars,
 		})
 	}
 }

@@ -73,11 +73,12 @@ type Result struct {
 var ErrInvariantViolated = errors.New("invariant violated")
 
 // Run executes sys with the single-threaded engine until deadlock or the
-// step bound. The run is driven by an incremental step context
-// (core.Stepper): after each fired move only the interactions incident to
-// its participants are re-examined, and the state advances in place
-// instead of being cloned per step. States handed to Scheduler.Pick are
-// live views and must not be retained; OnStep receives a stable snapshot.
+// step bound. It walks with core's exploration machinery (an
+// ExploreCtx): each state carries its move table, and after a fired move
+// only the interactions incident to its participants are re-examined
+// (TableDeriver.DeriveSlab) on a successor built copy-on-write
+// (ScratchExec). States are immutable once built, so the states handed
+// to Scheduler.Pick and OnStep may be retained as they are.
 func Run(sys *core.System, opts Options) (*Result, error) {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -87,27 +88,39 @@ func Run(sys *core.System, opts Options) (*Result, error) {
 	if sched == nil {
 		sched = FirstScheduler{}
 	}
-	sp := sys.NewStepper()
 	var inv *core.InvariantChecker
 	if opts.CheckInvariants {
 		inv = sys.NewInvariantChecker()
 	}
+	ctx := sys.NewExploreCtx()
+	st := sys.Initial()
+	var vec [][]core.Move // st's move table
+	var last core.Move    // the move that reached st
 	res := &Result{}
 	for res.Steps < maxSteps {
-		moves, err := sp.Enabled()
+		var err error
+		if res.Steps == 0 {
+			vec, err = sys.EnabledVector(st)
+		} else {
+			vec, err = ctx.Deriver.DeriveSlab(vec, last, st, ctx.Slab)
+		}
+		if err == nil {
+			ctx.Moves, err = ctx.Deriver.Enabled(vec, st, ctx.Moves[:0])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: step %d: %w", res.Steps, err)
 		}
-		if len(moves) == 0 {
+		if len(ctx.Moves) == 0 {
 			res.Deadlocked = true
 			break
 		}
-		m := moves[sched.Pick(sys, sp.State(), moves)]
-		if err := sp.Exec(m); err != nil {
+		m := ctx.Moves[sched.Pick(sys, st, ctx.Moves)]
+		if _, err := ctx.Scratch.Exec(st, m); err != nil {
 			return nil, fmt.Errorf("engine: step %d: %w", res.Steps, err)
 		}
+		st, last = ctx.Scratch.MaterializeSlab(m, ctx.Slab), m
 		if opts.CheckInvariants {
-			if err := inv.Check(sp.State()); err != nil {
+			if err := inv.Check(st); err != nil {
 				return nil, fmt.Errorf("engine: step %d: %w: %v", res.Steps, ErrInvariantViolated, err)
 			}
 		}
@@ -115,21 +128,22 @@ func Run(sys *core.System, opts Options) (*Result, error) {
 		res.Labels = append(res.Labels, label)
 		res.Steps++
 		if opts.OnStep != nil {
-			opts.OnStep(res.Steps, label, sp.State().Clone())
+			opts.OnStep(res.Steps, label, st)
 		}
 	}
-	res.Final = sp.State()
+	res.Final = st
 	return res, nil
 }
 
-// Replay re-executes a recorded move sequence through the operational
-// semantics, verifying that each move was enabled when fired. It is used
-// to validate that the multi-threaded engine's committed order is a legal
-// interleaving (its correctness witness).
+// Replay re-executes a recorded move sequence through the reference
+// semantics (System.EnabledRaw, System.Exec), verifying that each move
+// was enabled when fired. It is used to validate that the multi-threaded
+// engine's committed order is a legal interleaving (its correctness
+// witness).
 func Replay(sys *core.System, movesSeq []core.Move) (core.State, error) {
-	sp := sys.NewStepper()
+	st := sys.Initial()
 	for i, m := range movesSeq {
-		enabled, err := sp.EnabledRaw()
+		enabled, err := sys.EnabledRaw(st)
 		if err != nil {
 			return core.State{}, fmt.Errorf("replay step %d: %w", i, err)
 		}
@@ -143,11 +157,11 @@ func Replay(sys *core.System, movesSeq []core.Move) (core.State, error) {
 		if !found {
 			return core.State{}, fmt.Errorf("replay step %d: move %s was not enabled", i, sys.Label(m))
 		}
-		if err := sp.Exec(m); err != nil {
+		if st, err = sys.Exec(st, m); err != nil {
 			return core.State{}, fmt.Errorf("replay step %d: %w", i, err)
 		}
 	}
-	return sp.State(), nil
+	return st, nil
 }
 
 func equalChoices(a, b []int) bool {

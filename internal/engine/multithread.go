@@ -28,21 +28,22 @@ type MTResult struct {
 
 // offer is what a component goroutine reports to the engine: its enabled
 // transitions per port and its variable store. Both are owned by the
-// component; the engine reads them only between receiving the offer and
-// sending the matching command (the channel operations order those
-// accesses, so no copy is needed).
+// component; the engine uses them only between receiving the offer and
+// sending the matching command — reading them, and writing the
+// interaction's data-transfer results into the store — while the
+// component is blocked on its command channel. The channel operations
+// order those accesses, so no copy is needed.
 type offer struct {
 	comp    int
 	enabled map[string][]int
 	vars    expr.Slots
 }
 
-// command is what the engine sends back: fire transition trans with the
-// (possibly updated) variable values, or stop.
+// command is what the engine sends back: fire transition trans (the
+// data transfer has already updated the offered store), or stop.
 type command struct {
-	stop    bool
-	trans   int
-	updates expr.MapEnv
+	stop  bool
+	trans int
 }
 
 // RunMT executes sys with the multi-threaded engine: one goroutine per
@@ -103,7 +104,7 @@ func RunMT(sys *core.System, opts MTOptions) (*MTResult, error) {
 
 // componentLoop is the body of one component goroutine: offer, await
 // command, execute, repeat. The component's variable store is mutated in
-// place: the engine has finished reading the offered store by the time the
+// place: the engine has finished with the offered store by the time the
 // command arrives (channel ordering), so no per-step cloning is needed.
 func componentLoop(atom *behavior.Atom, ci int, offers chan<- offer, cmds <-chan command) error {
 	st := atom.InitialState()
@@ -148,17 +149,11 @@ func makeOffer(atom *behavior.Atom, ci int, st behavior.State) (offer, error) {
 	return offer{comp: ci, enabled: en, vars: st.Vars}, nil
 }
 
-// execute carries out an execute command on the component's state:
-// apply the engine's variable updates (interaction data transfer
-// results), then fire the local transition. The local action runs in
-// the component's own goroutine — concurrently with other components'
-// actions.
+// execute carries out an execute command on the component's state: fire
+// the local transition on the store the engine's data transfer has
+// already updated. The local action runs in the component's own
+// goroutine — concurrently with other components' actions.
 func (c command) execute(atom *behavior.Atom, st *behavior.State) error {
-	for k, v := range c.updates {
-		if err := st.Vars.Set(k, v); err != nil {
-			return fmt.Errorf("component %s: %w", atom.Name, err)
-		}
-	}
 	loc, err := atom.ExecInPlace(*st, c.trans)
 	if err != nil {
 		return fmt.Errorf("component %s: %w", atom.Name, err)
@@ -170,19 +165,19 @@ func (c command) execute(atom *behavior.Atom, st *behavior.State) error {
 // coordinator is the engine proper plus its incremental evaluation
 // state. Only the interactions incident to components whose offers
 // changed since the last round are re-evaluated; the rest keep their
-// cached move sets. The qualified-name environment used by interaction
-// guards, data transfer and priority conditions is likewise maintained
-// incrementally as offers arrive.
+// cached move sets. Guards, data transfer and priority conditions run
+// core's compiled code (through a TableDeriver) over st, whose Vars are
+// the offered stores; its Locs are unused.
 type coordinator struct {
 	sys     *core.System
 	current []*offer
 	ready   int
 
-	env       expr.MapEnv   // qualified offer snapshot, updated per offer
+	st        core.State
+	deriver   *core.TableDeriver
 	cache     [][]core.Move // cache[ii]: moves evaluable from current offers
 	dirty     []bool
 	moveBuf   []core.Move // scratch: assembled round moves
-	enabled   []bool      // scratch: per-interaction enabledness
 	choiceBuf []int       // scratch: cartesian-product cursor
 }
 
@@ -191,10 +186,10 @@ func newCoordinator(sys *core.System) *coordinator {
 	c := &coordinator{
 		sys:     sys,
 		current: make([]*offer, len(sys.Atoms)),
-		env:     make(expr.MapEnv),
+		st:      core.State{Vars: make([]expr.Slots, len(sys.Atoms))},
+		deriver: sys.NewTableDeriver(),
 		cache:   make([][]core.Move, ni),
 		dirty:   make([]bool, ni),
-		enabled: make([]bool, ni),
 	}
 	for ii := range c.dirty {
 		c.dirty[ii] = true
@@ -202,18 +197,15 @@ func newCoordinator(sys *core.System) *coordinator {
 	return c
 }
 
-// install records a fresh offer: the environment entries of the
-// component are updated and its incident interactions marked dirty.
+// install records a fresh offer: the component's store joins st and its
+// incident interactions are marked dirty.
 func (c *coordinator) install(o offer) {
 	if c.current[o.comp] == nil {
 		c.ready++
 	}
 	oc := o
 	c.current[o.comp] = &oc
-	name := c.sys.Atoms[o.comp].Name
-	for i, k := range o.vars.L.Names() {
-		c.env[name+"."+k] = o.vars.V[i]
-	}
+	c.st.Vars[o.comp] = o.vars
 	for _, ii := range c.sys.IncidentTo(o.comp) {
 		c.dirty[ii] = true
 	}
@@ -327,14 +319,12 @@ func (c *coordinator) evaluable() ([]core.Move, error) {
 		if !ok {
 			continue
 		}
-		if in.Guard != nil {
-			g, err := expr.EvalBool(in.Guard, c.env)
-			if err != nil {
-				return nil, fmt.Errorf("engine: interaction %q: %w", in.Name, err)
-			}
-			if !g {
-				continue
-			}
+		g, err := c.deriver.Guard(ii, &c.st)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		if !g {
+			continue
 		}
 		// Cartesian product of per-port choices.
 		if cap(c.choiceBuf) < len(in.Ports) {
@@ -356,58 +346,26 @@ func (c *coordinator) evaluable() ([]core.Move, error) {
 		}
 		rec(0)
 	}
-	for ii := range c.cache {
-		c.enabled[ii] = len(c.cache[ii]) > 0
-	}
-	// Priority filtering over the evaluable set: the domination decision
-	// itself is core's single implementation (System.Dominated), here
-	// evaluated against the offer environment instead of a global state.
-	out := c.moveBuf[:0]
-	for ii, ms := range c.cache {
-		if len(ms) == 0 {
-			continue
-		}
-		dominated, err := sys.Dominated(ii, c.enabled, c.env)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		if !dominated {
-			out = append(out, ms...)
-		}
+	// Priority filtering over the evaluable set: core's filter, with the
+	// compiled priority conditions reading the offered stores.
+	out, err := c.deriver.Enabled(c.cache, c.st, c.moveBuf[:0])
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	c.moveBuf = out
 	return out, nil
 }
 
-// commit executes one interaction: data transfer on the offered
-// snapshots, then an execute command to each participant.
+// commit executes one interaction: data transfer in place on the
+// participants' offered stores, then an execute command to each
+// participant. Each participant is blocked on its command channel until
+// the send, so the transfer's writes happen before its own accesses.
 func (c *coordinator) commit(m core.Move, cmds []chan command) error {
-	sys := c.sys
-	in := sys.Interactions[m.Interaction]
-	if in.Action != nil {
-		if err := in.Action.Exec(c.env); err != nil {
-			return fmt.Errorf("engine: interaction %q: %w", in.Name, err)
-		}
+	if err := c.deriver.Transfer(m.Interaction, &c.st); err != nil {
+		return fmt.Errorf("engine: %w", err)
 	}
-	pa := sys.PortAtoms(m.Interaction)
-	for pi, pr := range in.Ports {
-		ci := pa[pi]
-		updates := make(expr.MapEnv)
-		prefix := pr.Comp + "."
-		for qual := range sys.Scope(m.Interaction) {
-			if len(qual) <= len(prefix) || qual[:len(prefix)] != prefix {
-				continue
-			}
-			local := qual[len(prefix):]
-			v, ok := c.env[qual]
-			if !ok {
-				continue
-			}
-			if old, _ := c.current[ci].vars.Get(local); !old.Equal(v) {
-				updates[local] = v
-			}
-		}
-		cmds[ci] <- command{trans: m.Choices[pi], updates: updates}
+	for pi, ci := range c.sys.PortAtoms(m.Interaction) {
+		cmds[ci] <- command{trans: m.Choices[pi]}
 	}
 	return nil
 }

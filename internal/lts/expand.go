@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the pluggable expansion stage between core's semantics
-// (Stepper/TableDeriver via ExploreCtx) and the exploration loop
+// (TableDeriver and ScratchExec via ExploreCtx) and the exploration loop
 // (stream.go). The loop does not decide which successors of a state to
 // pursue; each worker asks its WorkerExpander and processes what it
 // returns. Full expansion — every enabled move — is the

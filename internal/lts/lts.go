@@ -68,16 +68,17 @@ type Options struct {
 	// interaction semantics).
 	Raw bool
 	// Workers is the number of workers under Unordered order; a
-	// negative value means GOMAXPROCS. 0 and 1 run one worker on the
-	// FIFO frontier. Under the default Order (Deterministic) one worker
-	// runs whatever Workers says, so every sink, including the
-	// materialized LTS, is worker-count independent.
+	// negative value means GOMAXPROCS. 0 and 1 run one worker, on the
+	// FIFO frontier unless MemBudget is set. Under the default Order
+	// (Deterministic) one worker runs whatever Workers says, so every
+	// sink, including the materialized LTS, is worker-count independent.
 	Workers int
 	// Order selects the event-stream discipline: Deterministic (default)
 	// runs one worker on the FIFO frontier; Unordered with Workers > 1
-	// runs the same loop on barrier-free work-stealing deques, whose
-	// state set, edges and verdicts are identical but whose numbering
-	// and event order are scheduling-dependent. Ignored at one worker.
+	// or a MemBudget runs the same loop on barrier-free work-stealing
+	// deques, whose state set, edges and verdicts are identical but
+	// whose numbering and event order are scheduling-dependent. Ignored
+	// at one worker without a MemBudget.
 	Order Order
 	// Expander selects the expansion stage (expand.go): nil explores
 	// every enabled move; an AmpleExpander prunes to ample sets
@@ -98,14 +99,14 @@ type Options struct {
 	// memory varies, reported in Stats.SeenBytes.
 	Seen SeenSets
 	// MemBudget approximately bounds the resident frontier of the
-	// work-stealing deques (Unordered, Workers > 1), in bytes
+	// work-stealing deques (Unordered order, at any worker count), in bytes
 	// (accounted with the Stats.PeakFrontierBytes model). When the
 	// pending work exceeds it, whole deque chunks are serialized to a
 	// temporary spill file as flat key records and streamed back as
 	// workers drain, so spaces whose frontier exceeds RAM complete
 	// instead of OOMing (Stats.SpilledChunks counts the round trips).
-	// 0 means unlimited; the FIFO frontier (Deterministic order, or one
-	// worker) ignores it and keeps its frontier resident.
+	// 0 means unlimited; the FIFO frontier (Deterministic order)
+	// ignores it and keeps its frontier resident.
 	MemBudget int64
 	// Ctx, when non-nil, cancels the exploration: every worker polls it
 	// once per expansion, and Stream returns its error
@@ -121,7 +122,7 @@ type Options struct {
 	// are the values the loop can read cheaply at the tick. It is called
 	// between state expansions by whichever worker finishes one once
 	// the interval has elapsed — on the FIFO that is the calling
-	// goroutine; on the work-stealing deques (Unordered, Workers > 1) it
+	// goroutine; on the work-stealing deques (Unordered order) it
 	// may run concurrently with Sink calls, but never with itself. No
 	// goroutine is started for it. The callback must return quickly and
 	// must not call back into the exploration. No final call is
@@ -169,8 +170,9 @@ func (o *Options) seenSets() SeenSets {
 // Dedup is keyed by the system's fixed-width binary state keys
 // (core.System.AppendBinaryKey). Under the default Deterministic order
 // one worker on the FIFO frontier builds the LTS whatever
-// Options.Workers says; Unordered with Workers > 1 explores on the
-// work-stealing deques and builds the same LTS up to state numbering.
+// Options.Workers says; Unordered with Workers > 1 or a MemBudget
+// explores on the work-stealing deques and builds the same LTS up to
+// state numbering.
 func Explore(sys *core.System, opts Options) (*LTS, error) {
 	l := &LTS{sys: sys}
 	if _, err := Stream(sys, opts, l); err != nil {

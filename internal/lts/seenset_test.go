@@ -206,7 +206,9 @@ func TestSpillRoundTrip(t *testing.T) {
 // unbudgeted work-stealing run's frontier peak must shrink by an order
 // of magnitude when a tight budget is imposed (exact equality is not
 // promised — each worker's unpublished tail chunk and in-flight entries
-// cannot be evicted).
+// cannot be evicted). A one-worker unordered run with a budget must
+// spill too, not stay on the resident FIFO, and still explore the
+// FIFO's states, edges and deadlocks.
 func TestMemBudgetBoundsPeak(t *testing.T) {
 	grid, err := models.CounterGrid(6, 4)
 	if err != nil {
@@ -228,6 +230,13 @@ func TestMemBudgetBoundsPeak(t *testing.T) {
 		t.Fatalf("budgeted peak %d is not meaningfully below the unbudgeted %d",
 			stats.PeakFrontierBytes, unbounded.PeakFrontierBytes)
 	}
+
+	fifo := explore(t, grid, Options{})
+	one, oneStats := exploreStats(t, grid, Options{Workers: 1, Order: Unordered, MemBudget: 4 * frontierEntryBytes(grid)})
+	if oneStats.SpilledChunks == 0 {
+		t.Fatal("one-worker unordered run under a 4-entry budget spilled nothing")
+	}
+	requireSameCanonical(t, "workers=1", fifo, one)
 }
 
 // Cancellation: both drivers must notice a fired context and return its

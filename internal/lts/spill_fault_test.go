@@ -51,9 +51,9 @@ func requireHygiene(t *testing.T, name string, h *faultfs.Hooks) {
 
 // TestSpillFaultSurfacesCleanly injects the first WriteAt, the first
 // ReadAt, and the CreateTemp failure into runs at workers 1/4/8 in
-// both orders. Only the unordered multi-worker runs have a spill layer
-// to fault (MemBudget is documented as ignored elsewhere), so those
-// must fail with the spill error as the run's first terminal error;
+// both orders. Only the unordered runs have a spill layer to fault
+// (MemBudget is documented as ignored under the deterministic order),
+// so those must fail with the spill error as the run's first terminal error;
 // every other configuration must complete untouched. No configuration
 // may panic, hang, or leak the temp file.
 func TestSpillFaultSurfacesCleanly(t *testing.T) {
@@ -88,7 +88,7 @@ func TestSpillFaultSurfacesCleanly(t *testing.T) {
 					FS:        h,
 				}
 				l, err := Explore(sys, opts)
-				spills := w > 1 && order == Unordered
+				spills := order == Unordered
 				if spills {
 					if err == nil || !errors.Is(err, injected) {
 						t.Fatalf("%s: injected fault did not surface: err = %v", name, err)

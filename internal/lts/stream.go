@@ -21,12 +21,14 @@ import (
 //
 // The loop is written once and parameterised by its frontier only:
 //
-//   - Deterministic order, or one worker: a FIFO queue drained by one
-//     worker on the calling goroutine. Ids follow BFS discovery order,
-//     so every sink sees the same stream at any Options.Workers value,
-//     and the cycle proviso can be level-bounded (see expandFlush).
-//   - Unordered order with Workers > 1: per-worker chunked deques with
-//     steal-half balancing and an optional disk spill (wsteal.go).
+//   - Deterministic order, or one worker without a MemBudget: a FIFO
+//     queue drained by one worker on the calling goroutine. Ids follow
+//     BFS discovery order, so every sink sees the same stream at any
+//     Options.Workers value, and the cycle proviso can be level-bounded
+//     (see expandFlush).
+//   - Unordered order with Workers > 1 or a MemBudget: per-worker
+//     chunked deques with steal-half balancing and an optional disk
+//     spill (wsteal.go).
 //
 // The frontier also admits states (reserves ids under MaxStates) and
 // decides when the exploration is over: the FIFO with plain counters
@@ -89,9 +91,10 @@ const (
 	// effect (DESIGN.md records why there is no deterministic parallel
 	// exploration).
 	Deterministic Order = iota
-	// Unordered with Workers > 1 runs the loop on work-stealing deques
-	// (wsteal.go): per-worker chunked deques with steal-half balancing
-	// and no barrier anywhere on the hot path. Events are emitted as
+	// Unordered with Workers > 1 (or a MemBudget, which only the deques
+	// honour) runs the loop on work-stealing deques (wsteal.go):
+	// per-worker chunked deques with steal-half balancing and no barrier
+	// anywhere on the hot path. Events are emitted as
 	// expansion completes, so state numbering and stream order vary run
 	// to run; the relaxed Sink contract below still holds. Prefer it
 	// whenever only verdicts, the state set, or canonical analyses
@@ -136,8 +139,8 @@ func announceOrder(sink Sink, o Order) {
 //   - Done(truncated) once, after the full (possibly truncated)
 //     exploration — but not after an ErrStop.
 //
-// With Options.Order == Unordered and Workers > 1, the work-stealing
-// frontier relaxes the ordering only: ids are still dense and unique,
+// On the work-stealing frontier (Options.Order == Unordered with
+// Workers > 1 or a MemBudget) the stream relaxes the ordering only: ids are still dense and unique,
 // OnState(0) is still the first event, every state's OnState still
 // precedes both every OnEdge mentioning it (either endpoint) and its
 // own OnExpanded — but ids arrive in no particular order, edges of one
@@ -263,11 +266,11 @@ type Stats struct {
 
 // Stream explores the reachable state space of sys breadth-first and
 // feeds the event stream to sink. Options.Order == Unordered with
-// Options.Workers > 1 runs the loop on work-stealing deques
-// (wsteal.go); every other configuration runs it at one worker on a
-// FIFO queue, whose stream is the deterministic one. Stream returns
-// once the space is exhausted, the MaxStates bound is hit, or the sink
-// stops it.
+// Options.Workers > 1 or a positive Options.MemBudget runs the loop on
+// work-stealing deques (wsteal.go); every other configuration runs it
+// at one worker on a FIFO queue, whose stream is the deterministic one.
+// Stream returns once the space is exhausted, the MaxStates bound is
+// hit, or the sink stops it.
 func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
@@ -283,10 +286,14 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	order := Unordered
-	if workers <= 1 || opts.Order != Unordered {
+	if opts.Order != Unordered || (workers <= 1 && opts.MemBudget <= 0) {
 		// One worker produces the deterministic stream by construction,
 		// whatever Order asks for — announce what the sink will see.
 		order, workers = Deterministic, 1
+	} else if workers < 1 {
+		// A one-worker unordered run with a budget runs on the deques,
+		// whose frontier can spill; the FIFO's stays resident.
+		workers = 1
 	}
 	announceOrder(sink, order)
 

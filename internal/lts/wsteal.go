@@ -8,9 +8,10 @@ import (
 )
 
 // This file implements the work-stealing frontier behind Stream when
-// Options.Workers > 1 and Options.Order == Unordered; the worker loop
-// that drains it is the shared one in stream.go. There is no barrier
-// anywhere on the hot path:
+// Options.Order == Unordered with Options.Workers > 1 or a MemBudget
+// (it is the only frontier that spills); the worker loop that drains it
+// is the shared one in stream.go. There is no barrier anywhere on the
+// hot path:
 //
 //   - Pending entries live in per-worker deques of fixed-size chunks. A
 //     worker pushes and pops its newest chunk privately (no lock, good

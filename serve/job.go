@@ -35,10 +35,11 @@ type JobRequest struct {
 // FIFO frontier whatever Workers says; Workers speeds up only order
 // "fast" (the same loop on work-stealing deques), and is clamped to the
 // host's GOMAXPROCS. Order "fast" with Workers omitted explores with
-// one worker, which is the FIFO frontier again. MemBudget bounds only
-// the work-stealing deques, so it is rejected under order "det" (or
-// omitted), whose FIFO frontier stays resident, rather than accepted and
-// ignored.
+// one worker, which is the FIFO frontier again unless MemBudget is set.
+// MemBudget bounds only the work-stealing deques, which order "fast"
+// then runs at any worker count, so it is rejected under order "det"
+// (or omitted), whose FIFO frontier stays resident, rather than
+// accepted and ignored.
 type JobOptions struct {
 	Workers   int    `json:"workers,omitempty"`
 	Order     string `json:"order,omitempty"` // "det" (default) | "fast"

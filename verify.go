@@ -261,9 +261,9 @@ func CompactSeen() Option {
 
 // MemBudget caps the frontier's resident memory (bytes, accounted by a
 // deterministic per-entry model — see Report.PeakFrontierBytes). Under
-// Unordered multi-worker exploration, frontier chunks beyond the budget
-// spill to a temporary file as flat binary state keys and stream back
-// as workers drain; Report.SpilledChunks counts the round trips. The
+// Unordered exploration, at any worker count, frontier chunks beyond the
+// budget spill to a temporary file as flat binary state keys and stream
+// back as workers drain; Report.SpilledChunks counts the round trips. The
 // visited-state verdict contract is unchanged — spilled states decode
 // bit-identically. Zero (the default) means no budget; the option has
 // no effect on the deterministic order, whose sequential explorer keeps
