@@ -32,7 +32,9 @@ var ErrInvariantViolated = engine.ErrInvariantViolated
 func NewRandomScheduler(seed int64) *RandomScheduler { return engine.NewRandomScheduler(seed) }
 
 // Run executes sys with the single-threaded engine until deadlock or the
-// step bound, driven by an incremental step context.
+// step bound, deriving each state's moves incrementally from its
+// predecessor's. The states it hands to the scheduler and OnStep are
+// immutable.
 func Run(sys *System, opts RunOptions) (*RunResult, error) { return engine.Run(sys, opts) }
 
 // RunMT executes sys with the multi-threaded engine: each atom runs in
