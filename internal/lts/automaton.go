@@ -20,9 +20,11 @@ import (
 // observer states, so the checker computes product reachability — the
 // set of (system state, observer state) pairs — incrementally over the
 // stream. What it retains per visited state is a handful of 64-bit
-// words (observer-state bitsets and pre-evaluated predicate bits) and
-// per edge a compact pointer-free record (target id, interned label
-// id); materialized states are still released with the frontier.
+// words (observer-state bitsets and pre-evaluated predicate bits), per
+// edge a compact pointer-free record (target id, interned label id) and
+// per claimed pair its product-BFS-tree edge, all in append-only
+// chunked tables; materialized states are still released with the
+// frontier.
 // That is O(V+E) machine words against the materialized LTS's O(V)
 // full states plus O(E) edges plus the BFS tree, and early exit on the
 // first violation still skips the space behind it.
@@ -109,18 +111,28 @@ func (o *Observer) EvBits(label string) uint64 {
 
 // obsCell is the checker's per-system-state record: the observer states
 // known to be reachable at the state, the subset already propagated
-// through its outgoing edges, and the state's pre-evaluated predicate
-// bits (the state itself is not retained).
+// through its outgoing edges, the state's pre-evaluated predicate bits
+// (the state itself is not retained), the head of its pair list and
+// where its edges are. 32 bytes, no pointers.
 type obsCell struct {
 	obs  uint64
 	done uint64
 	pred uint64
+	// pairs heads the state's list in the pair table, one entry per
+	// claimed observer state but the initial pair's (index + 1; 0 ends
+	// the list), so at most popcount(obs) entries.
+	pairs int32
+	// edges locates the state's recorded edges. On a deterministic
+	// stream it is the end of the state's range in edges, which starts
+	// at the previous state's end; on an unordered stream it heads the
+	// state's list in uEdges (index + 1; 0 ends the list).
+	edges int32
 }
 
 // The per-edge and per-pair records below name the interaction label by
-// its id in the check's label table (AutomatonCheck.labelID), so they
-// hold no pointers: the GC neither scans the edge slices nor the parents
-// map, and growing them pays no write barriers.
+// its id in the check's label table (AutomatonCheck.labelID), and link
+// records by index, so they hold no pointers: the GC scans none of the
+// tables, and growing them pays no write barriers.
 
 // aEdge is one recorded edge of the product propagation graph: target
 // state and label id, 8 bytes.
@@ -129,23 +141,25 @@ type aEdge struct {
 	label int32
 }
 
-// aParent is the product-BFS-tree edge of a (system state, observer
-// state) pair: the pair that first produced it and the interaction
-// label id of that step. The chain back to the initial pair is the
-// counterexample path.
-type aParent struct {
-	state int32
-	label int32
-	obs   int8
+// aPair is a claimed (system state, observer state) pair with its
+// product-BFS-tree edge: the pair that first produced it and the
+// interaction label id of that step. The chain back to the initial pair
+// is the counterexample path. 16 bytes.
+type aPair struct {
+	from    int32 // the parent pair's system state
+	label   int32
+	next    int32 // next pair of the same state (index + 1; 0 ends the list)
+	obs     int8  // this pair's observer state
+	fromObs int8  // the parent pair's observer state
 }
 
 // uaEdge is one recorded edge of the unordered propagation graph: the
-// per-source edge lists are intrusive linked lists (heads/next) because
-// an unordered stream interleaves sources arbitrarily, so a flat
-// offsets table cannot be built. 12 bytes per edge.
+// per-source edge lists are intrusive linked lists because an unordered
+// stream interleaves sources arbitrarily, so contiguous per-source
+// ranges cannot be built. 12 bytes per edge.
 type uaEdge struct {
 	to    int32
-	next  int32 // next edge of the same source; -1 ends the list
+	next  int32 // next edge of the same source (index + 1; 0 ends the list)
 	label int32
 }
 
@@ -156,6 +170,11 @@ type uaEdge struct {
 // NewAutomatonCheck. The verdict — the violating system state in
 // propagation order and the product path to it — is deterministic and
 // worker-count independent because the event stream is.
+//
+// Per state and per edge it allocates nothing and hashes nothing but
+// the label: cells, edges and pairs live in append-only chunked tables
+// indexed by state id, edge and pair index, and the predicates are
+// evaluated on a scratch state the checker owns.
 type AutomatonCheck struct {
 	// Obs is the compiled observer; see bip/prop for the algebra that
 	// builds one.
@@ -170,11 +189,14 @@ type AutomatonCheck struct {
 	labels   []string
 	evBits   []uint64
 
-	cells   []obsCell
-	edges   []aEdge
-	offsets []int32 // offsets[i]..offsets[i+1] bound state i's edges
-	queue   []int32 // FIFO worklist of states with unpropagated bits
-	parents map[uint64]aParent
+	// scratch holds the state OnState is evaluating the predicates on;
+	// it is cleared afterwards, so it retains nothing.
+	scratch core.State
+
+	cells table[obsCell] // indexed by state id
+	edges table[aEdge]   // deterministic stream: per-source ranges
+	pairs table[aPair]
+	queue []int32 // FIFO worklist of states with unpropagated bits
 	// expanded is the count of states whose edge lists are complete;
 	// OnExpanded arrives in increasing id order, so ids < expanded are
 	// safe to propagate through.
@@ -186,8 +208,7 @@ type AutomatonCheck struct {
 	// schedule-dependent order, so Found/Exhaustive are identical while
 	// the particular bad pair (and path) may differ.
 	unordered bool
-	heads     []int32
-	uEdges    []uaEdge
+	uEdges    table[uaEdge]
 }
 
 var (
@@ -197,12 +218,7 @@ var (
 
 // NewAutomatonCheck returns a checker for the observer.
 func NewAutomatonCheck(obs *Observer) *AutomatonCheck {
-	return &AutomatonCheck{
-		Obs:      obs,
-		labelIDs: make(map[string]int32),
-		offsets:  []int32{0},
-		parents:  make(map[uint64]aParent),
-	}
+	return &AutomatonCheck{Obs: obs, labelIDs: make(map[string]int32)}
 }
 
 // labelID interns label, resolving its rule bitset on first sight.
@@ -217,10 +233,6 @@ func (c *AutomatonCheck) labelID(label string) int32 {
 	return id
 }
 
-func pairKey(state int32, obs int) uint64 {
-	return uint64(uint32(state))<<6 | uint64(obs)
-}
-
 // SetStreamOrder implements OrderSink: the unordered mode switches to
 // per-source edge lists and event-driven propagation.
 func (c *AutomatonCheck) SetStreamOrder(o Order) {
@@ -232,19 +244,18 @@ func (c *AutomatonCheck) SetStreamOrder(o Order) {
 // observer's initial observation. An unordered stream delivers ids in
 // arbitrary (dense) order; OnState(0) is first either way.
 func (c *AutomatonCheck) OnState(id int, st core.State, d Discovery) error {
-	pred := c.Obs.PredBits(&st)
+	c.scratch = st
+	pred := c.Obs.PredBits(&c.scratch)
+	c.scratch = core.State{}
 	if c.unordered {
-		for len(c.cells) <= id {
-			c.cells = append(c.cells, obsCell{})
-			c.heads = append(c.heads, -1)
-		}
-		c.cells[id].pred = pred
+		c.cells.extend(int32(id) + 1)
+		c.cells.at(int32(id)).pred = pred
 	} else {
-		c.cells = append(c.cells, obsCell{pred: pred})
+		c.cells.push(obsCell{pred: pred})
 	}
 	if id == 0 {
 		q0 := c.Obs.Step(c.Obs.Init, c.Obs.InitBits, pred)
-		c.cells[0].obs = 1 << uint(q0)
+		c.cells.at(0).obs = 1 << uint(q0)
 		if c.Obs.Bad&(1<<uint(q0)) != 0 {
 			return c.settleProduct(0, q0)
 		}
@@ -265,18 +276,19 @@ func (c *AutomatonCheck) OnState(id int, st core.State, d Discovery) error {
 // incremental fixpoint exact under any event interleaving.
 func (c *AutomatonCheck) OnEdge(from, to int, label string) error {
 	id := c.labelID(label)
-	if c.unordered {
-		c.uEdges = append(c.uEdges, uaEdge{to: int32(to), next: c.heads[from], label: id})
-		c.heads[from] = int32(len(c.uEdges) - 1)
-		if done := c.cells[from].done; done != 0 {
-			if err := c.pushBits(int32(from), done, &c.uEdges[len(c.uEdges)-1]); err != nil {
-				return err
-			}
-			return c.drainU()
-		}
+	if !c.unordered {
+		c.edges.push(aEdge{to: int32(to), label: id})
 		return nil
 	}
-	c.edges = append(c.edges, aEdge{to: int32(to), label: id})
+	src := c.cells.at(int32(from))
+	ei := c.uEdges.push(uaEdge{to: int32(to), next: src.edges, label: id})
+	src.edges = ei + 1
+	if done := src.done; done != 0 {
+		if err := c.pushBits(int32(from), done, c.uEdges.at(ei)); err != nil {
+			return err
+		}
+		return c.drainU()
+	}
 	return nil
 }
 
@@ -290,10 +302,19 @@ func (c *AutomatonCheck) OnExpanded(id, moves int) error {
 	if c.unordered {
 		return nil
 	}
-	c.offsets = append(c.offsets, int32(len(c.edges)))
+	c.cells.at(int32(id)).edges = c.edges.len()
 	c.expanded = id + 1
 	c.queue = append(c.queue, int32(id))
 	return c.drain()
+}
+
+// claim records the new pair (tc's state, q2), reached from the pair
+// (from, q) over the edge labelled label, at the head of tc's pair
+// list. Each pair is claimed once, so each state's list holds at most
+// one entry per observer state.
+func (c *AutomatonCheck) claim(tc *obsCell, from int32, q, q2 int, label int32) {
+	tc.obs |= 1 << uint(q2)
+	tc.pairs = c.pairs.push(aPair{from: from, label: label, next: tc.pairs, obs: int8(q2), fromObs: int8(q)}) + 1
 }
 
 // drain runs the FIFO worklist: for each queued state, the observer
@@ -305,14 +326,19 @@ func (c *AutomatonCheck) OnExpanded(id, moves int) error {
 func (c *AutomatonCheck) drain() error {
 	for head := 0; head < len(c.queue); head++ {
 		x := c.queue[head]
-		cell := &c.cells[x]
+		cell := c.cells.at(x)
 		newBits := cell.obs &^ cell.done
 		if newBits == 0 {
 			continue
 		}
 		cell.done |= newBits
-		for _, e := range c.edges[c.offsets[x]:c.offsets[x+1]] {
-			tc := &c.cells[e.to]
+		var first int32
+		if x > 0 {
+			first = c.cells.at(x - 1).edges
+		}
+		for ei := first; ei < cell.edges; ei++ {
+			e := c.edges.at(ei)
+			tc := c.cells.at(e.to)
 			ev := c.evBits[e.label]
 			for bs := newBits; bs != 0; bs &= bs - 1 {
 				q := bits.TrailingZeros64(bs)
@@ -320,8 +346,7 @@ func (c *AutomatonCheck) drain() error {
 				if tc.obs&(1<<uint(q2)) != 0 {
 					continue
 				}
-				tc.obs |= 1 << uint(q2)
-				c.parents[pairKey(e.to, q2)] = aParent{state: x, obs: int8(q), label: e.label}
+				c.claim(tc, x, q, q2, e.label)
 				if c.Obs.Bad&(1<<uint(q2)) != 0 {
 					c.queue = c.queue[:0]
 					return c.settleProduct(int(e.to), q2)
@@ -340,7 +365,7 @@ func (c *AutomatonCheck) drain() error {
 // (state, observer) pairs: the per-edge propagation primitive of the
 // unordered mode.
 func (c *AutomatonCheck) pushBits(from int32, bs uint64, e *uaEdge) error {
-	tc := &c.cells[e.to]
+	tc := c.cells.at(e.to)
 	ev := c.evBits[e.label]
 	for ; bs != 0; bs &= bs - 1 {
 		q := bits.TrailingZeros64(bs)
@@ -348,8 +373,7 @@ func (c *AutomatonCheck) pushBits(from int32, bs uint64, e *uaEdge) error {
 		if tc.obs&(1<<uint(q2)) != 0 {
 			continue
 		}
-		tc.obs |= 1 << uint(q2)
-		c.parents[pairKey(e.to, q2)] = aParent{state: from, obs: int8(q), label: e.label}
+		c.claim(tc, from, q, q2, e.label)
 		if c.Obs.Bad&(1<<uint(q2)) != 0 {
 			c.queue = c.queue[:0]
 			return c.settleProduct(int(e.to), q2)
@@ -366,16 +390,18 @@ func (c *AutomatonCheck) pushBits(from int32, bs uint64, e *uaEdge) error {
 func (c *AutomatonCheck) drainU() error {
 	for head := 0; head < len(c.queue); head++ {
 		x := c.queue[head]
-		cell := &c.cells[x]
+		cell := c.cells.at(x)
 		newBits := cell.obs &^ cell.done
 		if newBits == 0 {
 			continue
 		}
 		cell.done |= newBits
-		for ei := c.heads[x]; ei >= 0; ei = c.uEdges[ei].next {
-			if err := c.pushBits(x, newBits, &c.uEdges[ei]); err != nil {
+		for ei := cell.edges; ei != 0; {
+			e := c.uEdges.at(ei - 1)
+			if err := c.pushBits(x, newBits, e); err != nil {
 				return err
 			}
+			ei = e.next
 		}
 	}
 	c.queue = c.queue[:0]
@@ -391,14 +417,8 @@ func (c *AutomatonCheck) settleProduct(state, obs int) error {
 	c.Found = true
 	c.State = state
 	var labels []string
-	s, q := int32(state), obs
-	for {
-		p, ok := c.parents[pairKey(s, q)]
-		if !ok {
-			break // the initial pair has no parent
-		}
+	for p, ok := c.parent(int32(state), obs); ok; p, ok = c.parent(p.from, int(p.fromObs)) {
 		labels = append(labels, c.labels[p.label])
-		s, q = p.state, int(p.obs)
 	}
 	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
 		labels[i], labels[j] = labels[j], labels[i]
@@ -406,6 +426,19 @@ func (c *AutomatonCheck) settleProduct(state, obs int) error {
 	c.Path = labels
 	c.release()
 	return ErrStop
+}
+
+// parent returns the claim record of the pair (state, obs); the initial
+// pair has none.
+func (c *AutomatonCheck) parent(state int32, obs int) (aPair, bool) {
+	for pi := c.cells.at(state).pairs; pi != 0; {
+		p := c.pairs.at(pi - 1)
+		if int(p.obs) == obs {
+			return *p, true
+		}
+		pi = p.next
+	}
+	return aPair{}, false
 }
 
 // Done implements Sink: with full coverage the product fixpoint is
@@ -418,7 +451,76 @@ func (c *AutomatonCheck) Done(truncated bool) error {
 // release drops the propagation tables once the check can no longer be
 // fed events.
 func (c *AutomatonCheck) release() {
-	c.cells, c.edges, c.offsets, c.queue, c.parents = nil, nil, nil, nil, nil
-	c.heads, c.uEdges = nil, nil
+	c.cells, c.edges, c.pairs, c.uEdges = table[obsCell]{}, table[aEdge]{}, table[aPair]{}, table[uaEdge]{}
+	c.queue = nil
 	c.labelIDs, c.labels, c.evBits = nil, nil, nil
+}
+
+// tableShift sets a table's chunk size: 1<<tableShift records.
+const tableShift = 12
+
+// tableFirst is the first chunk's initial length. A run of a few
+// hundred states (bipd's typical job) never fills a full chunk, so the
+// first one starts small and doubles up to the full size.
+const tableFirst = 64
+
+// table is an append-only array of pointer-free records stored in
+// chunks of 1<<tableShift records. A full chunk is never moved or
+// copied, so growing a table neither copies what it holds nor keeps two
+// copies alive, and its storage stays within one chunk of its length;
+// only the first chunk is reallocated while it doubles to full size.
+// Records must hold no pointers, so that the chunks are not scanned by
+// the GC. The zero table is empty.
+type table[T any] struct {
+	chunks [][]T
+	n      int32
+}
+
+// len returns the number of records.
+func (t *table[T]) len() int32 { return t.n }
+
+// at returns record i, which must be below len. The pointer is valid
+// until the next push or extend.
+func (t *table[T]) at(i int32) *T {
+	return &t.chunks[i>>tableShift][i&(1<<tableShift-1)]
+}
+
+// push appends v and returns its index.
+func (t *table[T]) push(v T) int32 {
+	i := t.n
+	c, o := int(i>>tableShift), int(i&(1<<tableShift-1))
+	if c >= len(t.chunks) || o >= len(t.chunks[c]) {
+		t.reserve(i + 1)
+	}
+	t.chunks[c][o] = v
+	t.n = i + 1
+	return i
+}
+
+// extend grows the table to n zero records if it is shorter.
+func (t *table[T]) extend(n int32) {
+	if n > t.n {
+		t.reserve(n)
+		t.n = n
+	}
+}
+
+// reserve makes room for n > 0 records: it doubles the first chunk up
+// to full size as far as n needs, then adds full chunks.
+func (t *table[T]) reserve(n int32) {
+	if len(t.chunks) == 0 {
+		t.chunks = append(t.chunks, make([]T, tableFirst))
+	}
+	if first := t.chunks[0]; len(first) < 1<<tableShift && int(n) > len(first) {
+		size := len(first)
+		for size < int(n) && size < 1<<tableShift {
+			size *= 2
+		}
+		grown := make([]T, size)
+		copy(grown, first)
+		t.chunks[0] = grown
+	}
+	for int((n-1)>>tableShift) >= len(t.chunks) {
+		t.chunks = append(t.chunks, make([]T, 1<<tableShift))
+	}
 }

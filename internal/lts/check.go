@@ -190,8 +190,8 @@ func (m *Multi) SetStreamOrder(o Order) {
 	}
 }
 
-// forward delivers one event to every active child.
-func (m *Multi) forward(f func(Sink) error) error {
+// OnState implements Sink.
+func (m *Multi) OnState(id int, st core.State, d Discovery) error {
 	if m.active == 0 {
 		return ErrStop
 	}
@@ -199,33 +199,63 @@ func (m *Multi) forward(f func(Sink) error) error {
 		if m.stopped[i] {
 			continue
 		}
-		if err := f(s); err != nil {
-			if !errors.Is(err, ErrStop) {
+		if err := s.OnState(id, st, d); err != nil {
+			if err := m.retire(i, err); err != nil {
 				return err
-			}
-			m.stopped[i] = true
-			m.active--
-			if m.active == 0 {
-				return ErrStop
 			}
 		}
 	}
 	return nil
 }
 
-// OnState implements Sink.
-func (m *Multi) OnState(id int, st core.State, d Discovery) error {
-	return m.forward(func(s Sink) error { return s.OnState(id, st, d) })
-}
-
 // OnEdge implements Sink.
 func (m *Multi) OnEdge(from, to int, label string) error {
-	return m.forward(func(s Sink) error { return s.OnEdge(from, to, label) })
+	if m.active == 0 {
+		return ErrStop
+	}
+	for i, s := range m.sinks {
+		if m.stopped[i] {
+			continue
+		}
+		if err := s.OnEdge(from, to, label); err != nil {
+			if err := m.retire(i, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // OnExpanded implements Sink.
 func (m *Multi) OnExpanded(id, moves int) error {
-	return m.forward(func(s Sink) error { return s.OnExpanded(id, moves) })
+	if m.active == 0 {
+		return ErrStop
+	}
+	for i, s := range m.sinks {
+		if m.stopped[i] {
+			continue
+		}
+		if err := s.OnExpanded(id, moves); err != nil {
+			if err := m.retire(i, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// retire handles child i's error: ErrStop retires the child, and ends
+// the run (ErrStop) once no child is active; any other error aborts.
+func (m *Multi) retire(i int, err error) error {
+	if !errors.Is(err, ErrStop) {
+		return err
+	}
+	m.stopped[i] = true
+	m.active--
+	if m.active == 0 {
+		return ErrStop
+	}
+	return nil
 }
 
 // Done implements Sink: it is delivered to the children that ran to the

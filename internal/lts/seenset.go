@@ -330,9 +330,10 @@ func (s *compactSeen) Promotions() int64 { return s.promotions }
 // of the operands), so two keys differing only in the HIGH bytes of a
 // word — e.g. a counter value whose encoding straddles a word boundary,
 // as in the deep-chain workload — would otherwise agree on every low
-// bit. Both the open-addressed seen-set tables and the shard selector
-// index with the low bits; without the avalanche they degenerate into
-// a handful of giant probe chains (measured 40x on deep-chain E18).
+// bit. The open-addressed seen-set tables index with the low bits and
+// the stripe selector (driver.stripe) with the top bits; without the
+// avalanche the tables degenerate into a handful of giant probe chains
+// (measured 40x on deep-chain E18).
 func hashKey(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for len(b) >= 8 {

@@ -162,6 +162,41 @@ func TestSeenSetsZeroWidthKeys(t *testing.T) {
 	}
 }
 
+// TestStripeProbeStartsIndependent pins the stripe selector against
+// the seen sets' probe start. Each stripe's table starts probing at
+// the low bits of the hash, so the stripe must not be chosen from them:
+// the keys routed to one stripe must start their probes at every
+// residue of h mod nShards, not at one.
+func TestStripeProbeStartsIndependent(t *testing.T) {
+	shards, shift := newShards(2, ExactSeen{}, 8)
+	n := len(shards)
+	if n < 2 {
+		t.Fatalf("two workers got %d stripes, want several", n)
+	}
+	d := &driver{shards: shards, shift: shift}
+	residues := make([]map[uint64]bool, n)
+	for i := range residues {
+		residues[i] = make(map[uint64]bool)
+	}
+	key := make([]byte, 8)
+	for k := uint64(0); k < 1<<14; k++ {
+		for b := range key {
+			key[b] = byte(k >> (8 * b))
+		}
+		h := hashKey(key)
+		for si := range shards {
+			if d.stripe(h) == &shards[si] {
+				residues[si][h&uint64(n-1)] = true
+			}
+		}
+	}
+	for si, r := range residues {
+		if len(r) != n {
+			t.Fatalf("stripe %d of %d: its keys start probing at %d of %d residues", si, n, len(r), n)
+		}
+	}
+}
+
 // TestSpillRoundTrip starves the work-stealing frontier: a budget of a
 // handful of entries forces nearly every published chunk through the
 // spill file and back, so the run only completes if spilled states

@@ -306,7 +306,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	}
 	d.raisePeaks(1, 1)
 	d.cond = sync.NewCond(&d.idleMu)
-	d.shards, d.mask = newShards(workers, opts.seenSets(), sys.BinaryKeyWidth())
+	d.shards, d.shift = newShards(workers, opts.seenSets(), sys.BinaryKeyWidth())
 	if opts.Progress != nil {
 		d.progress = &progressMeter{fn: opts.Progress, every: opts.ProgressEvery, last: time.Now()}
 		if d.progress.every <= 0 {
@@ -321,7 +321,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	}
 	key := sys.AppendBinaryKey(nil, init)
 	h0 := hashKey(key)
-	d.shards[h0&d.mask].seen.Add(h0, key, 0)
+	d.stripe(h0).seen.Add(h0, key, 0)
 	root := pentry{state: init, vec: initVec}
 	levelLast := int32(math.MaxInt32) // deques: any admitted successor escalates
 	if order == Deterministic {
@@ -490,12 +490,14 @@ type shard struct {
 }
 
 // newShards sizes the lock-striped dedup layer for a worker count, one
-// SeenSet stripe per shard. A single worker gets a single stripe that
-// it alone touches, so it has no lock.
-func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
-	nShards := 1
+// SeenSet stripe per shard, and returns the shift that picks a stripe
+// from a key hash (see driver.stripe). A single worker gets a single
+// stripe that it alone touches, so it has no lock.
+func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint) {
+	nShards, shift := 1, uint(64)
 	for workers > 1 && nShards < workers*8 && nShards < 256 {
 		nShards <<= 1
+		shift--
 	}
 	shards := make([]shard, nShards)
 	for i := range shards {
@@ -504,8 +506,15 @@ func newShards(workers int, seen SeenSets, keyWidth int) ([]shard, uint64) {
 			shards[i].mu = new(sync.Mutex)
 		}
 	}
-	return shards, uint64(nShards - 1)
+	return shards, shift
 }
+
+// stripe returns the stripe that owns keys of hash h. It picks the
+// stripe from the hash's top bits, because every seen set starts its
+// probe from the low bits: a stripe chosen by the low bits would hold
+// only keys that agree on them, all starting in 1/nShards of its slots.
+// With one stripe the shift is 64 and h>>64 is 0.
+func (d *driver) stripe(h uint64) *shard { return &d.shards[h>>d.shift] }
 
 // lock and unlock take mu unless it is nil. The locks of what only one
 // worker ever touches — the stripe and the sink of a FIFO run, whose
@@ -551,7 +560,7 @@ type driver struct {
 	progress  *progressMeter // nil without Options.Progress
 
 	shards []shard
-	mask   uint64
+	shift  uint // stripe selector: d.shards[h>>shift]
 
 	// Spill machinery (nil/0 unless the deque frontier runs under
 	// Options.MemBudget, wsteal.go): spill holds the chunks written out
@@ -768,7 +777,7 @@ func (w *worker) expandFlush(e *pentry) error {
 		}
 		ctx.Key = d.sys.AppendBinaryKey(ctx.Key[:0], *view)
 		h := hashKey(ctx.Key)
-		sh := &d.shards[h&d.mask]
+		sh := d.stripe(h)
 
 		lock(sh.mu)
 		id, dup := sh.seen.Find(h, ctx.Key)

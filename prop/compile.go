@@ -2,6 +2,7 @@ package prop
 
 import (
 	"fmt"
+	"sync"
 
 	"bip/internal/core"
 	"bip/internal/expr"
@@ -62,21 +63,22 @@ func compileChecker(c *compiler, p Prop) (*Compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("prop: %s: %w", p, err)
 		}
-		chk := &lts.InvariantCheck{Pred: func(st core.State) bool { return f(&st) }}
+		chk := &lts.InvariantCheck{Pred: onScratch(f)}
 		return &Compiled{Kind: q.Kind(), Sink: chk, Verdict: &chk.Verdict}, nil
 	case neverProp:
 		f, err := q.p.compilePred(c)
 		if err != nil {
 			return nil, fmt.Errorf("prop: %s: %w", p, err)
 		}
-		chk := &lts.InvariantCheck{Pred: func(st core.State) bool { return !f(&st) }}
+		holds := onScratch(f)
+		chk := &lts.InvariantCheck{Pred: func(st core.State) bool { return !holds(st) }}
 		return &Compiled{Kind: q.Kind(), Sink: chk, Verdict: &chk.Verdict}, nil
 	case reachableProp:
 		f, err := q.p.compilePred(c)
 		if err != nil {
 			return nil, fmt.Errorf("prop: %s: %w", p, err)
 		}
-		chk := &lts.ReachCheck{Pred: func(st core.State) bool { return f(&st) }}
+		chk := &lts.ReachCheck{Pred: onScratch(f)}
 		return &Compiled{Kind: q.Kind(), Sink: chk, Verdict: &chk.Verdict}, nil
 	case deadlockProp:
 		chk := &lts.DeadlockCheck{}
@@ -97,14 +99,39 @@ func compileChecker(c *compiler, p Prop) (*Compiled, error) {
 
 // CompilePred resolves and compiles a bare state predicate against sys,
 // for callers that want the fast closure outside a Verify run (tools,
-// benchmarks).
+// benchmarks). The closure is safe for concurrent use: each call
+// evaluates on a scratch state taken from a pool.
 func CompilePred(sys *core.System, p Pred) (func(core.State) bool, error) {
 	c := &compiler{sys: sys}
 	f, err := p.compilePred(c)
 	if err != nil {
 		return nil, fmt.Errorf("prop: %s: %w", p, err)
 	}
-	return func(st core.State) bool { return f(&st) }, nil
+	pool := sync.Pool{New: func() any { return new(core.State) }}
+	return func(st core.State) bool {
+		s := pool.Get().(*core.State)
+		*s = st
+		ok := f(s)
+		*s = core.State{}
+		pool.Put(s)
+		return ok
+	}, nil
+}
+
+// onScratch adapts a compiled predicate to the by-value form the lts
+// checkers take. Handing the address of a by-value state to a closure
+// the compiler cannot see into moves every state to the heap; the
+// adapter evaluates on one scratch state instead, cleared after each
+// call so that it keeps no state alive. A sink receives one event at a
+// time, so a checker's scratch is never shared.
+func onScratch(f predFn) func(core.State) bool {
+	var scratch core.State
+	return func(st core.State) bool {
+		scratch = st
+		ok := f(&scratch)
+		scratch = core.State{}
+		return ok
+	}
 }
 
 // compiler carries the resolution context.
