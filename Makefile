@@ -42,8 +42,12 @@ race:
 # work-stealing differential, spill, early-exit and goroutine-leak
 # tests, plus the deterministic-route tests (worker defaults, the golden
 # stream, cancellation, progress), which run the same admission, flush
-# and termination protocol on the one-worker FIFO frontier. Each pass
-# then repeats bipd's lifecycle tests (crash recovery, cancellation,
+# and termination protocol on the one-worker FIFO frontier, plus the
+# deadlock and compact-set counterexample tests, whose paths are read
+# from the BFS tree that every worker's flush writes. Each pass then
+# repeats the observer counterexample oracle at GOMAXPROCS 1, 2 and 4
+# (its product paths and verdicts come off that shared tree and the
+# unordered stream), then bipd's lifecycle tests (crash recovery, cancellation,
 # shutdown, degradation, panic isolation) at GOMAXPROCS 1, 2 and 4: a
 # job's terminal transition races between HTTP handlers and the worker
 # pool, and exactly one of them may win it. It then repeats the engines'
@@ -51,7 +55,7 @@ race:
 # coordinator writes data-transfer results into stores its components
 # offered before it sends their commands, and the distributed protocol
 # shares published stores across rounds. Each pass is its own test
-# process under the 600 s hang timeout: one pass takes about 30 s on 2
+# process under the 600 s hang timeout: one pass takes about 40 s on 2
 # CPUs, so a single -count=200 process could not finish inside any
 # timeout that still catches a hang promptly.
 # CI runs it with STRESS_COUNT=20.
@@ -60,8 +64,11 @@ stress:
 	@for i in $$(seq $(STRESS_COUNT)); do \
 		echo "stress pass $$i/$(STRESS_COUNT)"; \
 		$(GO) test -race -count=1 -cpu 1,2,4,8 \
-			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers' \
+			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths' \
 			-timeout 600s ./internal/lts || exit 1; \
+		$(GO) test -race -count=1 -cpu 1,2,4 \
+			-run ObserverCounterexampleOracle \
+			-timeout 600s . || exit 1; \
 		$(GO) test -race -count=1 -cpu 1,2,4 \
 			-run 'Crash|Recover|Cancel|Lifecycle|Shutdown|Degrade|Panic' \
 			-timeout 600s ./serve || exit 1; \

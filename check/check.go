@@ -9,15 +9,16 @@
 // exploration into any Sink. Every exploration runs one worker loop,
 // and only its frontier varies: under the default Deterministic order,
 // at any worker count, one worker drains a FIFO queue in breadth-first
-// order; under Unordered with Workers > 1, the workers share chunked
+// order; under Unordered with Workers > 1, or with a MemBudget at any
+// worker count (only the deques spill), the workers share chunked
 // work-stealing deques, with the same state set and verdicts but state
 // numbering and event order that depend on scheduling. A Sink
 // observes OnState / OnEdge / OnExpanded / Done events (in
 // deterministic order unless Unordered) and may stop the exploration
-// early by returning ErrStop; checkers retain O(frontier) live memory
-// and capture counterexample paths from the frontier-resident BFS tree
-// (Discovery.Path). Explore materializes the whole graph by running the
-// LTS itself as the sink.
+// early by returning ErrStop; checkers retain no states and capture
+// counterexample paths from the run's id-indexed BFS tree
+// (Discovery.Path), 8 bytes per admitted state. Explore materializes
+// the whole graph by running the LTS itself as the sink.
 package check
 
 import (
@@ -40,7 +41,8 @@ type (
 	Options = lts.Options
 	// Order selects the exploration loop's frontier: Deterministic
 	// runs one worker on the FIFO queue at any worker count; Unordered
-	// with Workers > 1 runs the workers on work-stealing deques.
+	// with Workers > 1 or a MemBudget (even at one worker) runs the
+	// workers on work-stealing deques.
 	Order = lts.Order
 	// OrderSink is the optional Sink extension through which drivers
 	// announce the stream order before the first event.
@@ -72,7 +74,7 @@ type (
 	// exploration; nil Options.Seen means ExactSeen.
 	SeenSets = lts.SeenSets
 	// ExactSeen selects exact dedup (the default): full binary keys in
-	// chunked arenas, keyWidth + ~12 bytes per visited state.
+	// chunked arenas, keyWidth + ~10–14 bytes per visited state.
 	ExactSeen = lts.ExactSeen
 	// CompactSeen selects hash-compacted dedup: ~12 bytes per visited
 	// state independent of key width, exact up to 64-bit hash
@@ -114,7 +116,8 @@ const (
 	// Unordered lets workers emit events as expansion completes: the
 	// same state set, edges, truncation flag and checker verdicts, with
 	// scheduling-dependent numbering — the fast path for verification
-	// runs that only need verdicts.
+	// runs that only need verdicts. It takes effect with Workers > 1 or
+	// a MemBudget; a one-worker run without a budget is deterministic.
 	Unordered = lts.Unordered
 )
 

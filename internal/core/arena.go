@@ -53,44 +53,93 @@ func carve[T any](buf *[]T, n int) []T {
 	return (*buf)[off : off+n : off+n]
 }
 
+// A nil *Slab allocates every slot from the heap instead, for the
+// from-scratch callers (System.EnabledVector, a StateFromBinaryKey
+// outside exploration).
+
 // Locs carves a location-header slot (one string per atom).
-func (s *Slab) Locs(n int) []string { return carve(&s.locs, n) }
+func (s *Slab) Locs(n int) []string {
+	if s == nil {
+		return make([]string, n)
+	}
+	return carve(&s.locs, n)
+}
 
 // Vars carves a variable-store-header slot (one store per atom).
-func (s *Slab) Vars(n int) []expr.Slots { return carve(&s.vars, n) }
+func (s *Slab) Vars(n int) []expr.Slots {
+	if s == nil {
+		return make([]expr.Slots, n)
+	}
+	return carve(&s.vars, n)
+}
 
 // Values carves a variable-value slot (one component's store).
-func (s *Slab) Values(n int) []expr.Value { return carve(&s.vals, n) }
+func (s *Slab) Values(n int) []expr.Value {
+	if s == nil {
+		return make([]expr.Value, n)
+	}
+	return carve(&s.vals, n)
+}
 
 // Vecs carves a move-table header (one move list per interaction).
-func (s *Slab) Vecs(n int) [][]Move { return carve(&s.vecs, n) }
+func (s *Slab) Vecs(n int) [][]Move {
+	if s == nil {
+		return make([][]Move, n)
+	}
+	return carve(&s.vecs, n)
+}
 
 // Moves carves a move-list slot.
-func (s *Slab) Moves(n int) []Move { return carve(&s.moves, n) }
+func (s *Slab) Moves(n int) []Move {
+	if s == nil {
+		return make([]Move, n)
+	}
+	return carve(&s.moves, n)
+}
 
 // Ints carves a choice-vector slot.
-func (s *Slab) Ints(n int) []int { return carve(&s.ints, n) }
+func (s *Slab) Ints(n int) []int {
+	if s == nil {
+		return make([]int, n)
+	}
+	return carve(&s.ints, n)
+}
 
-// MaterializeSlab returns a retained copy of the last executed
-// successor, with its Locs and Vars headers and the participants'
-// variable values carved from slab. Everything else is shared with the
-// predecessor, matching System.Exec's copy-on-write discipline. The
-// returned state is valid as long as the slab's chunks are, i.e. as
-// long as the state itself is retained.
-func (x *ScratchExec) MaterializeSlab(m Move, slab *Slab) State {
+// MaterializeSlab returns a retained copy of the last Step's successor,
+// with its Locs and Vars headers and the participants' variable values
+// carved from slab. Everything else is shared with the parent,
+// matching System.Exec's copy-on-write discipline. The returned state
+// is valid as long as the slab's chunks are, i.e. as long as the state
+// itself is retained.
+func (x *ScratchExec) MaterializeSlab(slab *Slab) State {
 	out := State{
 		Locs: slab.Locs(len(x.st.Locs)),
 		Vars: slab.Vars(len(x.st.Vars)),
 	}
 	copy(out.Locs, x.st.Locs)
 	copy(out.Vars, x.st.Vars)
-	for _, ai := range x.sys.portAtoms[m.Interaction] {
+	for _, ai := range x.stepped {
 		src := x.st.Vars[ai]
 		v := slab.Values(len(src.V))
 		copy(v, src.V)
 		out.Vars[ai] = expr.Slots{L: src.L, V: v}
 	}
 	return out
+}
+
+// Vector computes the complete per-interaction raw move table at st,
+// carved from slab. Exploration derives a successor's table from its
+// parent's with DeriveSlab instead; Vector serves the states that have
+// no parent table: the initial state and a state reloaded from the
+// spill file.
+func (d *TableDeriver) Vector(st State, slab *Slab) ([][]Move, error) {
+	vec := slab.Vecs(len(d.sys.Interactions))
+	for ii := range vec {
+		if err := d.recompute(vec, ii, &st, slab); err != nil {
+			return nil, err
+		}
+	}
+	return vec, nil
 }
 
 // DeriveSlab returns the move table of the state st reached by firing m
@@ -118,22 +167,30 @@ func (d *TableDeriver) DeriveSlab(parent [][]Move, m Move, st State, slab *Slab)
 	for _, ii := range d.dirtyList {
 		d.dirty[ii] = false
 	}
-	var err error
 	for _, ii := range d.dirtyList {
-		// Recompute into the reusable scratch first: movesOfInteraction
-		// appends incrementally, and a slab slot must be carved at its
-		// final size.
-		d.scratch, err = sys.movesOfInteractionSlab(&st, ii, d.scratch[:0], d.frame, slab)
-		if err != nil {
+		if err := d.recompute(vec, ii, &st, slab); err != nil {
 			return nil, err
 		}
-		if len(d.scratch) == 0 {
-			vec[ii] = nil
-			continue
-		}
-		ms := slab.Moves(len(d.scratch))
-		copy(ms, d.scratch)
-		vec[ii] = ms
 	}
 	return vec, nil
+}
+
+// recompute sets vec[ii] to interaction ii's moves at st, carved from
+// slab. The moves are collected in the reusable scratch first:
+// movesOfInteraction appends incrementally, and a slab slot must be
+// carved at its final size.
+func (d *TableDeriver) recompute(vec [][]Move, ii int, st *State, slab *Slab) error {
+	var err error
+	d.scratch, err = d.sys.movesOfInteraction(st, ii, d.scratch[:0], d.frame, slab)
+	if err != nil {
+		return err
+	}
+	if len(d.scratch) == 0 {
+		vec[ii] = nil
+		return nil
+	}
+	ms := slab.Moves(len(d.scratch))
+	copy(ms, d.scratch)
+	vec[ii] = ms
+	return nil
 }

@@ -1,8 +1,8 @@
 package core
 
 // ExploreCtx bundles the per-worker mutable machinery of state-space
-// exploration: a table deriver, a scratch executor, and reusable move
-// and key buffers. A single ExploreCtx is not safe for concurrent use,
+// exploration: a table deriver, a scratch executor (which also patches
+// successor keys), a slab and a reusable move buffer. A single ExploreCtx is not safe for concurrent use,
 // but distinct instances over the same System are: a validated System is
 // read-only (Validate precomputes every index, scope, compiled closure
 // and scratch-sizing, and nothing in the semantics writes to it
@@ -19,8 +19,6 @@ type ExploreCtx struct {
 	Slab *Slab
 	// Moves is the reusable buffer for per-state enabled-move lists.
 	Moves []Move
-	// Key is the reusable buffer for fixed-width binary state keys.
-	Key []byte
 }
 
 // NewExploreCtx returns a fresh exploration context for s. The system
@@ -30,6 +28,5 @@ func (s *System) NewExploreCtx() *ExploreCtx {
 		Deriver: s.NewTableDeriver(),
 		Scratch: s.NewScratchExec(),
 		Slab:    &Slab{},
-		Key:     make([]byte, 0, s.BinaryKeyWidth()),
 	}
 }

@@ -94,33 +94,26 @@ func (s *System) AppendBinaryKey(buf []byte, st State) []byte {
 
 // StateFromBinaryKey inverts AppendBinaryKey: it rebuilds a
 // materialized State from one fixed-width binary key (exactly
-// BinaryKeyWidth bytes). Round-tripping is exact — the decoded state
+// BinaryKeyWidth bytes), carving its headers and values from slab (a
+// nil slab allocates them). Round-tripping is exact — the decoded state
 // re-encodes to the same key and carries the atoms' own declared
 // location strings and layouts — which is what lets the exploration
 // drivers treat the key as the complete on-disk representation of a
 // spilled frontier state.
-func (s *System) StateFromBinaryKey(key []byte) (State, error) {
+func (s *System) StateFromBinaryKey(key []byte, slab *Slab) (State, error) {
 	if len(key) != s.keyWidth {
 		return State{}, fmt.Errorf("system %s: binary state key has %d bytes, want %d", s.Name, len(key), s.keyWidth)
 	}
-	st := State{Locs: make([]string, len(s.Atoms)), Vars: make([]expr.Slots, len(s.Atoms))}
-	n := 0
-	for _, a := range s.Atoms {
-		n += len(a.Vars)
-	}
-	vals := make([]expr.Value, n)
-	off := 0
+	st := State{Locs: slab.Locs(len(s.Atoms)), Vars: slab.Vars(len(s.Atoms))}
 	for i, a := range s.Atoms {
-		w := a.BinaryKeyWidth()
-		v := vals[:len(a.Vars):len(a.Vars)]
-		vals = vals[len(a.Vars):]
-		loc, err := a.DecodeBinaryKey(key[off:off+w], v)
+		off := s.keyOff[i]
+		v := slab.Values(len(a.Vars))
+		loc, err := a.DecodeBinaryKey(key[off:off+a.BinaryKeyWidth()], v)
 		if err != nil {
 			return State{}, fmt.Errorf("system %s: %w", s.Name, err)
 		}
 		st.Locs[i] = loc
 		st.Vars[i] = expr.Slots{L: a.Layout(), V: v}
-		off += w
 	}
 	return st, nil
 }
@@ -199,19 +192,13 @@ type Move struct {
 func (s *System) Label(m Move) string { return s.Interactions[m.Interaction].Name }
 
 // movesOfInteraction appends the moves of interaction index ii at st to
-// buf. Priorities are not applied here. This is the single-interaction
-// primitive both the from-scratch API and the incremental step context
-// build on. frame is the caller's scratch for compiled guard evaluation
-// (sized by newIFrame); it may be nil only when no interaction exports
-// variables.
-func (s *System) movesOfInteraction(st *State, ii int, buf []Move, frame []expr.Value) ([]Move, error) {
-	return s.movesOfInteractionSlab(st, ii, buf, frame, nil)
-}
-
-// movesOfInteractionSlab is movesOfInteraction with the moves' choice
-// vectors carved from slab when non-nil (exploration's per-worker
-// arenas) instead of heap-allocated.
-func (s *System) movesOfInteractionSlab(st *State, ii int, buf []Move, frame []expr.Value, slab *Slab) ([]Move, error) {
+// buf, with their choice vectors carved from slab (exploration's
+// per-worker arenas; nil allocates them). Priorities are not applied
+// here. This is the single-interaction primitive both the from-scratch
+// API and the incremental step context build on. frame is the caller's
+// scratch for compiled guard evaluation (sized by newIFrame); it may be
+// nil only when no interaction exports variables.
+func (s *System) movesOfInteraction(st *State, ii int, buf []Move, frame []expr.Value, slab *Slab) ([]Move, error) {
 	in := s.Interactions[ii]
 	pa := s.portAtoms[ii]
 	// Per-port enabled local transitions, on the stack for typical arities.
@@ -254,13 +241,8 @@ func (s *System) movesOfInteractionSlab(st *State, ii int, buf []Move, frame []e
 	var rec func(int)
 	rec = func(pi int) {
 		if pi == len(options) {
-			var cs []int
-			if slab != nil {
-				cs = slab.Ints(len(choice))
-				copy(cs, choice)
-			} else {
-				cs = append([]int(nil), choice...)
-			}
+			cs := slab.Ints(len(choice))
+			copy(cs, choice)
 			buf = append(buf, Move{Interaction: ii, Choices: cs})
 			return
 		}
@@ -279,7 +261,7 @@ func (s *System) EnabledRaw(st State) ([]Move, error) {
 	var err error
 	frame := s.newIFrame()
 	for ii := range s.Interactions {
-		out, err = s.movesOfInteraction(&st, ii, out, frame)
+		out, err = s.movesOfInteraction(&st, ii, out, frame, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -358,15 +340,33 @@ func (s *System) execInto(next *State, m Move, frame []expr.Value) error {
 	return nil
 }
 
-// ScratchExec executes moves into reusable buffers, so that exploration
-// can compute a successor's key — and discard already-visited successors
-// — without allocating anything. Only genuinely new states are
-// materialized. Not safe for concurrent use.
+// ScratchExec executes the successors of one parent state into
+// reusable buffers, so that exploration can compute a successor's key —
+// and discard already-visited successors — without allocating anything.
+// Only genuinely new states are materialized (MaterializeSlab).
+//
+// Firing an interaction changes only its participants, so a successor
+// costs O(participants), not O(atoms): Load copies the parent's headers
+// once per expansion, and each Step first restores the previous move's
+// participants from the parent, then clones and runs only its own. Key
+// patches the successor's binary key the same way, re-encoding only the
+// participants' records into a copy of the parent's key (encoded once,
+// on the first Key after Load) at the offsets fixed by Validate. Not
+// safe for concurrent use.
 type ScratchExec struct {
-	sys   *System
-	st    State
-	vals  [][]expr.Value // reusable per-atom value slices
-	frame []expr.Value   // scratch for compiled interaction actions
+	sys    *System
+	parent State
+	st     State
+	vals   [][]expr.Value // reusable per-atom value slices
+	frame  []expr.Value   // scratch for compiled interaction actions
+	// stepped lists the atoms whose entries in st differ from the
+	// parent's (the last Step's participants); keyed lists the atoms
+	// whose records in key differ from pkey. Both alias System.portAtoms.
+	stepped, keyed []int
+	// pkey is the parent's binary key once hasKey is set; key is the
+	// successor's, patched in place.
+	pkey, key []byte
+	hasKey    bool
 }
 
 // NewScratchExec returns a scratch executor for s.
@@ -378,11 +378,20 @@ func (s *System) NewScratchExec() *ScratchExec {
 	return &ScratchExec{sys: s, vals: vals, frame: s.newIFrame()}
 }
 
-// Exec fires m from st into the scratch buffers and returns a read-only
-// view of the successor, valid until the next Exec. The input state is
-// not mutated. Use MaterializeSlab to turn the view into a retained
-// state.
-func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
+// Load makes st the parent of the following Steps. st must stay
+// unmodified while it is loaded.
+func (x *ScratchExec) Load(st State) {
+	x.parent = st
+	x.st.Locs = append(x.st.Locs[:0], st.Locs...)
+	x.st.Vars = append(x.st.Vars[:0], st.Vars...)
+	x.stepped, x.keyed, x.hasKey = nil, nil, false
+}
+
+// Step fires m from the loaded parent into the scratch buffers and
+// returns a read-only view of the successor, valid until the next Step
+// or Load. The parent is not mutated. After an error the view is
+// garbage, but the next Step starts again from the parent.
+func (x *ScratchExec) Step(m Move) (*State, error) {
 	s := x.sys
 	if m.Interaction < 0 || m.Interaction >= len(s.Interactions) {
 		return nil, fmt.Errorf("system %s: move references interaction %d out of range", s.Name, m.Interaction)
@@ -391,10 +400,13 @@ func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
 		return nil, fmt.Errorf("system %s: move for %q has %d choices, want %d",
 			s.Name, s.Interactions[m.Interaction].Name, len(m.Choices), len(s.Interactions[m.Interaction].Ports))
 	}
-	x.st.Locs = append(x.st.Locs[:0], st.Locs...)
-	x.st.Vars = append(x.st.Vars[:0], st.Vars...)
-	for _, ai := range s.portAtoms[m.Interaction] {
-		src := st.Vars[ai]
+	for _, ai := range x.stepped {
+		x.st.Locs[ai] = x.parent.Locs[ai]
+		x.st.Vars[ai] = x.parent.Vars[ai]
+	}
+	x.stepped = s.portAtoms[m.Interaction]
+	for _, ai := range x.stepped {
+		src := x.parent.Vars[ai]
 		x.vals[ai] = append(x.vals[ai][:0], src.V...)
 		x.st.Vars[ai] = expr.Slots{L: src.L, V: x.vals[ai]}
 	}
@@ -402,6 +414,27 @@ func (x *ScratchExec) Exec(st State, m Move) (*State, error) {
 		return nil, err
 	}
 	return &x.st, nil
+}
+
+// Key returns the binary key (AppendBinaryKey) of the last successful
+// Step's successor, valid until the next Step, Key or Load.
+func (x *ScratchExec) Key() []byte {
+	s := x.sys
+	if !x.hasKey {
+		x.pkey = s.AppendBinaryKey(x.pkey[:0], x.parent)
+		x.key = append(x.key[:0], x.pkey...)
+		x.hasKey = true
+	}
+	for _, ai := range x.keyed {
+		off := s.keyOff[ai]
+		copy(x.key[off:off+s.Atoms[ai].BinaryKeyWidth()], x.pkey[off:])
+	}
+	x.keyed = x.stepped
+	for _, ai := range x.keyed {
+		off := s.keyOff[ai]
+		s.Atoms[ai].AppendBinaryKey(x.key[off:off], x.st.Local(ai))
+	}
+	return x.key
 }
 
 // CheckInvariants evaluates every atom-level invariant at st and returns

@@ -39,6 +39,7 @@ func TestStateFromBinaryKeyRoundTrip(t *testing.T) {
 
 	frontier := []State{sys.Initial()}
 	seen := map[string]bool{}
+	slab := &Slab{}
 	checked := 0
 	for level := 0; level < 6; level++ {
 		var next []State
@@ -47,7 +48,7 @@ func TestStateFromBinaryKeyRoundTrip(t *testing.T) {
 			if len(key) != sys.BinaryKeyWidth() {
 				t.Fatalf("key has %d bytes, want %d", len(key), sys.BinaryKeyWidth())
 			}
-			back, err := sys.StateFromBinaryKey(key)
+			back, err := sys.StateFromBinaryKey(key, slab)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -81,17 +82,17 @@ func TestStateFromBinaryKeyRoundTrip(t *testing.T) {
 
 	// Malformed inputs must error, not mis-decode.
 	good := sys.AppendBinaryKey(nil, sys.Initial())
-	if _, err := sys.StateFromBinaryKey(good[:len(good)-1]); err == nil {
+	if _, err := sys.StateFromBinaryKey(good[:len(good)-1], nil); err == nil {
 		t.Fatal("truncated key decoded")
 	}
 	bad := append([]byte(nil), good...)
 	bad[0], bad[1], bad[2], bad[3] = 0xff, 0xff, 0xff, 0xff // location index out of range
-	if _, err := sys.StateFromBinaryKey(bad); err == nil {
+	if _, err := sys.StateFromBinaryKey(bad, nil); err == nil {
 		t.Fatal("out-of-range location index decoded")
 	}
 	bad2 := append([]byte(nil), good...)
 	bad2[4] = 99 // unknown value tag in c0's first variable slot
-	if _, err := sys.StateFromBinaryKey(bad2); err == nil {
+	if _, err := sys.StateFromBinaryKey(bad2, nil); err == nil {
 		t.Fatal("unknown value tag decoded")
 	}
 }

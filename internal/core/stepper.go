@@ -108,16 +108,7 @@ func (s *System) enabledFromTable(table [][]Move, st *State, enabledInter []bool
 // st. Exploration keeps one table per frontier state and derives
 // successors' tables incrementally with a TableDeriver.
 func (s *System) EnabledVector(st State) ([][]Move, error) {
-	vec := make([][]Move, len(s.Interactions))
-	frame := s.newIFrame()
-	for ii := range s.Interactions {
-		ms, err := s.movesOfInteraction(&st, ii, nil, frame)
-		if err != nil {
-			return nil, err
-		}
-		vec[ii] = ms
-	}
-	return vec, nil
+	return s.NewTableDeriver().Vector(st, nil)
 }
 
 // TableDeriver derives successor move tables from parent tables,

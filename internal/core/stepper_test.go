@@ -134,7 +134,7 @@ func fmtMoves(sys *System, ms []Move) string {
 // TestStepperDifferential is the semantic-equivalence oracle required by
 // the incremental paths: on random systems, the from-scratch Enabled /
 // EnabledRaw and the derived-table path that exploration and the
-// single-threaded engine run (ScratchExec.MaterializeSlab,
+// single-threaded engine run (ScratchExec.Load/Step/MaterializeSlab,
 // TableDeriver.DeriveSlab, TableDeriver.Enabled/Raw) must produce
 // identical states and move sets after every step of random runs. The
 // walk continues from the slab-materialized state, as they do.
@@ -179,11 +179,12 @@ func TestStepperDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: Exec: %v", seed, step, err)
 			}
-			view, err := scratch.Exec(st, m)
+			scratch.Load(st)
+			view, err := scratch.Step(m)
 			if err != nil {
-				t.Fatalf("seed %d step %d: scratch Exec: %v", seed, step, err)
+				t.Fatalf("seed %d step %d: scratch Step: %v", seed, step, err)
 			}
-			mat := scratch.MaterializeSlab(m, slab)
+			mat := scratch.MaterializeSlab(slab)
 			if !view.Equal(next) || !mat.Equal(next) {
 				t.Fatalf("seed %d step %d: scratch successor diverges from Exec", seed, step)
 			}
@@ -353,10 +354,11 @@ func BenchmarkEnabledDerived(b *testing.B) {
 			b.Fatal(err)
 		}
 		m := ctx.Moves[i%len(ctx.Moves)]
-		if _, err := ctx.Scratch.Exec(st, m); err != nil {
+		ctx.Scratch.Load(st)
+		if _, err := ctx.Scratch.Step(m); err != nil {
 			b.Fatal(err)
 		}
-		st = ctx.Scratch.MaterializeSlab(m, ctx.Slab)
+		st = ctx.Scratch.MaterializeSlab(ctx.Slab)
 		if vec, err = ctx.Deriver.DeriveSlab(vec, m, st, ctx.Slab); err != nil {
 			b.Fatal(err)
 		}

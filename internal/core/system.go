@@ -128,8 +128,11 @@ type System struct {
 	icomp     []interComp
 	maxISlots int
 	// keyWidth is the size of the fixed-width binary state key
-	// (AppendBinaryKey): the sum of the atoms' record widths.
+	// (AppendBinaryKey): the sum of the atoms' record widths. keyOff[a]
+	// is the offset of atom a's record in it, which is what lets a
+	// successor's key be patched in place (ScratchExec.Key).
 	keyWidth int
+	keyOff   []int
 	// indep is the static independence structure (clusters, priority
 	// entanglement) partial-order reduction queries; independence.go.
 	indep *independence
@@ -224,7 +227,9 @@ func (s *System) Validate() error {
 	}
 	s.computeIndependence()
 	s.keyWidth = 0
-	for _, a := range s.Atoms {
+	s.keyOff = make([]int, len(s.Atoms))
+	for i, a := range s.Atoms {
+		s.keyOff[i] = s.keyWidth
 		s.keyWidth += a.BinaryKeyWidth()
 	}
 	return nil

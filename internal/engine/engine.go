@@ -76,9 +76,10 @@ var ErrInvariantViolated = errors.New("invariant violated")
 // step bound. It walks with core's exploration machinery (an
 // ExploreCtx): each state carries its move table, and after a fired move
 // only the interactions incident to its participants are re-examined
-// (TableDeriver.DeriveSlab) on a successor built copy-on-write
-// (ScratchExec). States are immutable once built, so the states handed
-// to Scheduler.Pick and OnStep may be retained as they are.
+// (TableDeriver.DeriveSlab) on a successor that ScratchExec builds
+// copy-on-write, running only the participants. States are immutable
+// once built, so the states handed to Scheduler.Pick and OnStep may be
+// retained as they are.
 func Run(sys *core.System, opts Options) (*Result, error) {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -115,10 +116,11 @@ func Run(sys *core.System, opts Options) (*Result, error) {
 			break
 		}
 		m := ctx.Moves[sched.Pick(sys, st, ctx.Moves)]
-		if _, err := ctx.Scratch.Exec(st, m); err != nil {
+		ctx.Scratch.Load(st)
+		if _, err := ctx.Scratch.Step(m); err != nil {
 			return nil, fmt.Errorf("engine: step %d: %w", res.Steps, err)
 		}
-		st, last = ctx.Scratch.MaterializeSlab(m, ctx.Slab), m
+		st, last = ctx.Scratch.MaterializeSlab(ctx.Slab), m
 		if opts.CheckInvariants {
 			if err := inv.Check(st); err != nil {
 				return nil, fmt.Errorf("engine: step %d: %w: %v", res.Steps, ErrInvariantViolated, err)
@@ -136,14 +138,16 @@ func Run(sys *core.System, opts Options) (*Result, error) {
 }
 
 // Replay re-executes a recorded move sequence through the reference
-// semantics (System.EnabledRaw, System.Exec), verifying that each move
-// was enabled when fired. It is used to validate that the multi-threaded
-// engine's committed order is a legal interleaving (its correctness
-// witness).
+// semantics (System.Enabled, System.Exec), verifying that each move was
+// allowed when fired, priorities included. It is used to validate that
+// the multi-threaded engine's committed order is a legal interleaving
+// (its correctness witness): the engine's rounds are quiescent — every
+// component has offered before the coordinator picks — so each of its
+// moves must be maximal under the priority rules at its state.
 func Replay(sys *core.System, movesSeq []core.Move) (core.State, error) {
 	st := sys.Initial()
 	for i, m := range movesSeq {
-		enabled, err := sys.EnabledRaw(st)
+		enabled, err := sys.Enabled(st)
 		if err != nil {
 			return core.State{}, fmt.Errorf("replay step %d: %w", i, err)
 		}

@@ -238,19 +238,25 @@ func TestRunMTConcurrentBatches(t *testing.T) {
 	}
 }
 
-func TestRunMTHonoursPriorities(t *testing.T) {
+// prioSystem is one atom with two always-enabled singletons under the
+// rule a.lo < a.hi: a.lo must never fire.
+func prioSystem() *core.System {
 	a := behavior.NewBuilder("a").
 		Location("s").
 		Port("lo").Port("hi").
 		Transition("s", "lo", "s").
 		Transition("s", "hi", "s").
 		MustBuild()
-	sys := core.NewSystem("prio").
+	return core.NewSystem("prio").
 		Add(a).
 		Singleton("a", "lo").
 		Singleton("a", "hi").
 		Priority("a.lo", "a.hi").
 		MustBuild()
+}
+
+func TestRunMTHonoursPriorities(t *testing.T) {
+	sys := prioSystem()
 	res, err := RunMT(sys, MTOptions{MaxSteps: 20})
 	if err != nil {
 		t.Fatalf("RunMT: %v", err)
@@ -259,6 +265,29 @@ func TestRunMTHonoursPriorities(t *testing.T) {
 		if l == "a.lo" {
 			t.Fatal("dominated interaction fired under the MT engine")
 		}
+	}
+}
+
+// TestReplayHonoursPriorities pins that the MT engine's correctness
+// witness replays the prioritized semantics: a dominated move is
+// rejected although it is enabled before priorities apply, while the
+// engine's own run and the dominating move replay.
+func TestReplayHonoursPriorities(t *testing.T) {
+	sys := prioSystem()
+	lo := core.Move{Interaction: sys.InteractionIndex("a.lo"), Choices: []int{0}}
+	if _, err := Replay(sys, []core.Move{lo}); err == nil {
+		t.Fatal("replay accepted a.lo, which a.lo < a.hi suppresses")
+	}
+	hi := core.Move{Interaction: sys.InteractionIndex("a.hi"), Choices: []int{1}}
+	if _, err := Replay(sys, []core.Move{hi, hi}); err != nil {
+		t.Fatalf("replay rejected a.hi: %v", err)
+	}
+	res, err := RunMT(sys, MTOptions{MaxSteps: 20})
+	if err != nil {
+		t.Fatalf("RunMT: %v", err)
+	}
+	if _, err := Replay(sys, res.Moves); err != nil {
+		t.Fatalf("replay rejected the MT run: %v", err)
 	}
 }
 

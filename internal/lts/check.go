@@ -13,9 +13,9 @@ import (
 // corresponding analyses on the materialized LTS, which the differential
 // tests in stream_test.go pin at several worker counts.
 //
-// Checkers retain O(frontier) memory: a counterexample path is captured
-// from the Discovery handle of the violating state (the frontier-
-// resident BFS tree), never from a stored state table.
+// Checkers retain no states: a counterexample path is captured from the
+// Discovery handle of the violating state (the run's id-indexed BFS
+// tree), never from a stored state table.
 
 // Verdict is the outcome block shared by the on-the-fly checkers; each
 // checker embeds it, so the fields read the same on all of them.
@@ -49,38 +49,23 @@ func (v *Verdict) Done(truncated bool) error {
 // deadlock when it has no enabled move; the check uses OnExpanded's move
 // count, so the verdict is exact even when the MaxStates bound truncated
 // the edge stream. The first deadlock in exploration order is reported —
-// the same state Deadlocks() lists first on the materialized LTS.
+// the same state Deadlocks() lists first on the materialized LTS. Its
+// path is read from the run's BFS tree, whose handle the check takes
+// from the initial state's Discovery, so it keeps nothing per state on
+// either stream order.
 type DeadlockCheck struct {
 	Verdict
 
-	window    discWindow
-	unordered bool
-	pending   map[int]Discovery
+	tree *bfsTree
 }
 
-var (
-	_ Sink      = (*DeadlockCheck)(nil)
-	_ OrderSink = (*DeadlockCheck)(nil)
-)
+var _ Sink = (*DeadlockCheck)(nil)
 
-// SetStreamOrder implements OrderSink: an unordered stream delivers
-// OnState/OnExpanded in arbitrary id order, so the frontier FIFO is
-// replaced by an id-keyed pending map.
-func (c *DeadlockCheck) SetStreamOrder(o Order) {
-	c.unordered = o == Unordered
-}
-
-// OnState implements Sink: it parks the state's Discovery until the
-// state is expanded.
-func (c *DeadlockCheck) OnState(id int, st core.State, d Discovery) error {
-	if c.unordered {
-		if c.pending == nil {
-			c.pending = make(map[int]Discovery)
-		}
-		c.pending[id] = d
-		return nil
+// OnState implements Sink: it keeps the handle on the run's BFS tree.
+func (c *DeadlockCheck) OnState(_ int, _ core.State, d Discovery) error {
+	if c.tree == nil {
+		c.tree = d.tree
 	}
-	c.window.push(d)
 	return nil
 }
 
@@ -90,17 +75,14 @@ func (c *DeadlockCheck) OnEdge(int, int, string) error { return nil }
 // OnExpanded implements Sink: a state expanded with zero moves is a
 // deadlock.
 func (c *DeadlockCheck) OnExpanded(id, moves int) error {
-	var d Discovery
-	if c.unordered {
-		d = c.pending[id]
-		delete(c.pending, id)
-	} else {
-		d = c.window.pop()
+	if moves != 0 {
+		return nil
 	}
-	if moves == 0 {
-		return c.settle(id, d)
+	d := Discovery{Parent: -1} // a hand-fed stream has no tree to read
+	if c.tree != nil {
+		d = c.tree.discovery(int32(id))
 	}
-	return nil
+	return c.settle(id, d)
 }
 
 // InvariantCheck verifies that Pred holds on every reachable state,
@@ -270,27 +252,4 @@ func (m *Multi) Done(truncated bool) error {
 		}
 	}
 	return nil
-}
-
-// discWindow is the frontier-aligned FIFO of Discovery handles: states
-// are discovered and expanded in the same (id) order, so a push per
-// OnState and a pop per OnExpanded keeps exactly the frontier's handles
-// live. The dead prefix is compacted away once it dominates the slice.
-type discWindow struct {
-	d    []Discovery
-	head int
-}
-
-func (w *discWindow) push(d Discovery) { w.d = append(w.d, d) }
-
-func (w *discWindow) pop() Discovery {
-	v := w.d[w.head]
-	w.d[w.head] = Discovery{}
-	w.head++
-	if w.head > 64 && w.head*2 >= len(w.d) {
-		n := copy(w.d, w.d[w.head:])
-		w.d = w.d[:n]
-		w.head = 0
-	}
-	return v
 }

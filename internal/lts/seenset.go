@@ -10,7 +10,7 @@ import "bytes"
 //
 //   - Exact (the default) keeps the full fixed-width binary key in
 //     chunked arenas. Membership answers are exact, memory is
-//     keyWidth + ~12 bytes per state.
+//     keyWidth + ~10 bytes per state at one worker, ~14 under several.
 //
 //   - Compact keeps a 64-bit hash discriminator plus the state id —
 //     ~12 bytes per state regardless of key width — the classic
@@ -58,8 +58,9 @@ type SeenSets interface {
 }
 
 // ExactSeen selects exact dedup (the default): full keys in chunked
-// arenas, indexed by an open-addressed table. Memory per visited state
-// is the key width plus ~12 bytes of table.
+// arenas, indexed by an open-addressed table of tagged slots. Memory per
+// visited state is the key width plus ~10 bytes of table and ids at one
+// worker, ~14 under several.
 type ExactSeen struct{}
 
 // NewSeenSet implements SeenSets.
@@ -114,29 +115,48 @@ const (
 // exactSeen stores full keys back to back in chunked arenas plus a
 // parallel chunked id array, indexed by an open-addressed table of
 // entry indexes that compares candidates against the arena in place.
-// Per visited state it allocates nothing: only new chunks and the
-// logarithmically many table doublings touch the allocator. Ids are
-// explicit because a stripe holds non-contiguous ids under several
-// workers.
+// Beside each slot it keeps a 16-bit tag of the entry's hash (seenTag),
+// so a probe reads the arena only when the tags agree: a slot of
+// another key costs a two-byte compare, not a key compare. Per visited
+// state it allocates nothing: only new chunks and the logarithmically
+// many table doublings touch the allocator.
+//
+// An entry's id is its entry index for as long as every Add says so,
+// which holds for the one stripe of a one-worker run (ids are admitted
+// in order); the set then stores no ids at all. The first Add whose id
+// differs — any stripe under several workers — makes the ids explicit.
 type exactSeen struct {
 	width int
 	// slots holds entry index + 1 (0 = empty), linear probing,
-	// power-of-two size, grown at 3/4 load.
+	// power-of-two size, grown at 3/4 load; tags[i] is the tag of the
+	// entry in slots[i].
 	slots []int32
+	tags  []uint16
 	n     int
-	// keys chunks back the key bytes, perChunk keys apiece; ids chunks
-	// hold the recorded id of the same entry index.
+	// keys chunks back the key bytes, perChunk keys apiece; ids chunks,
+	// nil while every id equals its entry index, hold the recorded id of
+	// the same entry index.
 	perChunk int
 	keys     [][]byte
 	ids      [][]int32
 }
+
+// seenTagShift places exactSeen's tags at hash bits 40–55, which
+// neither a probe start (the low bits: tables stay below 2^32 slots)
+// nor the stripe selector (at most the top 8 bits, driver.stripe)
+// reads. Keys that share a probe chain or a stripe therefore still
+// differ in their tags with probability 1 - 2^-16.
+const seenTagShift = 40
+
+// seenTag returns the tag exactSeen keeps for hash h.
+func seenTag(h uint64) uint16 { return uint16(h >> seenTagShift) }
 
 func newExactSeen(width int) *exactSeen {
 	per := arenaChunk / max(width, 1) // a system without atoms has 0-byte keys
 	if per < 1 {
 		per = 1
 	}
-	return &exactSeen{width: width, slots: make([]int32, seenInitSlots), perChunk: per}
+	return &exactSeen{width: width, slots: make([]int32, seenInitSlots), tags: make([]uint16, seenInitSlots), perChunk: per}
 }
 
 // keyAt returns entry e's arena-resident key.
@@ -148,12 +168,19 @@ func (s *exactSeen) keyAt(e int32) []byte {
 // Find implements SeenSet.
 func (s *exactSeen) Find(h uint64, key []byte) (int32, bool) {
 	mask := uint64(len(s.slots) - 1)
+	tag := seenTag(h)
 	for i := h & mask; ; i = (i + 1) & mask {
 		slot := s.slots[i]
 		if slot == 0 {
 			return 0, false
 		}
+		if s.tags[i] != tag {
+			continue
+		}
 		if e := slot - 1; bytes.Equal(s.keyAt(e), key) {
+			if s.ids == nil {
+				return e, true
+			}
 			return s.ids[int(e)/s.perChunk][int(e)%s.perChunk], true
 		}
 	}
@@ -167,12 +194,31 @@ func (s *exactSeen) Add(h uint64, key []byte, id int32) {
 	e := s.n
 	if e%s.perChunk == 0 {
 		s.keys = append(s.keys, make([]byte, s.perChunk*s.width))
-		s.ids = append(s.ids, make([]int32, s.perChunk))
+		if s.ids != nil {
+			s.ids = append(s.ids, make([]int32, s.perChunk))
+		}
 	}
 	copy(s.keyAt(int32(e)), key)
-	s.ids[e/s.perChunk][e%s.perChunk] = id
+	if s.ids == nil && id != int32(e) {
+		s.explicitIDs()
+	}
+	if s.ids != nil {
+		s.ids[e/s.perChunk][e%s.perChunk] = id
+	}
 	s.insert(h, int32(e))
 	s.n++
+}
+
+// explicitIDs gives every key chunk its id chunk, recording the ids the
+// entries so far had implicitly: their indexes.
+func (s *exactSeen) explicitIDs() {
+	s.ids = make([][]int32, len(s.keys))
+	for c := range s.ids {
+		s.ids[c] = make([]int32, s.perChunk)
+		for i := range s.ids[c] {
+			s.ids[c][i] = int32(c*s.perChunk + i)
+		}
+	}
 }
 
 // insert probes the table for the first empty slot of entry e.
@@ -183,12 +229,14 @@ func (s *exactSeen) insert(h uint64, e int32) {
 		i = (i + 1) & mask
 	}
 	s.slots[i] = e + 1
+	s.tags[i] = seenTag(h)
 }
 
 // grow doubles the table and re-inserts every entry, re-hashing its
 // arena-resident key.
 func (s *exactSeen) grow() {
 	s.slots = make([]int32, 2*len(s.slots))
+	s.tags = make([]uint16, len(s.slots))
 	for e := 0; e < s.n; e++ {
 		s.insert(hashKey(s.keyAt(int32(e))), int32(e))
 	}
@@ -196,7 +244,7 @@ func (s *exactSeen) grow() {
 
 // Bytes implements SeenSet.
 func (s *exactSeen) Bytes() int64 {
-	return int64(len(s.slots))*4 +
+	return int64(len(s.slots))*4 + int64(len(s.tags))*2 +
 		int64(len(s.keys))*int64(s.perChunk)*int64(s.width) +
 		int64(len(s.ids))*int64(s.perChunk)*4
 }
@@ -330,8 +378,9 @@ func (s *compactSeen) Promotions() int64 { return s.promotions }
 // of the operands), so two keys differing only in the HIGH bytes of a
 // word — e.g. a counter value whose encoding straddles a word boundary,
 // as in the deep-chain workload — would otherwise agree on every low
-// bit. The open-addressed seen-set tables index with the low bits and
-// the stripe selector (driver.stripe) with the top bits; without the
+// bit. The open-addressed seen-set tables index with the low bits, the
+// exact set's tags take bits 40–55 and the stripe selector
+// (driver.stripe) takes the top bits; without the
 // avalanche the tables degenerate into a handful of giant probe chains
 // (measured 40x on deep-chain E18).
 func hashKey(b []byte) uint64 {

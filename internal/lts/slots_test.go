@@ -55,7 +55,7 @@ func transferSystem(t *testing.T) *core.System {
 }
 
 // TestHotPathAllocFree pins that executing a move into the scratch
-// state, encoding the successor's binary key and finding it in a seen
+// state, patching the successor's binary key and finding it in a seen
 // set that already holds it allocate nothing — the per-transition work
 // every exploration driver does before it knows whether a successor is
 // new.
@@ -93,18 +93,17 @@ func TestHotPathAllocFree(t *testing.T) {
 				seen.Add(hashKey(key), key, int32(id))
 			}
 			x := sys.NewScratchExec()
-			buf := make([]byte, 0, sys.BinaryKeyWidth())
 			var runErr error
 			allocs := testing.AllocsPerRun(20, func() {
 				for _, p := range probes {
+					x.Load(p.st)
 					for _, m := range p.moves {
-						next, err := x.Exec(p.st, m)
-						if err != nil {
+						if _, err := x.Step(m); err != nil {
 							runErr = err
 							return
 						}
-						buf = sys.AppendBinaryKey(buf[:0], *next)
-						if _, ok := seen.Find(hashKey(buf), buf); !ok {
+						key := x.Key()
+						if _, ok := seen.Find(hashKey(key), key); !ok {
 							runErr = errors.New("successor missing from the seen set")
 							return
 						}
@@ -141,7 +140,7 @@ func TestBinaryKeyRoundTripKeepsLayout(t *testing.T) {
 		for id := 0; id < l.NumStates(); id++ {
 			st := l.State(id)
 			key := c.sys.AppendBinaryKey(nil, st)
-			back, err := c.sys.StateFromBinaryKey(key)
+			back, err := c.sys.StateFromBinaryKey(key, nil)
 			if err != nil {
 				t.Fatalf("%s: state %d: %v", c.name, id, err)
 			}

@@ -13,12 +13,10 @@ import (
 // the earlier PRs: a pending state is fully determined by its
 // fixed-width binary key (the state decodes back with
 // core.System.StateFromBinaryKey and its move table recomputes with
-// EnabledVector), so spilling a 32-entry deque chunk is one flat
+// TableDeriver.Vector), so spilling a 32-entry deque chunk is one flat
 // n×keyWidth write — no per-state encoding, no varints, no index
-// structure on disk. What stays in RAM per spilled state is 12 bytes of
-// record (id + path-node pointer): the BFS-tree nodes cannot be evicted
-// without forfeiting counterexample paths, and they are the smallest
-// part of a frontier entry by an order of magnitude.
+// structure on disk. What stays in RAM per spilled state is its 4-byte
+// id; its path lives in the run's BFS tree, which is resident anyway.
 //
 // Concurrency: writes and reads go through WriteAt/ReadAt on a
 // create-temp file (no shared file offset), the record list is guarded
@@ -28,13 +26,12 @@ import (
 // tail of the file is the most recently written and the most likely
 // still in the page cache.
 
-// wsSpillRec locates one spilled chunk: its file region plus the
-// RAM-resident remainder of its entries.
+// wsSpillRec locates one spilled chunk: its file region plus the ids
+// of its entries.
 type wsSpillRec struct {
-	off   int64
-	n     int
-	ids   [wsChunkCap]int32
-	nodes [wsChunkCap]*pathNode
+	off int64
+	n   int
+	ids [wsChunkCap]int32
 }
 
 // wsSpill is the spill file of one exploration, created lazily on the
@@ -49,21 +46,20 @@ type wsSpill struct {
 	mu      sync.Mutex
 	f       faultfs.File
 	off     int64
-	recs    []*wsSpillRec
+	recs    []wsSpillRec // by value: a record costs no allocation
 	nWrites int64
 }
 
 // write serializes one chunk: every entry is reduced to its binary key
 // (recomputed from the state — nothing beyond the key ever reaches
-// disk), id and path node, and the entries are released.
+// disk) and id, and the entries are released.
 func (s *wsSpill) write(sys *core.System, c *wsChunk, w *worker) error {
-	rec := &wsSpillRec{n: c.n}
+	rec := wsSpillRec{n: c.n}
 	buf := w.keyBuf[:0]
 	for i := 0; i < c.n; i++ {
 		e := c.e[i]
 		buf = sys.AppendBinaryKey(buf, e.state)
 		rec.ids[i] = e.id
-		rec.nodes[i] = e.node
 	}
 	w.keyBuf = buf
 
@@ -86,19 +82,18 @@ func (s *wsSpill) write(sys *core.System, c *wsChunk, w *worker) error {
 	return nil
 }
 
-// take removes and returns the newest spilled record, nil when the file
-// has drained.
-func (s *wsSpill) take() *wsSpillRec {
+// take removes and returns the newest spilled record, false when the
+// file has drained.
+func (s *wsSpill) take() (wsSpillRec, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.recs)
 	if n == 0 {
-		return nil
+		return wsSpillRec{}, false
 	}
 	rec := s.recs[n-1]
-	s.recs[n-1] = nil
 	s.recs = s.recs[:n-1]
-	return rec
+	return rec, true
 }
 
 // written returns how many chunks were spilled over the run.

@@ -43,14 +43,14 @@ import (
 // so its loop runs no atomic read-modify-write at all.
 //
 // The memory contract is what makes streaming matter for the biggest
-// workloads: the loop retains materialized states, move tables and
-// counterexample-path nodes only for the frontier (admitted but not yet
-// expanded states). Once a state is expanded its machinery is released
-// — what remains per visited state is what the SeenSet stores. A
-// checker that early-exits on the first violation therefore runs in
-// O(frontier) live memory instead of the O(statespace) states, edges
-// and BFS tree the materialized LTS retains, and never pays for the
-// part of the space behind the violation.
+// workloads: the loop retains materialized states and move tables only
+// for the frontier (admitted but not yet expanded states). Once a state
+// is expanded its machinery is released — what remains per visited
+// state is what the SeenSet stores plus its 8-byte BFS-tree edge (parent
+// id, interaction), from which counterexample paths are rebuilt. A
+// checker that early-exits on the first violation therefore never
+// holds the states and edges the materialized LTS retains, and never
+// pays for the part of the space behind the violation.
 
 // DefaultMaxStates is the exploration bound applied when
 // Options.MaxStates is zero. Every entry point — the library drivers and
@@ -104,8 +104,8 @@ const (
 
 // OrderSink is an optional Sink extension: Stream announces the
 // stream order it is about to produce before the first event, so
-// order-sensitive sinks (AutomatonCheck, DeadlockCheck) can pick the
-// matching bookkeeping. Sinks that do not implement it must either be
+// order-sensitive sinks (AutomatonCheck, the materialized LTS) can
+// pick the matching bookkeeping. Sinks that do not implement it must be
 // order-insensitive or be used only with deterministic streams.
 // NewMulti forwards the announcement to every child.
 type OrderSink interface {
@@ -158,20 +158,10 @@ type Sink interface {
 	Done(truncated bool) error
 }
 
-// pathNode is one edge of the frontier-resident BFS tree: the label of
-// the discovery transition plus the parent state's node. Nodes are
-// reachable only through the Discovery handles of frontier states (and
-// through their children's nodes), so the tree shrinks to the ancestors
-// of the live frontier as exploration proceeds — expanded branches are
-// garbage-collected instead of being retained for the whole run.
-type pathNode struct {
-	parent *pathNode
-	label  string
-}
-
 // Discovery describes how a state was first reached: the BFS-tree edge
-// (Parent, Label) and a handle on the frontier-resident path back to the
-// initial state. The zero Discovery (Parent == -1) is the initial state.
+// (Parent, Label) and a handle on the run's BFS tree, through which Path
+// walks back to the initial state. The zero Discovery (Parent == -1) is
+// the initial state.
 type Discovery struct {
 	// Parent is the id of the state whose expansion discovered this one;
 	// -1 for the initial state.
@@ -180,21 +170,65 @@ type Discovery struct {
 	// for the initial state.
 	Label string
 
-	node *pathNode
+	tree *bfsTree
+	id   int32
 }
 
 // Path returns the interaction labels leading from the initial state to
 // the discovered state along the BFS tree — the same path the
-// materialized LTS reconstructs with PathTo.
+// materialized LTS reconstructs with PathTo. The tree grows while the
+// run goes on, so Path must not run concurrently with a Sink method of
+// the same run.
 func (d Discovery) Path() []string {
+	if d.tree == nil {
+		return []string{}
+	}
+	return d.tree.path(d.id)
+}
+
+// treeEdge is one admitted state's BFS-tree edge: its parent's id (-1
+// for the initial state) and the interaction that discovered it.
+type treeEdge struct {
+	parent, inter int32
+}
+
+// bfsTree is the BFS tree of one run, indexed by state id: 8 pointer-free
+// bytes per admitted state, kept for the whole run, so that any state's
+// path can be rebuilt when a checker settles. The flush writes it under
+// the sink mutex, and the Sinks that read it run under the same mutex.
+type bfsTree struct {
+	sys   *core.System
+	edges table[treeEdge]
+}
+
+// add records id's tree edge. Ids arrive out of order on the deques, so
+// the table is extended over the gap; every id in it is added before
+// its OnState.
+func (t *bfsTree) add(id, parent, inter int32) {
+	t.edges.extend(id + 1)
+	*t.edges.at(id) = treeEdge{parent: parent, inter: inter}
+}
+
+// discovery returns the Discovery of an added state.
+func (t *bfsTree) discovery(id int32) Discovery {
+	e := t.edges.at(id)
+	d := Discovery{Parent: int(e.parent), tree: t, id: id}
+	if e.parent >= 0 {
+		d.Label = t.sys.Interactions[e.inter].Name
+	}
+	return d
+}
+
+// path returns the labels from the initial state to id.
+func (t *bfsTree) path(id int32) []string {
 	n := 0
-	for p := d.node; p != nil; p = p.parent {
+	for e := t.edges.at(id); e.parent >= 0; e = t.edges.at(e.parent) {
 		n++
 	}
 	out := make([]string, n)
-	for p := d.node; p != nil; p = p.parent {
+	for e := t.edges.at(id); e.parent >= 0; e = t.edges.at(e.parent) {
 		n--
-		out[n] = p.label
+		out[n] = t.sys.Interactions[e.inter].Name
 	}
 	return out
 }
@@ -302,6 +336,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 		maxStates:  maxStates,
 		sink:       sink,
 		entryBytes: frontierEntryBytes(sys),
+		tree:       &bfsTree{sys: sys},
 		stats:      Stats{States: 1},
 	}
 	d.raisePeaks(1, 1)
@@ -319,6 +354,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	if err != nil {
 		return d.snapshot(), fmt.Errorf("explore state 0: %w", err)
 	}
+	d.tree.add(0, -1, -1)
 	key := sys.AppendBinaryKey(nil, init)
 	h0 := hashKey(key)
 	d.stripe(h0).seen.Add(h0, key, 0)
@@ -333,7 +369,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 		}
 		d.setAnnounced(0)
 	}
-	if err := sink.OnState(0, init, Discovery{Parent: -1}); err != nil {
+	if err := sink.OnState(0, init, d.tree.discovery(0)); err != nil {
 		stats := d.snapshot()
 		return stats, stats.finish(err)
 	}
@@ -365,7 +401,7 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 // frontierEntryBytes is the per-resident-state accounting model behind
 // Stats.PeakFrontierBytes and Options.MemBudget: the fixed-width dedup
 // key plus a flat estimate of the frontier machinery a pending state
-// keeps materialized — the entry struct and BFS-tree node (~128 B),
+// keeps materialized — the entry struct and its slab slots (~128 B),
 // per-atom state storage (location header + variable store, ~48 B per
 // atom), and the per-interaction move-table headers (~24 B each). It
 // deliberately ignores model-dependent variance (large per-move choice
@@ -396,14 +432,14 @@ func (s *Stats) finish(err error) error {
 const rejectedID int32 = -1
 
 // pentry is one frontier-resident state: its materialized state, move
-// table, BFS-tree node and id. Entries are stored by value in the
-// frontier's own slices and chunks and zeroed when taken, so a pending
-// state costs no allocation beyond its state, table and node, and an
-// expanded one leaves nothing behind but what the SeenSet stores.
+// table and id. Entries are stored by value in the frontier's own
+// slices and chunks and zeroed when taken, so a pending state costs no
+// allocation beyond its slab-carved state and table, and an expanded
+// one leaves nothing behind but what the SeenSet and the BFS tree
+// store.
 type pentry struct {
 	state core.State
 	vec   [][]core.Move
-	node  *pathNode
 	id    int32
 }
 
@@ -578,6 +614,8 @@ type driver struct {
 	peak, residentPeak atomic.Int64
 
 	sinkMu *sync.Mutex // nil on the FIFO
+	// tree is the run's BFS tree, written by the flush (under sinkMu).
+	tree *bfsTree
 	// stats holds the counters the flush maintains (States counts
 	// OnState calls, plus Transitions, Truncated and the reduction
 	// counters), guarded by sinkMu. Counting at the flush rather than at
@@ -769,22 +807,22 @@ func (w *worker) expandFlush(e *pentry) error {
 	// ample successor turns out to be already admitted at or below
 	// levelLast (cycle proviso, condition C3 — see expand.go).
 	explore := nAmple
+	ctx.Scratch.Load(e.state)
 	for mi := 0; mi < explore; mi++ {
 		m := moves[mi]
-		view, err := ctx.Scratch.Exec(e.state, m)
-		if err != nil {
+		if _, err := ctx.Scratch.Step(m); err != nil {
 			return fmt.Errorf("explore state %d: %w", e.id, err)
 		}
-		ctx.Key = d.sys.AppendBinaryKey(ctx.Key[:0], *view)
-		h := hashKey(ctx.Key)
+		key := ctx.Scratch.Key()
+		h := hashKey(key)
 		sh := d.stripe(h)
 
 		lock(sh.mu)
-		id, dup := sh.seen.Find(h, ctx.Key)
+		id, dup := sh.seen.Find(h, key)
 		created := false
 		if !dup {
 			if id, created = d.front.admit(); created {
-				sh.seen.Add(h, ctx.Key, id)
+				sh.seen.Add(h, key, id)
 			}
 		}
 		unlock(sh.mu)
@@ -797,12 +835,12 @@ func (w *worker) expandFlush(e *pentry) error {
 			// The fresh entry is private to this worker until it is
 			// pushed below; thieves first observe it through the deque
 			// mutexes.
-			st := ctx.Scratch.MaterializeSlab(m, ctx.Slab)
+			st := ctx.Scratch.MaterializeSlab(ctx.Slab)
 			vec, err := ctx.Deriver.DeriveSlab(e.vec, m, st, ctx.Slab)
 			if err != nil {
 				return fmt.Errorf("explore state %d: %w", e.id, err)
 			}
-			staged = append(staged, pentry{state: st, vec: vec, node: &pathNode{parent: e.node, label: d.sys.Label(m)}, id: id})
+			staged = append(staged, pentry{state: st, vec: vec, id: id})
 		}
 	}
 	// Write the buffers back only when they changed: an unchanged
@@ -836,8 +874,8 @@ func (w *worker) expandFlush(e *pentry) error {
 }
 
 // flushLocked emits one expansion's events under the sink mutex and
-// counts them into d.stats: fresh targets are announced (OnState) and
-// drain any edges parked on them, edges to announced targets are
+// counts them into d.stats: fresh targets enter the BFS tree, are
+// announced (OnState) and drain any edges parked on them, edges to announced targets are
 // emitted directly, edges to not-yet-announced targets are parked, and
 // edges to bound-rejected successors are dropped (matching the
 // materialized LTS) but mark the run truncated. At one worker every
@@ -858,7 +896,8 @@ func (d *driver) flushLocked(e *pentry, recs []moveRec, born []pentry, moves, am
 			t := &born[0]
 			born = born[1:]
 			s.States++
-			if err := d.sink.OnState(int(id), t.state, Discovery{Parent: int(e.id), Label: label, node: t.node}); err != nil {
+			d.tree.add(id, e.id, r.inter)
+			if err := d.sink.OnState(int(id), t.state, Discovery{Parent: int(e.id), Label: label, tree: d.tree, id: id}); err != nil {
 				return err
 			}
 			if !solo {

@@ -37,9 +37,9 @@ import (
 //     frontierEntryBytes), whole published chunks are serialized to a
 //     temporary file — each pending state is reduced to its
 //     fixed-width binary key (recomputed from the state, so nothing
-//     extra is stored) plus its id and RAM-resident path node — and
-//     workers that run out of resident work stream chunks back in,
-//     rebuilding state and move table from the key (spill.go). Spilled
+//     extra is stored) plus its RAM-resident id — and workers that run
+//     out of resident work stream chunks back in, rebuilding state and
+//     move table from the key into their slab (spill.go). Spilled
 //     states stay admitted-but-unflushed, so the in-flight counter
 //     reaches zero only when the spill file has drained too.
 //
@@ -317,8 +317,8 @@ func (f *deques) takeWork(w *worker) bool {
 	// is last on purpose — resident work drains before reloads widen
 	// the frontier again.
 	if d.spill != nil {
-		if rec := d.spill.take(); rec != nil {
-			c, err := w.reload(rec)
+		if rec, ok := d.spill.take(); ok {
+			c, err := w.reload(&rec)
 			if err != nil {
 				d.fail(err)
 				return false
@@ -334,11 +334,11 @@ func (f *deques) takeWork(w *worker) bool {
 // reload rebuilds one taken spill record: its key block is read back
 // (the caller owns the record exclusively, so the file region needs no
 // lock, and ReadAt carries no shared offset), each state is decoded
-// from its fixed-width binary key and its move table recomputed from
-// scratch — the price of eviction is one EnabledVector per reloaded
-// state.
+// from its fixed-width binary key and its move table computed from
+// scratch, both into the worker's slab — the price of eviction is one
+// full move table per reloaded state.
 func (w *worker) reload(rec *wsSpillRec) (*wsChunk, error) {
-	d := w.d
+	d, ctx := w.d, w.ctx
 	width := d.sys.BinaryKeyWidth()
 	w.keyBuf = slices.Grow(w.keyBuf[:0], rec.n*width)[:rec.n*width]
 	if _, err := d.spill.f.ReadAt(w.keyBuf, rec.off); err != nil {
@@ -346,15 +346,15 @@ func (w *worker) reload(rec *wsSpillRec) (*wsChunk, error) {
 	}
 	c := w.newChunk()
 	for i := 0; i < rec.n; i++ {
-		st, err := d.sys.StateFromBinaryKey(w.keyBuf[i*width : (i+1)*width])
+		st, err := d.sys.StateFromBinaryKey(w.keyBuf[i*width:(i+1)*width], ctx.Slab)
 		if err != nil {
 			return nil, fmt.Errorf("spill reload state %d: %w", rec.ids[i], err)
 		}
-		vec, err := d.sys.EnabledVector(st)
+		vec, err := ctx.Deriver.Vector(st, ctx.Slab)
 		if err != nil {
 			return nil, fmt.Errorf("spill reload state %d: %w", rec.ids[i], err)
 		}
-		c.e[i] = pentry{id: rec.ids[i], state: st, vec: vec, node: rec.nodes[i]}
+		c.e[i] = pentry{id: rec.ids[i], state: st, vec: vec}
 	}
 	c.n = rec.n
 	return c, nil
