@@ -44,7 +44,9 @@ race:
 # stream, cancellation, progress), which run the same admission, flush
 # and termination protocol on the one-worker FIFO frontier, plus the
 # deadlock and compact-set counterexample tests, whose paths are read
-# from the BFS tree that every worker's flush writes. Each pass then
+# from the BFS tree that every worker's flush writes, plus the observer
+# checker's tests, whose one propagation takes whatever order the
+# workers' flushes interleave, late cross edges included. Each pass then
 # repeats the observer counterexample oracle at GOMAXPROCS 1, 2 and 4
 # (its product paths and verdicts come off that shared tree and the
 # unordered stream), then bipd's lifecycle tests (crash recovery, cancellation,
@@ -64,7 +66,7 @@ stress:
 	@for i in $$(seq $(STRESS_COUNT)); do \
 		echo "stress pass $$i/$(STRESS_COUNT)"; \
 		$(GO) test -race -count=1 -cpu 1,2,4,8 \
-			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths' \
+			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths|Automaton' \
 			-timeout 600s ./internal/lts || exit 1; \
 		$(GO) test -race -count=1 -cpu 1,2,4 \
 			-run ObserverCounterexampleOracle \

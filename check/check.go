@@ -13,12 +13,15 @@
 // worker count (only the deques spill), the workers share chunked
 // work-stealing deques, with the same state set and verdicts but state
 // numbering and event order that depend on scheduling. A Sink
-// observes OnState / OnEdge / OnExpanded / Done events (in
-// deterministic order unless Unordered) and may stop the exploration
-// early by returning ErrStop; checkers retain no states and capture
+// observes OnState / OnEdge / OnExpanded / Done events under one relaxed
+// contract that both orders satisfy (see Sink), so no sink is told
+// which order it is fed, and may stop the exploration early by
+// returning ErrStop. Checkers retain no states and capture
 // counterexample paths from the run's id-indexed BFS tree
-// (Discovery.Path), 8 bytes per admitted state. Explore materializes
-// the whole graph by running the LTS itself as the sink.
+// (Discovery.Path), 8 bytes per admitted state; the observer checker
+// (AutomatonCheck) also keeps 32 bytes per state, 12 per edge and 16
+// per claimed product pair for its propagation. Explore materializes the whole graph by
+// running the LTS itself as the sink, whose PathTo reads the same tree.
 package check
 
 import (
@@ -44,9 +47,6 @@ type (
 	// with Workers > 1 or a MemBudget (even at one worker) runs the
 	// workers on work-stealing deques.
 	Order = lts.Order
-	// OrderSink is the optional Sink extension through which drivers
-	// announce the stream order before the first event.
-	OrderSink = lts.OrderSink
 	// Stats summarizes a streaming run, including the peak-frontier
 	// memory high-water mark.
 	Stats = lts.Stats

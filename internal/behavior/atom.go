@@ -7,7 +7,6 @@ package behavior
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"bip/internal/expr"
@@ -416,25 +415,6 @@ func (a *Atom) ExecInPlace(s State, i int) (string, error) {
 		}
 	}
 	return t.To, nil
-}
-
-// AppendStateKey appends a canonical encoding of s to buf and returns the
-// extended buffer. Unlike State.Key it uses the atom's declared variable
-// order, so it needs no sorting and no intermediate strings; two states
-// of the same atom get equal encodings iff they are Equal. The location
-// is length-prefixed so that separator bytes inside location names cannot
-// make distinct states collide; variable values render as digits or
-// true/false and need no escaping. It is the building block of
-// System-level state keys during exploration.
-func (a *Atom) AppendStateKey(buf []byte, s State) []byte {
-	buf = strconv.AppendInt(buf, int64(len(s.Loc)), 10)
-	buf = append(buf, ':')
-	buf = append(buf, s.Loc...)
-	for _, v := range s.Vars.V {
-		buf = append(buf, '|')
-		buf = v.AppendText(buf)
-	}
-	return buf
 }
 
 // BinaryKeyWidth returns the size of the atom's fixed-width binary

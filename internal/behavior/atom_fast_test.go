@@ -85,7 +85,7 @@ func TestExecInPlaceMatchesExec(t *testing.T) {
 	}
 }
 
-func TestAppendStateKeyAgreesWithEqual(t *testing.T) {
+func TestAppendBinaryKeyAgreesWithEqual(t *testing.T) {
 	a := counterAtom(t)
 	states := []State{
 		a.InitialState(),
@@ -95,8 +95,8 @@ func TestAppendStateKeyAgreesWithEqual(t *testing.T) {
 	}
 	for i, s1 := range states {
 		for j, s2 := range states {
-			k1 := string(a.AppendStateKey(nil, s1))
-			k2 := string(a.AppendStateKey(nil, s2))
+			k1 := string(a.AppendBinaryKey(nil, s1))
+			k2 := string(a.AppendBinaryKey(nil, s2))
 			if (k1 == k2) != s1.Equal(s2) {
 				t.Fatalf("states %d,%d: key equality %v, state equality %v", i, j, k1 == k2, s1.Equal(s2))
 			}

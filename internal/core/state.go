@@ -44,7 +44,9 @@ func (st State) Local(i int) behavior.State {
 	return behavior.State{Loc: st.Locs[i], Vars: st.Vars[i]}
 }
 
-// Key returns a canonical encoding of the state usable as a map key.
+// Key renders the state as text, one component's Key per atom joined
+// by '#'. It names states in messages; exploration keys states by
+// System.AppendBinaryKey.
 func (st State) Key() string {
 	var b strings.Builder
 	for i := range st.Locs {
@@ -55,24 +57,6 @@ func (st State) Key() string {
 	}
 	return b.String()
 }
-
-// AppendStateKey appends a canonical encoding of st to buf and returns
-// the extended buffer. It is equality-compatible with State.Key (two
-// states get equal encodings iff they are Equal) but encodes variables in
-// each atom's declaration order, so it needs no sorting and performs no
-// intermediate allocations; exploration uses it with a reused buffer.
-func (s *System) AppendStateKey(buf []byte, st State) []byte {
-	for i, a := range s.Atoms {
-		if i > 0 {
-			buf = append(buf, '#')
-		}
-		buf = a.AppendStateKey(buf, behavior.State{Loc: st.Locs[i], Vars: st.Vars[i]})
-	}
-	return buf
-}
-
-// StateKey returns the canonical encoding of st as a string.
-func (s *System) StateKey(st State) string { return string(s.AppendStateKey(nil, st)) }
 
 // BinaryKeyWidth returns the size of the fixed-width binary state key.
 // Available after Validate.

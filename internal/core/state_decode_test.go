@@ -55,7 +55,7 @@ func TestStateFromBinaryKeyRoundTrip(t *testing.T) {
 			if re := sys.AppendBinaryKey(nil, back); !bytes.Equal(re, key) {
 				t.Fatalf("re-encode diverges: %x vs %x", re, key)
 			}
-			if got, want := sys.StateKey(back), sys.StateKey(st); got != want {
+			if got, want := back.Key(), st.Key(); got != want {
 				t.Fatalf("decoded state renders %q, want %q", got, want)
 			}
 			checked++
@@ -68,7 +68,7 @@ func TestStateFromBinaryKeyRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k := sys.StateKey(succ); !seen[k] {
+				if k := string(sys.AppendBinaryKey(nil, succ)); !seen[k] {
 					seen[k] = true
 					next = append(next, succ)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -197,16 +198,16 @@ func TestStepperDifferential(t *testing.T) {
 	}
 }
 
-// TestStateKeyCanonical checks the fast system-level key agrees with
-// state equality.
+// TestStateKeyCanonical checks the textual state key (State.Key, which
+// renders states in messages) agrees with state equality.
 func TestStateKeyCanonical(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randSystem(t, rng)
 		cur, prev := sys.Initial(), sys.Initial()
 		for step := 0; step < 30; step++ {
-			if (sys.StateKey(cur) == sys.StateKey(prev)) != cur.Equal(prev) {
-				t.Fatalf("seed %d step %d: StateKey disagrees with Equal", seed, step)
+			if (cur.Key() == prev.Key()) != cur.Equal(prev) {
+				t.Fatalf("seed %d step %d: State.Key disagrees with Equal", seed, step)
 			}
 			moves, err := sys.Enabled(cur)
 			if err != nil || len(moves) == 0 {
@@ -220,9 +221,10 @@ func TestStateKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestStateKeySeparatorInjective pins the length-prefixed encoding:
-// location names containing the separator bytes must not make distinct
-// states collide (exploration would silently merge them).
+// TestStateKeySeparatorInjective pins the binary state key against
+// location names that contain the textual key's separator bytes: they
+// must not make distinct states collide (exploration would silently
+// merge them).
 func TestStateKeySeparatorInjective(t *testing.T) {
 	mkAtom := func(name, l1, l2 string) *behavior.Atom {
 		return behavior.NewBuilder(name).
@@ -242,8 +244,8 @@ func TestStateKeySeparatorInjective(t *testing.T) {
 	s1, s2 := sys.Initial(), sys.Initial()
 	s1.Locs = []string{"p#q", "r"}
 	s2.Locs = []string{"p", "q#r"}
-	if sys.StateKey(s1) == sys.StateKey(s2) {
-		t.Fatalf("distinct states collide: %q", sys.StateKey(s1))
+	if k1, k2 := sys.AppendBinaryKey(nil, s1), sys.AppendBinaryKey(nil, s2); bytes.Equal(k1, k2) {
+		t.Fatalf("distinct states collide: %x", k1)
 	}
 }
 

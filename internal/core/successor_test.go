@@ -76,7 +76,7 @@ func TestScratchSuccessorsMatchExec(t *testing.T) {
 		slab := &core.Slab{}
 		var steps, failed int
 		frontier := []core.State{sys.Initial()}
-		seen := map[string]bool{sys.StateKey(sys.Initial()): true}
+		seen := map[string]bool{string(sys.AppendBinaryKey(nil, sys.Initial())): true}
 		for len(frontier) > 0 && len(seen) < 400 {
 			st := frontier[0]
 			frontier = frontier[1:]
@@ -92,28 +92,28 @@ func TestScratchSuccessorsMatchExec(t *testing.T) {
 				want, wantErr := sys.Exec(st, m)
 				got, err := x.Step(m)
 				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("%s: %s from %s: Step error %v, Exec error %v", sys.Name, sys.Label(m), sys.StateKey(st), err, wantErr)
+					t.Fatalf("%s: %s from %s: Step error %v, Exec error %v", sys.Name, sys.Label(m), st.Key(), err, wantErr)
 				}
 				if err != nil {
 					failed++
 					continue
 				}
 				if !got.Equal(want) {
-					t.Fatalf("%s: %s from %s: Step gives %s, Exec %s", sys.Name, sys.Label(m), sys.StateKey(st), sys.StateKey(*got), sys.StateKey(want))
+					t.Fatalf("%s: %s from %s: Step gives %s, Exec %s", sys.Name, sys.Label(m), st.Key(), got.Key(), want.Key())
 				}
 				if key, wantKey := x.Key(), sys.AppendBinaryKey(nil, want); !bytes.Equal(key, wantKey) {
-					t.Fatalf("%s: %s from %s: patched key %x, want %x", sys.Name, sys.Label(m), sys.StateKey(st), key, wantKey)
+					t.Fatalf("%s: %s from %s: patched key %x, want %x", sys.Name, sys.Label(m), st.Key(), key, wantKey)
 				}
 				if mat := x.MaterializeSlab(slab); !mat.Equal(want) {
-					t.Fatalf("%s: %s from %s: materialized %s, want %s", sys.Name, sys.Label(m), sys.StateKey(st), sys.StateKey(mat), sys.StateKey(want))
+					t.Fatalf("%s: %s from %s: materialized %s, want %s", sys.Name, sys.Label(m), st.Key(), mat.Key(), want.Key())
 				}
-				if k := sys.StateKey(want); !seen[k] {
+				if k := string(sys.AppendBinaryKey(nil, want)); !seen[k] {
 					seen[k] = true
 					frontier = append(frontier, want)
 				}
 			}
 			if !bytes.Equal(sys.AppendBinaryKey(nil, st), parentKey) {
-				t.Fatalf("%s: stepping mutated the parent %s", sys.Name, sys.StateKey(st))
+				t.Fatalf("%s: stepping mutated the parent %s", sys.Name, st.Key())
 			}
 		}
 		if sys.Name == "xfer" && failed == 0 {

@@ -238,29 +238,41 @@ func (d *Deployment) Run() (*Stats, error) {
 
 // ReplayLabels validates a committed label sequence against the
 // reference semantics of a deployable (priority-free) system: each label
-// must correspond to an enabled move when replayed in order. It returns
-// the number of steps replayed.
+// must correspond to an enabled move when replayed in order. A label
+// may name several enabled moves that lead to different states, so the
+// replay tracks every state reachable along the labels so far,
+// deduplicated by binary key, and fails only at a label that none of
+// them enables. It returns the number of steps replayed.
 func ReplayLabels(sys *core.System, labels []string) (int, error) {
-	st := sys.Initial()
+	cur := []core.State{sys.Initial()}
+	seen := map[string]bool{}
+	var key []byte
 	for i, lab := range labels {
-		moves, err := sys.EnabledRaw(st)
-		if err != nil {
-			return i, fmt.Errorf("distributed: replay step %d: %w", i, err)
-		}
-		var chosen *core.Move
-		for mi := range moves {
-			if sys.Label(moves[mi]) == lab {
-				chosen = &moves[mi]
-				break
+		var next []core.State
+		clear(seen)
+		for _, st := range cur {
+			moves, err := sys.EnabledRaw(st)
+			if err != nil {
+				return i, fmt.Errorf("distributed: replay step %d: %w", i, err)
+			}
+			for _, m := range moves {
+				if sys.Label(m) != lab {
+					continue
+				}
+				succ, err := sys.Exec(st, m)
+				if err != nil {
+					return i, fmt.Errorf("distributed: replay step %d: %w", i, err)
+				}
+				if key = sys.AppendBinaryKey(key[:0], succ); !seen[string(key)] {
+					seen[string(key)] = true
+					next = append(next, succ)
+				}
 			}
 		}
-		if chosen == nil {
+		if len(next) == 0 {
 			return i, fmt.Errorf("distributed: replay step %d: %q not enabled", i, lab)
 		}
-		st, err = sys.Exec(st, *chosen)
-		if err != nil {
-			return i, fmt.Errorf("distributed: replay step %d: %w", i, err)
-		}
+		cur = next
 	}
 	return len(labels), nil
 }

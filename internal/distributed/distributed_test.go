@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"bip/internal/behavior"
+	"bip/internal/core"
 	"bip/models"
 )
 
@@ -234,6 +236,34 @@ func TestReplayLabelsRejectsIllegal(t *testing.T) {
 	}
 	if _, err := ReplayLabels(sys, []string{"nonexistent"}); err == nil {
 		t.Fatal("unknown label must fail")
+	}
+}
+
+// TestReplayLabelsNondeterministicLabel replays a word whose first
+// label names two moves: p leads from l0 to l2 or to l1, and only l1
+// enables q. Committing to the first move that matches p would reject
+// the legal run [p q].
+func TestReplayLabelsNondeterministicLabel(t *testing.T) {
+	a := behavior.NewBuilder("A").
+		Location("l0", "l1", "l2").
+		Port("p").Port("q").
+		Transition("l0", "p", "l2").
+		Transition("l0", "p", "l1").
+		Transition("l1", "q", "l1").
+		MustBuild()
+	sys, err := core.NewSystem("nondet").
+		Add(a).
+		Connect("p", core.P("A", "p")).
+		Connect("q", core.P("A", "q")).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ReplayLabels(sys, []string{"p", "q", "q"}); err != nil || n != 3 {
+		t.Fatalf("ReplayLabels([p q q]) = %d, %v; want 3, nil", n, err)
+	}
+	if n, err := ReplayLabels(sys, []string{"p", "p"}); err == nil || n != 1 {
+		t.Fatalf("ReplayLabels([p p]) = %d, %v; want a failure at step 1", n, err)
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 // set of (system state, observer state) pairs — incrementally over the
 // stream. What it retains per visited state is a handful of 64-bit
 // words (observer-state bitsets and pre-evaluated predicate bits), per
-// edge a compact pointer-free record (target id, interned label id) and
-// per claimed pair its product-BFS-tree edge, all in append-only
-// chunked tables; materialized states are still released with the
-// frontier.
+// edge a compact pointer-free record (target id, interned label id, the
+// link to its source's next edge) and per claimed pair its
+// product-BFS-tree edge, all in append-only chunked tables;
+// materialized states are still released with the frontier.
 // That is O(V+E) machine words against the materialized LTS's O(V)
 // full states plus O(E) edges plus the BFS tree, and early exit on the
 // first violation still skips the space behind it.
@@ -112,21 +112,15 @@ func (o *Observer) EvBits(label string) uint64 {
 // obsCell is the checker's per-system-state record: the observer states
 // known to be reachable at the state, the subset already propagated
 // through its outgoing edges, the state's pre-evaluated predicate bits
-// (the state itself is not retained), the head of its pair list and
-// where its edges are. 32 bytes, no pointers.
+// (the state itself is not retained) and the ends of its edge list.
+// 32 bytes, no pointers.
 type obsCell struct {
 	obs  uint64
 	done uint64
 	pred uint64
-	// pairs heads the state's list in the pair table, one entry per
-	// claimed observer state but the initial pair's (index + 1; 0 ends
-	// the list), so at most popcount(obs) entries.
-	pairs int32
-	// edges locates the state's recorded edges. On a deterministic
-	// stream it is the end of the state's range in edges, which starts
-	// at the previous state's end; on an unordered stream it heads the
-	// state's list in uEdges (index + 1; 0 ends the list).
-	edges int32
+	// first and last are the state's first and last recorded edges
+	// (index + 1; 0 while it has none). The list runs in stream order.
+	first, last int32
 }
 
 // The per-edge and per-pair records below name the interaction label by
@@ -135,10 +129,12 @@ type obsCell struct {
 // tables, and growing them pays no write barriers.
 
 // aEdge is one recorded edge of the product propagation graph: target
-// state and label id, 8 bytes.
+// state, label id and the next edge of the same source (index + 1; 0
+// ends the list). 12 bytes.
 type aEdge struct {
 	to    int32
 	label int32
+	next  int32
 }
 
 // aPair is a claimed (system state, observer state) pair with its
@@ -148,32 +144,32 @@ type aEdge struct {
 type aPair struct {
 	from    int32 // the parent pair's system state
 	label   int32
-	next    int32 // next pair of the same state (index + 1; 0 ends the list)
+	state   int32 // this pair's system state
 	obs     int8  // this pair's observer state
 	fromObs int8  // the parent pair's observer state
-}
-
-// uaEdge is one recorded edge of the unordered propagation graph: the
-// per-source edge lists are intrusive linked lists because an unordered
-// stream interleaves sources arbitrarily, so contiguous per-source
-// ranges cannot be built. 12 bytes per edge.
-type uaEdge struct {
-	to    int32
-	next  int32 // next edge of the same source (index + 1; 0 ends the list)
-	label int32
 }
 
 // AutomatonCheck verifies an Observer property on the fly: it computes
 // the reachable (system state, observer state) pairs incrementally over
 // the event stream and settles with a counterexample path as soon as a
 // pair with a bad observer state appears. Construct with
-// NewAutomatonCheck. The verdict — the violating system state in
-// propagation order and the product path to it — is deterministic and
-// worker-count independent because the event stream is.
+// NewAutomatonCheck.
+//
+// One propagation serves every stream order the Sink contract allows. A
+// state's observer states propagate through its recorded edges at its
+// OnExpanded; a state that gains observer states later propagates them
+// again through a FIFO worklist; and an edge that arrives after its
+// source has propagated (an unordered stream's late cross edge) is
+// pushed through on arrival. Every recorded edge has then seen every
+// propagated observer state, so the product fixpoint is exact under any
+// interleaving. On the deterministic stream the propagation order is
+// fully determined, so the verdict — the violating system state and the
+// product path to it — is too; on an unordered stream Found and
+// Exhaustive are the same, while the particular bad pair may differ.
 //
 // Per state and per edge it allocates nothing and hashes nothing but
-// the label: cells, edges and pairs live in append-only chunked tables
-// indexed by state id, edge and pair index, and the predicates are
+// the label: cells (32 bytes per state), edges (12 bytes) and pairs (16
+// bytes) live in append-only chunked tables, and the predicates are
 // evaluated on a scratch state the checker owns.
 type AutomatonCheck struct {
 	// Obs is the compiled observer; see bip/prop for the algebra that
@@ -194,27 +190,12 @@ type AutomatonCheck struct {
 	scratch core.State
 
 	cells table[obsCell] // indexed by state id
-	edges table[aEdge]   // deterministic stream: per-source ranges
-	pairs table[aPair]
-	queue []int32 // FIFO worklist of states with unpropagated bits
-	// expanded is the count of states whose edge lists are complete;
-	// OnExpanded arrives in increasing id order, so ids < expanded are
-	// safe to propagate through.
-	expanded int
-
-	// Unordered-stream mode (SetStreamOrder): edges become per-source
-	// intrusive lists and propagation runs edge-by-edge as events
-	// arrive — the same product fixpoint, reached in a
-	// schedule-dependent order, so Found/Exhaustive are identical while
-	// the particular bad pair (and path) may differ.
-	unordered bool
-	uEdges    table[uaEdge]
+	edges table[aEdge]   // per-source lists, linked through next
+	pairs table[aPair]   // in claim order
+	queue []int32        // FIFO worklist of states with unpropagated bits
 }
 
-var (
-	_ Sink      = (*AutomatonCheck)(nil)
-	_ OrderSink = (*AutomatonCheck)(nil)
-)
+var _ Sink = (*AutomatonCheck)(nil)
 
 // NewAutomatonCheck returns a checker for the observer.
 func NewAutomatonCheck(obs *Observer) *AutomatonCheck {
@@ -233,96 +214,61 @@ func (c *AutomatonCheck) labelID(label string) int32 {
 	return id
 }
 
-// SetStreamOrder implements OrderSink: the unordered mode switches to
-// per-source edge lists and event-driven propagation.
-func (c *AutomatonCheck) SetStreamOrder(o Order) {
-	c.unordered = o == Unordered
-}
-
 // OnState implements Sink: it pre-evaluates the rule predicates while
 // the state is materialized and, for the initial state, performs the
-// observer's initial observation. An unordered stream delivers ids in
-// arbitrary (dense) order; OnState(0) is first either way.
+// observer's initial observation. Ids are dense but may arrive in any
+// order after OnState(0), so the cell table grows to the id.
 func (c *AutomatonCheck) OnState(id int, st core.State, d Discovery) error {
 	c.scratch = st
 	pred := c.Obs.PredBits(&c.scratch)
 	c.scratch = core.State{}
-	if c.unordered {
-		c.cells.extend(int32(id) + 1)
-		c.cells.at(int32(id)).pred = pred
-	} else {
-		c.cells.push(obsCell{pred: pred})
-	}
+	c.cells.extend(int32(id) + 1)
+	cell := c.cells.at(int32(id))
+	cell.pred = pred
 	if id == 0 {
 		q0 := c.Obs.Step(c.Obs.Init, c.Obs.InitBits, pred)
-		c.cells.at(0).obs = 1 << uint(q0)
+		cell.obs = 1 << uint(q0)
 		if c.Obs.Bad&(1<<uint(q0)) != 0 {
 			return c.settleProduct(0, q0)
 		}
-		if c.unordered {
-			c.queue = append(c.queue, 0)
-			return c.drainU()
-		}
 	}
 	return nil
 }
 
-// OnEdge implements Sink. Deterministic streams only record the edge;
-// propagation runs at the source's OnExpanded, once its edge list is
-// complete. Unordered streams have no such completion point, so the
-// edge joins its source's list immediately and the bits the source
-// already propagated elsewhere are pushed through it on the spot —
-// every recorded edge has then seen every done bit, which keeps the
-// incremental fixpoint exact under any event interleaving.
+// OnEdge implements Sink: the edge joins the end of its source's list.
+// A source that has already propagated (a late cross edge) pushes its
+// propagated observer states through the edge on arrival.
 func (c *AutomatonCheck) OnEdge(from, to int, label string) error {
-	id := c.labelID(label)
-	if !c.unordered {
-		c.edges.push(aEdge{to: int32(to), label: id})
+	ei := c.edges.push(aEdge{to: int32(to), label: c.labelID(label)}) + 1
+	src := c.cells.at(int32(from))
+	if src.last == 0 {
+		src.first = ei
+	} else {
+		c.edges.at(src.last - 1).next = ei
+	}
+	src.last = ei
+	if src.done == 0 {
 		return nil
 	}
-	src := c.cells.at(int32(from))
-	ei := c.uEdges.push(uaEdge{to: int32(to), next: src.edges, label: id})
-	src.edges = ei + 1
-	if done := src.done; done != 0 {
-		if err := c.pushBits(int32(from), done, c.uEdges.at(ei)); err != nil {
-			return err
-		}
-		return c.drainU()
+	if err := c.pushBits(int32(from), src.done, *c.edges.at(ei - 1)); err != nil {
+		return err
 	}
-	return nil
+	return c.drain()
 }
 
-// OnExpanded implements Sink: on a deterministic stream, state id's
-// edge list is now complete, so its accumulated observer states are
-// propagated; the worklist re-runs any already-expanded state that
-// gains observer states through back or cross edges, to the product
-// fixpoint for the stream so far. Unordered streams propagate per edge
-// instead and have nothing to do here.
+// OnExpanded implements Sink: the state's observer states propagate
+// through the edges recorded for it, and on through every state that
+// gains observer states, to the product fixpoint for the stream so far.
 func (c *AutomatonCheck) OnExpanded(id, moves int) error {
-	if c.unordered {
-		return nil
-	}
-	c.cells.at(int32(id)).edges = c.edges.len()
-	c.expanded = id + 1
 	c.queue = append(c.queue, int32(id))
 	return c.drain()
 }
 
-// claim records the new pair (tc's state, q2), reached from the pair
-// (from, q) over the edge labelled label, at the head of tc's pair
-// list. Each pair is claimed once, so each state's list holds at most
-// one entry per observer state.
-func (c *AutomatonCheck) claim(tc *obsCell, from int32, q, q2 int, label int32) {
-	tc.obs |= 1 << uint(q2)
-	tc.pairs = c.pairs.push(aPair{from: from, label: label, next: tc.pairs, obs: int8(q2), fromObs: int8(q)}) + 1
-}
-
-// drain runs the FIFO worklist: for each queued state, the observer
-// states not yet pushed through its edges step across each edge in
-// order, claiming new (state, observer) pairs. The order — FIFO queue,
-// edges in stream order, observer states in ascending order — is fully
-// determined by the event stream, which makes the first bad pair (and
-// its product path) deterministic.
+// drain runs the FIFO worklist: each queued state pushes the observer
+// states it has not propagated yet through its edges. The order — FIFO
+// queue, edges in stream order, observer states in ascending order — is
+// fully determined by the event stream, which makes the first bad pair
+// (and its product path) deterministic on the deterministic stream.
 func (c *AutomatonCheck) drain() error {
 	for head := 0; head < len(c.queue); head++ {
 		x := c.queue[head]
@@ -332,72 +278,8 @@ func (c *AutomatonCheck) drain() error {
 			continue
 		}
 		cell.done |= newBits
-		var first int32
-		if x > 0 {
-			first = c.cells.at(x - 1).edges
-		}
-		for ei := first; ei < cell.edges; ei++ {
-			e := c.edges.at(ei)
-			tc := c.cells.at(e.to)
-			ev := c.evBits[e.label]
-			for bs := newBits; bs != 0; bs &= bs - 1 {
-				q := bits.TrailingZeros64(bs)
-				q2 := c.Obs.Step(q, ev, tc.pred)
-				if tc.obs&(1<<uint(q2)) != 0 {
-					continue
-				}
-				c.claim(tc, x, q, q2, e.label)
-				if c.Obs.Bad&(1<<uint(q2)) != 0 {
-					c.queue = c.queue[:0]
-					return c.settleProduct(int(e.to), q2)
-				}
-				if int(e.to) < c.expanded {
-					c.queue = append(c.queue, e.to)
-				}
-			}
-		}
-	}
-	c.queue = c.queue[:0]
-	return nil
-}
-
-// pushBits steps the source's bit set across one edge, claiming any new
-// (state, observer) pairs: the per-edge propagation primitive of the
-// unordered mode.
-func (c *AutomatonCheck) pushBits(from int32, bs uint64, e *uaEdge) error {
-	tc := c.cells.at(e.to)
-	ev := c.evBits[e.label]
-	for ; bs != 0; bs &= bs - 1 {
-		q := bits.TrailingZeros64(bs)
-		q2 := c.Obs.Step(q, ev, tc.pred)
-		if tc.obs&(1<<uint(q2)) != 0 {
-			continue
-		}
-		c.claim(tc, from, q, q2, e.label)
-		if c.Obs.Bad&(1<<uint(q2)) != 0 {
-			c.queue = c.queue[:0]
-			return c.settleProduct(int(e.to), q2)
-		}
-		c.queue = append(c.queue, e.to)
-	}
-	return nil
-}
-
-// drainU runs the unordered worklist: each queued state pushes its
-// not-yet-propagated observer states through every edge recorded for it
-// so far (edges recorded later catch up in OnEdge). Same fixpoint as
-// drain, reached in a schedule-dependent order.
-func (c *AutomatonCheck) drainU() error {
-	for head := 0; head < len(c.queue); head++ {
-		x := c.queue[head]
-		cell := c.cells.at(x)
-		newBits := cell.obs &^ cell.done
-		if newBits == 0 {
-			continue
-		}
-		cell.done |= newBits
-		for ei := cell.edges; ei != 0; {
-			e := c.uEdges.at(ei - 1)
+		for ei := cell.first; ei != 0; {
+			e := *c.edges.at(ei - 1)
 			if err := c.pushBits(x, newBits, e); err != nil {
 				return err
 			}
@@ -408,17 +290,52 @@ func (c *AutomatonCheck) drainU() error {
 	return nil
 }
 
+// pushBits steps the observer states bs of state from across edge e,
+// claiming the (state, observer) pairs they reach. A target that gains
+// one is queued if it has recorded edges or has propagated before; any
+// other target is not expanded yet and propagates at its OnExpanded.
+// (Every state holds an observer state by then: its discoverer's
+// OnExpanded pushed one through the discovery edge. So done != 0 marks
+// an expanded state even when all its edges are still to come.)
+func (c *AutomatonCheck) pushBits(from int32, bs uint64, e aEdge) error {
+	tc := c.cells.at(e.to)
+	ev := c.evBits[e.label]
+	for ; bs != 0; bs &= bs - 1 {
+		q := bits.TrailingZeros64(bs)
+		q2 := c.Obs.Step(q, ev, tc.pred)
+		if tc.obs&(1<<uint(q2)) != 0 {
+			continue
+		}
+		tc.obs |= 1 << uint(q2)
+		c.pairs.push(aPair{from: from, label: e.label, state: e.to, obs: int8(q2), fromObs: int8(q)})
+		if c.Obs.Bad&(1<<uint(q2)) != 0 {
+			c.queue = c.queue[:0]
+			return c.settleProduct(int(e.to), q2)
+		}
+		if tc.first != 0 || tc.done != 0 {
+			c.queue = append(c.queue, e.to)
+		}
+	}
+	return nil
+}
+
 // settleProduct records the verdict: the violating system state and the
 // interaction path reconstructed from the product BFS tree (a path that
 // both exists in the system and drives the observer to the bad state —
-// the discovery-tree path of the state alone need not). The propagation
-// tables are released; the check is settled.
+// the discovery-tree path of the state alone need not). Each pair is
+// claimed after the pair it came from and the initial pair has no
+// record, so one backward scan of the pair table meets the whole chain.
+// The propagation tables are released; the check is settled.
 func (c *AutomatonCheck) settleProduct(state, obs int) error {
 	c.Found = true
 	c.State = state
 	var labels []string
-	for p, ok := c.parent(int32(state), obs); ok; p, ok = c.parent(p.from, int(p.fromObs)) {
-		labels = append(labels, c.labels[p.label])
+	s, q := int32(state), int8(obs)
+	for pi := c.pairs.len() - 1; pi >= 0; pi-- {
+		if p := c.pairs.at(pi); p.state == s && p.obs == q {
+			labels = append(labels, c.labels[p.label])
+			s, q = p.from, p.fromObs
+		}
 	}
 	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
 		labels[i], labels[j] = labels[j], labels[i]
@@ -426,19 +343,6 @@ func (c *AutomatonCheck) settleProduct(state, obs int) error {
 	c.Path = labels
 	c.release()
 	return ErrStop
-}
-
-// parent returns the claim record of the pair (state, obs); the initial
-// pair has none.
-func (c *AutomatonCheck) parent(state int32, obs int) (aPair, bool) {
-	for pi := c.cells.at(state).pairs; pi != 0; {
-		p := c.pairs.at(pi - 1)
-		if int(p.obs) == obs {
-			return *p, true
-		}
-		pi = p.next
-	}
-	return aPair{}, false
 }
 
 // Done implements Sink: with full coverage the product fixpoint is
@@ -451,7 +355,7 @@ func (c *AutomatonCheck) Done(truncated bool) error {
 // release drops the propagation tables once the check can no longer be
 // fed events.
 func (c *AutomatonCheck) release() {
-	c.cells, c.edges, c.pairs, c.uEdges = table[obsCell]{}, table[aEdge]{}, table[aPair]{}, table[uaEdge]{}
+	c.cells, c.edges, c.pairs = table[obsCell]{}, table[aEdge]{}, table[aPair]{}
 	c.queue = nil
 	c.labelIDs, c.labels, c.evBits = nil, nil, nil
 }

@@ -2,6 +2,8 @@ package lts
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"bip/internal/behavior"
@@ -239,6 +241,167 @@ func TestAutomatonWorkerDeterminism(t *testing.T) {
 		if chk.Found != ref.Found || chk.State != ref.State || !samePath(chk.Path, ref.Path) {
 			t.Fatalf("workers=%d: verdict (%v,%d,%v) != sequential (%v,%d,%v)",
 				w, chk.Found, chk.State, chk.Path, ref.Found, ref.State, ref.Path)
+		}
+	}
+}
+
+// TestAutomatonRelaxedOrders feeds one small graph's events to the
+// checker by hand, in orders the relaxed Sink contract allows but a
+// one-worker run never produces, and requires each to give the
+// deterministic order's Found and Exhaustive, with a path that replays
+// on the graph into the reported state and drives the observer bad.
+//
+// The graph (labels after the dash) reaches 4 with "b then c" only
+// through 1 -b-> 3 -c-> 4:
+//
+//	0-a->1  0-a->2  1-b->3  2-a->3  2-c->4  3-c->4  3-a->0
+//
+// Events are tokens: sN is OnState(N), xN is OnExpanded(N) and eF-Tl is
+// OnEdge(F, T, l).
+func TestAutomatonRelaxedOrders(t *testing.T) {
+	type edge struct {
+		from, to int
+		label    string
+	}
+	graph := []edge{{0, 1, "a"}, {0, 2, "a"}, {1, 3, "b"}, {2, 3, "a"}, {2, 4, "c"}, {3, 4, "c"}, {3, 0, "a"}}
+	const n = 5
+	moves := make([]int, n)
+	for _, e := range graph {
+		moves[e.from]++
+	}
+	// seq returns the observer q0 -first-> q1 -second-> bad.
+	seq := func(first, second string) *Observer {
+		return &Observer{
+			NumStates: 3,
+			Init:      0,
+			Bad:       1 << 2,
+			To:        []int32{1, 2},
+			ByState:   [][]int32{{0}, {1}, nil},
+			Preds:     make([]func(*core.State) bool, 2),
+			LabelBits: map[string]uint64{"a": 0, first: 1 << 0, second: 1 << 1},
+		}
+	}
+	orders := []struct {
+		name  string
+		perm  []int // perm[i] is the id graph state i is announced as; nil keeps the ids
+		order string
+	}{
+		{"deterministic", nil,
+			"s0 s1 e0-1a s2 e0-2a x0 s3 e1-3b x1 e2-3a s4 e2-4c x2 e3-4c e3-0a x3 x4"},
+		// The deterministic order with graph states 1-4 announced as 3,
+		// 1, 4, 2: ids arrive out of order.
+		{"ids permuted", []int{0, 3, 1, 4, 2},
+			"s0 s3 e0-3a s1 e0-1a x0 s4 e3-4b x3 e1-4a s2 e1-2c x1 e4-2c e4-0a x4 x2"},
+		// 3's edges reach the sink inside 2's expansion, around 2's own.
+		{"edges of a source split", nil,
+			"s0 s1 e0-1a s2 e0-2a x0 s3 e1-3b x1 e2-3a s4 e3-4c e2-4c x2 e3-0a x3 x4"},
+		// 1 -b-> 3 arrives after both 1 and 3 were expanded: 1's
+		// propagated observer state must cross it into 3 and on to 4.
+		{"late edge into an expanded target", nil,
+			"s0 s1 e0-1a s2 e0-2a x0 x1 s3 e2-3a s4 e2-4c x2 e3-4c e3-0a x3 e1-3b x4"},
+		// 3 has edges, but no OnExpanded yet, when 1 -b-> 3 fires.
+		{"edge into a state with edges but unexpanded", nil,
+			"s0 s1 e0-1a s2 e0-2a x0 s3 e2-3a s4 e3-4c e3-0a e2-4c x2 e1-3b x1 x3 x4"},
+		// 3 is expanded before any of its edges arrive and gains the
+		// armed observer state afterwards: its late edges must carry it.
+		{"edgeless expanded state gains bits before its late edges", nil,
+			"s0 s1 e0-1a s2 e0-2a x0 s3 e2-3a s4 e2-4c x2 x3 e1-3b x1 e3-4c e3-0a x4"},
+	}
+	for _, o := range orders {
+		perm, inv := make([]int, n), make([]int, n)
+		for i := range perm {
+			perm[i] = i
+			if o.perm != nil {
+				perm[i] = o.perm[i]
+			}
+			inv[perm[i]] = i
+		}
+		// Check that the order is one the relaxed contract allows and
+		// emits exactly the graph's events, then feed it.
+		fed := func(chk *AutomatonCheck) {
+			t.Helper()
+			announced, expandedAt := map[int]bool{}, map[int]int{}
+			var edges []edge
+			for i, tok := range strings.Fields(o.order) {
+				var err error
+				var a, b int
+				switch tok[0] {
+				case 's':
+					fmt.Sscanf(tok, "s%d", &a)
+					if (i == 0) != (a == 0) || announced[a] {
+						t.Fatalf("%s: %s out of contract", o.name, tok)
+					}
+					announced[a] = true
+					err = chk.OnState(a, core.State{}, Discovery{})
+				case 'x':
+					fmt.Sscanf(tok, "x%d", &a)
+					disc := a == 0
+					for _, e := range edges {
+						if x, ok := expandedAt[e.from]; ok && e.to == a && x < i {
+							disc = true
+						}
+					}
+					if !announced[a] || !disc {
+						t.Fatalf("%s: %s before its OnState or before its discoverer's expansion", o.name, tok)
+					}
+					expandedAt[a] = i
+					err = chk.OnExpanded(a, moves[inv[a]])
+				default:
+					var l string
+					fmt.Sscanf(tok, "e%d-%d%s", &a, &b, &l)
+					if !announced[a] || !announced[b] {
+						t.Fatalf("%s: %s before an endpoint's OnState", o.name, tok)
+					}
+					edges = append(edges, edge{a, b, l})
+					err = chk.OnEdge(a, b, l)
+				}
+				if err == ErrStop {
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s: %s: %v", o.name, tok, err)
+				}
+			}
+			if len(expandedAt) != n || len(edges) != len(graph) {
+				t.Fatalf("%s: %d expansions and %d edges, want %d and %d", o.name, len(expandedAt), len(edges), n, len(graph))
+			}
+			for _, e := range graph {
+				if !slices.Contains(edges, edge{perm[e.from], perm[e.to], e.label}) {
+					t.Fatalf("%s: edge %+v missing", o.name, e)
+				}
+			}
+			if err := chk.Done(false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			obs   *Observer
+			found bool
+		}{{seq("b", "c"), true}, {seq("c", "b"), false}} {
+			chk := NewAutomatonCheck(c.obs)
+			fed(chk)
+			if chk.Found != c.found || chk.Exhaustive == c.found {
+				t.Fatalf("%s: found=%v exhaustive=%v, want found=%v", o.name, chk.Found, chk.Exhaustive, c.found)
+			}
+			if !chk.Found {
+				continue
+			}
+			// Replay the path on the graph from state 0 with the
+			// observer alongside; the reported state must be reachable
+			// along it with the observer bad.
+			at, q := map[int]bool{0: true}, c.obs.Init
+			for _, l := range chk.Path {
+				next := map[int]bool{}
+				for _, e := range graph {
+					if at[e.from] && e.label == l {
+						next[e.to] = true
+					}
+				}
+				at, q = next, c.obs.Step(q, c.obs.EvBits(l), ^uint64(0))
+			}
+			if !at[inv[chk.State]] || c.obs.Bad&(1<<uint(q)) == 0 {
+				t.Fatalf("%s: path %v does not reach state %d with the observer bad", o.name, chk.Path, chk.State)
+			}
 		}
 	}
 }

@@ -150,10 +150,7 @@ type Multi struct {
 	active  int
 }
 
-var (
-	_ Sink      = (*Multi)(nil)
-	_ OrderSink = (*Multi)(nil)
-)
+var _ Sink = (*Multi)(nil)
 
 // NewMulti combines sinks into one.
 func NewMulti(sinks ...Sink) *Multi {
@@ -161,14 +158,6 @@ func NewMulti(sinks ...Sink) *Multi {
 		sinks:   sinks,
 		stopped: make([]bool, len(sinks)),
 		active:  len(sinks),
-	}
-}
-
-// SetStreamOrder implements OrderSink by forwarding the announcement to
-// every order-aware child.
-func (m *Multi) SetStreamOrder(o Order) {
-	for _, s := range m.sinks {
-		announceOrder(s, o)
 	}
 }
 

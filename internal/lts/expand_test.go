@@ -34,7 +34,7 @@ func stateKeySet(l *LTS) map[string]bool {
 	sys := l.System()
 	out := make(map[string]bool, l.NumStates())
 	for i := 0; i < l.NumStates(); i++ {
-		out[sys.StateKey(l.State(i))] = true
+		out[string(sys.AppendBinaryKey(nil, l.State(i)))] = true
 	}
 	return out
 }
@@ -43,7 +43,7 @@ func deadlockKeySet(l *LTS) map[string]bool {
 	sys := l.System()
 	out := map[string]bool{}
 	for _, d := range l.Deadlocks() {
-		out[sys.StateKey(l.State(d))] = true
+		out[string(sys.AppendBinaryKey(nil, l.State(d)))] = true
 	}
 	return out
 }
@@ -64,12 +64,11 @@ func requireSameKeySet(t *testing.T, name string, want, got map[string]bool) {
 // event: same numbering, same states, same edge lists.
 func requireExactStream(t *testing.T, name string, want, got *LTS) {
 	t.Helper()
-	sys := want.System()
 	if got.NumStates() != want.NumStates() {
 		t.Fatalf("%s: %d states != %d", name, got.NumStates(), want.NumStates())
 	}
 	for i := 0; i < want.NumStates(); i++ {
-		if sys.StateKey(want.State(i)) != sys.StateKey(got.State(i)) {
+		if !want.State(i).Equal(got.State(i)) {
 			t.Fatalf("%s: state %d differs", name, i)
 		}
 		we, ge := want.Edges(i), got.Edges(i)

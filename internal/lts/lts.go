@@ -42,16 +42,11 @@ type LTS struct {
 	states []core.State
 	edges  [][]Edge
 
-	// parent/parentLabel store the BFS tree for counterexample paths.
-	parent      []int
-	parentLabel []string
+	// tree is the run's BFS tree, taken from the initial state's
+	// Discovery; PathTo walks it.
+	tree *bfsTree
 
 	truncated bool
-
-	// unordered records the announced stream order (SetStreamOrder):
-	// deterministic streams keep the strict contiguous-id check, the
-	// unordered stream grows the tables as dense ids arrive.
-	unordered bool
 
 	// Lazily computed analysis caches (see Deadlocks, LabelSet).
 	deadlocks     []int
@@ -181,31 +176,19 @@ func Explore(sys *core.System, opts Options) (*LTS, error) {
 	return l, nil
 }
 
-// SetStreamOrder implements OrderSink: an unordered stream delivers
-// dense ids in arbitrary order, so the tables grow with placeholders;
-// a deterministic stream keeps the strict in-order check, which fails
-// fast on any driver numbering regression.
-func (l *LTS) SetStreamOrder(o Order) {
-	l.unordered = o == Unordered
-}
-
-// OnState implements Sink by storing the state and its discovery-tree
-// edge. On an unordered stream (SetStreamOrder) ids arrive in no
-// particular order but are dense, so the slices are grown with
-// placeholders that are always filled before Done.
+// OnState implements Sink by storing the state. Ids are dense but may
+// arrive in any order after OnState(0), so the tables grow with
+// placeholders, all filled before Done. The first Discovery's handle on
+// the run's BFS tree is kept for PathTo.
 func (l *LTS) OnState(id int, st core.State, d Discovery) error {
-	if !l.unordered && id != len(l.states) {
-		return fmt.Errorf("lts: state %d delivered out of order (have %d)", id, len(l.states))
+	if l.tree == nil {
+		l.tree = d.tree
 	}
 	for len(l.states) <= id {
 		l.states = append(l.states, core.State{})
 		l.edges = append(l.edges, nil)
-		l.parent = append(l.parent, -1)
-		l.parentLabel = append(l.parentLabel, "")
 	}
 	l.states[id] = st
-	l.parent[id] = d.Parent
-	l.parentLabel[id] = d.Label
 	return nil
 }
 
@@ -277,18 +260,7 @@ func (l *LTS) DeadlockFree() (bool, error) {
 
 // PathTo reconstructs the interaction labels leading from the initial
 // state to state i along the BFS tree.
-func (l *LTS) PathTo(i int) []string {
-	var rev []string
-	for i > 0 {
-		rev = append(rev, l.parentLabel[i])
-		i = l.parent[i]
-	}
-	out := make([]string, len(rev))
-	for j := range rev {
-		out[j] = rev[len(rev)-1-j]
-	}
-	return out
-}
+func (l *LTS) PathTo(i int) []string { return l.tree.path(int32(i)) }
 
 // FindState returns the first explored state satisfying pred.
 func (l *LTS) FindState(pred func(core.State) bool) (int, bool) {

@@ -367,9 +367,8 @@ func requireSameLTS(t *testing.T, name string, a, b *LTS) {
 				t.Fatalf("%s: state %d edge %d: %+v != %+v", name, i, j, ea[j], eb[j])
 			}
 		}
-		if a.parent[i] != b.parent[i] || a.parentLabel[i] != b.parentLabel[i] {
-			t.Fatalf("%s: BFS tree differs at state %d: (%d,%q) != (%d,%q)",
-				name, i, a.parent[i], a.parentLabel[i], b.parent[i], b.parentLabel[i])
+		if ta, tb := *a.tree.edges.at(int32(i)), *b.tree.edges.at(int32(i)); ta != tb {
+			t.Fatalf("%s: BFS tree differs at state %d: %+v != %+v", name, i, ta, tb)
 		}
 	}
 	da, db := a.Deadlocks(), b.Deadlocks()

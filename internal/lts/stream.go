@@ -102,21 +102,13 @@ const (
 	Unordered
 )
 
-// OrderSink is an optional Sink extension: Stream announces the
-// stream order it is about to produce before the first event, so
-// order-sensitive sinks (AutomatonCheck, the materialized LTS) can
-// pick the matching bookkeeping. Sinks that do not implement it must be
-// order-insensitive or be used only with deterministic streams.
-// NewMulti forwards the announcement to every child.
+// OrderSink is a Sink extension that no longer has a caller: every
+// Sink consumes the relaxed event contract, so Stream announces no
+// order.
+//
+// Deprecated: nothing calls SetStreamOrder; implement Sink alone.
 type OrderSink interface {
 	SetStreamOrder(Order)
-}
-
-// announceOrder tells an order-aware sink which stream to expect.
-func announceOrder(sink Sink, o Order) {
-	if os, ok := sink.(OrderSink); ok {
-		os.SetStreamOrder(o)
-	}
 }
 
 // Sink consumes the exploration event stream. With Options.Order ==
@@ -140,13 +132,16 @@ func announceOrder(sink Sink, o Order) {
 //     exploration — but not after an ErrStop.
 //
 // On the work-stealing frontier (Options.Order == Unordered with
-// Workers > 1 or a MemBudget) the stream relaxes the ordering only: ids are still dense and unique,
-// OnState(0) is still the first event, every state's OnState still
-// precedes both every OnEdge mentioning it (either endpoint) and its
-// own OnExpanded — but ids arrive in no particular order, edges of one
+// Workers > 1 or a MemBudget) the stream relaxes the ordering only: ids
+// are still dense and unique, OnState(0) is still the first event,
+// every state's OnState still precedes both every OnEdge mentioning it
+// (either endpoint) and its own OnExpanded, and a state's discovery
+// edge and its discoverer's OnExpanded still precede its own
+// OnExpanded — but ids arrive in no particular order, edges of one
 // state need not be contiguous, and a late cross edge may even arrive
-// after its source's OnExpanded. Stream announces the order through
-// OrderSink before the first event.
+// after its source's OnExpanded. Every Sink in this package is written
+// against this relaxed contract alone, of which the deterministic
+// stream is one order, so none needs to know which stream it is fed.
 //
 // Methods are never called concurrently. Returning ErrStop ends the
 // exploration early; any other error aborts it and is returned by
@@ -322,14 +317,13 @@ func Stream(sys *core.System, opts Options, sink Sink) (Stats, error) {
 	order := Unordered
 	if opts.Order != Unordered || (workers <= 1 && opts.MemBudget <= 0) {
 		// One worker produces the deterministic stream by construction,
-		// whatever Order asks for — announce what the sink will see.
+		// whatever Order asks for.
 		order, workers = Deterministic, 1
 	} else if workers < 1 {
 		// A one-worker unordered run with a budget runs on the deques,
 		// whose frontier can spill; the FIFO's stays resident.
 		workers = 1
 	}
-	announceOrder(sink, order)
 
 	d := &driver{
 		sys:        sys,

@@ -4,7 +4,7 @@ import "testing"
 
 // TestTableChunks drives the append-only table across the first
 // chunk's doublings and past several full chunks, by push and by
-// extend (the unordered checker's jump to an id): every record keeps
+// extend (a checker's jump to an id that arrives out of order): every record keeps
 // its value, extended records read zero, and full chunks are never
 // reallocated.
 func TestTableChunks(t *testing.T) {
@@ -12,7 +12,7 @@ func TestTableChunks(t *testing.T) {
 	const n = 3<<tableShift + 17
 	var full *aPair // the first record of the second chunk
 	for i := int32(0); i < n; i++ {
-		if got := tb.push(aPair{from: i, next: -i}); got != i {
+		if got := tb.push(aPair{from: i, state: -i}); got != i {
 			t.Fatalf("push %d returned index %d", i, got)
 		}
 		if i == 1<<tableShift {
@@ -33,7 +33,7 @@ func TestTableChunks(t *testing.T) {
 	for i := int32(0); i < tb.len(); i++ {
 		want := aPair{}
 		if i < n {
-			want = aPair{from: i, next: -i}
+			want = aPair{from: i, state: -i}
 		}
 		if got := *tb.at(i); got != want {
 			t.Fatalf("record %d = %+v, want %+v", i, got, want)

@@ -35,7 +35,7 @@ func canonicalize(l *LTS) canonLTS {
 	sys := l.System()
 	keys := make([]string, l.NumStates())
 	for i := range keys {
-		keys[i] = sys.StateKey(l.State(i))
+		keys[i] = string(sys.AppendBinaryKey(nil, l.State(i)))
 	}
 	c := canonLTS{initial: keys[0], truncated: l.Truncated()}
 	c.states = append(c.states, keys...)
@@ -97,7 +97,7 @@ func requireSameCanonical(t *testing.T, name string, want, got *LTS) {
 // real run.
 func validateRun(t *testing.T, name string, sys *core.System, raw bool, path []string, final func(core.State) bool) {
 	t.Helper()
-	cur := map[string]core.State{sys.StateKey(sys.Initial()): sys.Initial()}
+	cur := map[string]core.State{string(sys.AppendBinaryKey(nil, sys.Initial())): sys.Initial()}
 	for step, label := range path {
 		next := map[string]core.State{}
 		for _, st := range cur {
@@ -113,7 +113,7 @@ func validateRun(t *testing.T, name string, sys *core.System, raw bool, path []s
 				if err != nil {
 					t.Fatalf("%s: step %d: %v", name, step, err)
 				}
-				next[sys.StateKey(succ)] = succ
+				next[string(sys.AppendBinaryKey(nil, succ))] = succ
 			}
 		}
 		if len(next) == 0 {
