@@ -44,7 +44,10 @@ race:
 # stream, cancellation, progress), which run the same admission, flush
 # and termination protocol on the one-worker FIFO frontier, plus the
 # deadlock and compact-set counterexample tests, whose paths are read
-# from the BFS tree that every worker's flush writes, plus the observer
+# from the BFS tree that every worker's flush writes, plus the
+# compact-set collision-injection test, whose 4-worker rows run the
+# verifying seen-set layout where discriminator chains meet the
+# stripes, plus the observer
 # checker's tests, whose one propagation takes whatever order the
 # workers' flushes interleave, late cross edges included. Each pass then
 # repeats the observer counterexample oracle at GOMAXPROCS 1, 2 and 4
@@ -57,16 +60,17 @@ race:
 # coordinator writes data-transfer results into stores its components
 # offered before it sends their commands, and the distributed protocol
 # shares published stores across rounds. Each pass is its own test
-# process under the 600 s hang timeout: one pass takes about 40 s on 2
-# CPUs, so a single -count=200 process could not finish inside any
-# timeout that still catches a hang promptly.
+# process under the 600 s hang timeout: one pass takes about 2.5 min on
+# 2 CPUs (the collision-injection test about 2 of them), so a single
+# -count=200 process could not finish inside any timeout that still
+# catches a hang promptly.
 # CI runs it with STRESS_COUNT=20.
 STRESS_COUNT ?= 200
 stress:
 	@for i in $$(seq $(STRESS_COUNT)); do \
 		echo "stress pass $$i/$(STRESS_COUNT)"; \
 		$(GO) test -race -count=1 -cpu 1,2,4,8 \
-			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths|Automaton' \
+			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths|CompactSeenCollisionInjection|Automaton' \
 			-timeout 600s ./internal/lts || exit 1; \
 		$(GO) test -race -count=1 -cpu 1,2,4 \
 			-run ObserverCounterexampleOracle \

@@ -38,7 +38,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Job.Workers, "workers", runtime.NumCPU(), "work-stealing workers for -order fast, capped at GOMAXPROCS (default: all CPUs; negative is an error); -order det explores sequentially")
 	fs.StringVar(&f.Job.Order, "order", "det", "exploration order: det (sequential, deterministic stream) | fast (work-stealing over -workers; same verdicts, scheduling-dependent numbering)")
-	fs.StringVar(&f.Job.Seen, "seen", "exact", "visited-state storage: exact (full keys) | compact (hash-compacted, ~12 B/state)")
+	fs.StringVar(&f.Job.Seen, "seen", "exact", "visited-state storage: exact (full keys) | compact (hash-compacted: an 8-byte hash per state, ~19 B/state sequentially)")
 	fs.Int64Var(&f.Job.MemBudget, "mem", 0, "frontier memory budget in bytes for -order fast, whose work-stealing frontier spills to disk past it (0 = unbounded; negative, or positive without -order fast, is an error)")
 	fs.IntVar(&f.Job.MaxStates, "max-states", 0, fmt.Sprintf("exploration bound (0 = library default, %d; negative is an error)", check.DefaultMaxStates))
 	fs.BoolVar(&f.Job.Reduce, "reduce", false, "ample-set partial-order reduction (degrades to full expansion when a property needs it)")

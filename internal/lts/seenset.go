@@ -1,29 +1,41 @@
 package lts
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // This file implements the pluggable successor-dedup layer of the
 // exploration loop (stream.go) — the seen-set counterpart of the
 // Expander stage (expand.go). The loop routes every successor key
-// through one SeenSet per lock stripe; what the set
-// STORES per visited state is the implementation's business:
+// through one SeenSet per lock stripe. Both SeenSets build the same
+// table (seenTable) and differ only in the fixed-width record it keeps
+// per visited state:
 //
-//   - Exact (the default) keeps the full fixed-width binary key in
-//     chunked arenas. Membership answers are exact, memory is
-//     keyWidth + ~10 bytes per state at one worker, ~14 under several.
+//   - Exact (the default) records the full binary key, so membership
+//     answers are exact.
 //
-//   - Compact keeps a 64-bit hash discriminator plus the state id —
-//     ~12 bytes per state regardless of key width — the classic
-//     hash-compaction trade (Wolper–Leroy / Stern–Dill): two distinct
-//     states are merged only if their full 64-bit avalanche hashes
-//     collide, an event of probability ≈ n²·2⁻⁶⁴ over n states (about
-//     10⁻⁸ at a billion states). Narrowing RemainderBits arms the
-//     exact-promotion tier: full keys are retained and every
-//     discriminator match is verified against them, so ambiguous
-//     collisions are overruled (counted in Stats.ExactPromotions) and
-//     membership stays exact even when the discriminator is made to
-//     collide constantly — the collision-injection tests run the whole
-//     differential suite at RemainderBits: 8 to pin exactly that.
+//   - Compact records the key's 64-bit hash instead, whatever the key
+//     width — the classic hash-compaction trade (Wolper–Leroy /
+//     Stern–Dill): two distinct states are merged only if their full
+//     64-bit avalanche hashes collide, an event of probability
+//     ≈ n²·2⁻⁶⁴ over n states (about 10⁻⁸ at a billion states).
+//     Narrowing RemainderBits arms the exact-promotion tier: the record
+//     keeps the key after the hash and every discriminator match is
+//     verified against it, so ambiguous collisions are overruled
+//     (counted in Stats.ExactPromotions) and membership stays exact
+//     even when the discriminator is made to collide constantly — the
+//     collision-injection tests run the whole differential suite at
+//     RemainderBits: 8 to pin exactly that.
+//
+// Per visited state the table costs its record, 6 bytes per slot (8 to
+// 16 per state between doublings) and, under several workers, a 4-byte
+// id. Measured with Stats.SeenBytes on CounterGrid(7,5) (78 125 states,
+// 91-byte keys): exact 101.3 B/state at one worker and 110.3 at four,
+// compact 18.5 and 30.2. A small run pays mostly the fixed cost of its
+// stripes, each of which starts with a 6 KiB table and one record
+// chunk: 16 807 states of CounterGrid(5,7) take 21.4 B/state compact at
+// one worker, 58.5 at two (16 stripes).
 //
 // SeenSets is the factory the loop consumes through Options.Seen; one
 // SeenSet instance is created per shard, and all calls on an instance
@@ -42,7 +54,7 @@ type SeenSet interface {
 	// that the key is absent.
 	Add(h uint64, key []byte, id int32)
 	// Bytes returns the set's current memory footprint: every slot
-	// table, hash/id record and key arena chunk at its allocated size.
+	// table, record and id chunk at its allocated size.
 	Bytes() int64
 	// Promotions returns how many membership answers were resolved by
 	// the exact-promotion tier overruling a colliding discriminator
@@ -58,21 +70,23 @@ type SeenSets interface {
 }
 
 // ExactSeen selects exact dedup (the default): full keys in chunked
-// arenas, indexed by an open-addressed table of tagged slots. Memory per
-// visited state is the key width plus ~10 bytes of table and ids at one
-// worker, ~14 under several.
+// arenas, indexed by an open-addressed table of tagged slots. A visited
+// state costs its key plus about 10 bytes at one worker and 19 under
+// several (CounterGrid(7,5), 91-byte keys: 101.3 and 110.3 B/state).
 type ExactSeen struct{}
 
 // NewSeenSet implements SeenSets.
-func (ExactSeen) NewSeenSet(keyWidth int) SeenSet { return newExactSeen(keyWidth) }
+func (ExactSeen) NewSeenSet(keyWidth int) SeenSet { return newSeenTable(keyWidth, false, ^uint64(0)) }
 
-// CompactSeen selects hash-compacted dedup: ~12 bytes per visited state
-// independent of key width. With the default full-width discriminator
-// (RemainderBits 0 or >= 64) membership is exact up to 64-bit hash
-// collisions (probability ≈ n²·2⁻⁶⁴ — see the file comment); any
-// narrower width stores full keys too and verifies every discriminator
-// match against them, keeping membership exact and counting the
-// overruled collisions as promotions.
+// CompactSeen selects hash-compacted dedup: an 8-byte hash record per
+// visited state independent of key width, 18.5 B/state with the table
+// at one worker and 30.2 under four on CounterGrid(7,5). With the
+// default full-width discriminator (RemainderBits 0 or >= 64)
+// membership is exact up to 64-bit hash collisions (probability
+// ≈ n²·2⁻⁶⁴ — see the file comment); any narrower width stores full
+// keys too and verifies every discriminator match against them,
+// keeping membership exact and counting the overruled collisions as
+// promotions.
 type CompactSeen struct {
 	// RemainderBits is the discriminator width in bits. 0 (and anything
 	// >= 64) means the full 64-bit hash with no key storage; 1..63
@@ -83,93 +97,98 @@ type CompactSeen struct {
 
 // NewSeenSet implements SeenSets.
 func (c CompactSeen) NewSeenSet(keyWidth int) SeenSet {
-	s := &compactSeen{
-		width:  keyWidth,
-		dmask:  ^uint64(0),
-		slots:  make([]int32, seenInitSlots),
-		perEnt: seenRecChunk,
-	}
 	if c.RemainderBits > 0 && c.RemainderBits < 64 {
-		s.verify = true
-		s.dmask = (uint64(1) << c.RemainderBits) - 1
-		s.perKey = arenaChunk / max(keyWidth, 1)
-		if s.perKey < 1 {
-			s.perKey = 1
-		}
+		return newSeenTable(keyWidth, true, 1<<c.RemainderBits-1)
 	}
-	return s
+	return newSeenTable(0, true, ^uint64(0))
 }
 
 const (
-	// arenaChunk is the byte size of one key arena chunk.
-	arenaChunk = 1 << 16
-	// seenInitSlots is the initial open-addressed table size of both
-	// implementations (power of two; grown by doubling at 3/4 load).
+	// arenaChunk bounds the byte size of one record chunk, and
+	// seenChunkShift its entries (at most 1<<seenChunkShift): with
+	// short records an uncapped chunk would outgrow a whole stripe of a
+	// small run.
+	arenaChunk     = 1 << 16
+	seenChunkShift = 12
+	// seenInitSlots is the initial open-addressed table size (power of
+	// two; grown by doubling at 3/4 load).
 	seenInitSlots = 1 << 10
-	// seenRecChunk is how many (hash, id) records a compact-set chunk
-	// holds; chunks are never moved or copied, so growth never doubles
-	// the record storage transiently.
-	seenRecChunk = 1 << 12
+	// seenTagShift places the slot tags at discriminator bits 40–55,
+	// which neither a probe start (the low bits: tables stay below 2^32
+	// slots) nor the stripe selector (at most the top 8 bits,
+	// driver.stripe) reads. Keys that share a probe chain or a stripe
+	// therefore still differ in their tags with probability 1 - 2^-16.
+	seenTagShift = 40
 )
 
-// exactSeen stores full keys back to back in chunked arenas plus a
-// parallel chunked id array, indexed by an open-addressed table of
-// entry indexes that compares candidates against the arena in place.
-// Beside each slot it keeps a 16-bit tag of the entry's hash (seenTag),
-// so a probe reads the arena only when the tags agree: a slot of
-// another key costs a two-byte compare, not a key compare. Per visited
-// state it allocates nothing: only new chunks and the logarithmically
-// many table doublings touch the allocator.
+// seenTable stores one fixed-width record per visited state back to
+// back in chunked arenas — the key (exact), the hash (compact) or the
+// hash then the key (compact with a narrow discriminator) — indexed by
+// an open-addressed table that compares candidates against the arena in
+// place. The probe start and a 16-bit tag beside each slot come from
+// the discriminator h & dmask, so a probe reads a record only when the
+// tags agree, and entries whose discriminators collide share a chain
+// and a tag, leaving every collision to the verifying key compare. Per
+// visited state it allocates nothing: only new chunks and the
+// logarithmically many table doublings touch the allocator.
 //
 // An entry's id is its entry index for as long as every Add says so,
 // which holds for the one stripe of a one-worker run (ids are admitted
-// in order); the set then stores no ids at all. The first Add whose id
-// differs — any stripe under several workers — makes the ids explicit.
-type exactSeen struct {
-	width int
+// in order); the table then stores no ids at all. The first Add whose
+// id differs — any stripe under several workers — makes the ids
+// explicit.
+type seenTable struct {
 	// slots holds entry index + 1 (0 = empty), linear probing,
 	// power-of-two size, grown at 3/4 load; tags[i] is the tag of the
 	// entry in slots[i].
 	slots []int32
 	tags  []uint16
 	n     int
-	// keys chunks back the key bytes, perChunk keys apiece; ids chunks,
-	// nil while every id equals its entry index, hold the recorded id of
-	// the same entry index.
-	perChunk int
-	keys     [][]byte
-	ids      [][]int32
+	// dmask selects the discriminator bits of a hash; hashed says the
+	// record starts with the 8-byte hash.
+	dmask      uint64
+	hashed     bool
+	promotions int64
+	// recs chunks hold 1<<shift records of rw bytes apiece; ids chunks,
+	// nil while every id equals its entry index, hold the recorded id
+	// of the same entry index.
+	rw    int
+	shift uint
+	recs  [][]byte
+	ids   [][]int32
 }
 
-// seenTagShift places exactSeen's tags at hash bits 40–55, which
-// neither a probe start (the low bits: tables stay below 2^32 slots)
-// nor the stripe selector (at most the top 8 bits, driver.stripe)
-// reads. Keys that share a probe chain or a stripe therefore still
-// differ in their tags with probability 1 - 2^-16.
-const seenTagShift = 40
-
-// seenTag returns the tag exactSeen keeps for hash h.
-func seenTag(h uint64) uint16 { return uint16(h >> seenTagShift) }
-
-func newExactSeen(width int) *exactSeen {
-	per := arenaChunk / max(width, 1) // a system without atoms has 0-byte keys
-	if per < 1 {
-		per = 1
+// newSeenTable returns an empty table whose records hold keyWidth key
+// bytes, after the 8-byte hash if hashed. A full-width compact table
+// stores no key (keyWidth 0), and neither does a system without atoms,
+// whose keys are 0 bytes wide.
+func newSeenTable(keyWidth int, hashed bool, dmask uint64) *seenTable {
+	rw := keyWidth
+	if hashed {
+		rw += 8
 	}
-	return &exactSeen{width: width, slots: make([]int32, seenInitSlots), tags: make([]uint16, seenInitSlots), perChunk: per}
+	shift := uint(seenChunkShift)
+	for shift > 0 && rw<<shift > arenaChunk {
+		shift--
+	}
+	return &seenTable{
+		slots: make([]int32, seenInitSlots), tags: make([]uint16, seenInitSlots),
+		dmask: dmask, hashed: hashed, rw: rw, shift: shift,
+	}
 }
 
-// keyAt returns entry e's arena-resident key.
-func (s *exactSeen) keyAt(e int32) []byte {
-	off := (int(e) % s.perChunk) * s.width
-	return s.keys[int(e)/s.perChunk][off : off+s.width]
+// rec returns entry e's arena-resident record.
+func (s *seenTable) rec(e int32) []byte {
+	off := int(e&(1<<s.shift-1)) * s.rw
+	return s.recs[e>>s.shift][off : off+s.rw]
 }
 
 // Find implements SeenSet.
-func (s *exactSeen) Find(h uint64, key []byte) (int32, bool) {
+func (s *seenTable) Find(h uint64, key []byte) (int32, bool) {
+	d := h & s.dmask
+	tag := uint16(d >> seenTagShift)
 	mask := uint64(len(s.slots) - 1)
-	tag := seenTag(h)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := d & mask; ; i = (i + 1) & mask {
 		slot := s.slots[i]
 		if slot == 0 {
 			return 0, false
@@ -177,195 +196,105 @@ func (s *exactSeen) Find(h uint64, key []byte) (int32, bool) {
 		if s.tags[i] != tag {
 			continue
 		}
-		if e := slot - 1; bytes.Equal(s.keyAt(e), key) {
+		e := slot - 1
+		r := s.rec(e)
+		if s.hashed {
+			if (binary.LittleEndian.Uint64(r)^h)&s.dmask != 0 {
+				continue
+			}
+			r = r[8:]
+		}
+		// r is the stored key, which a full-width compact record omits:
+		// there the discriminator match alone decides.
+		if bytes.Equal(r, key[:len(r)]) {
 			if s.ids == nil {
 				return e, true
 			}
-			return s.ids[int(e)/s.perChunk][int(e)%s.perChunk], true
+			return s.ids[e>>s.shift][e&(1<<s.shift-1)], true
+		}
+		if s.hashed {
+			// Discriminator collision between distinct states: the
+			// exact tier overrules the match and the probe continues —
+			// the true entry, if any, sits later in the chain.
+			s.promotions++
 		}
 	}
 }
 
 // Add implements SeenSet.
-func (s *exactSeen) Add(h uint64, key []byte, id int32) {
+func (s *seenTable) Add(h uint64, key []byte, id int32) {
 	if (s.n+1)*4 >= len(s.slots)*3 {
 		s.grow()
 	}
-	e := s.n
-	if e%s.perChunk == 0 {
-		s.keys = append(s.keys, make([]byte, s.perChunk*s.width))
+	e := int32(s.n)
+	if e&(1<<s.shift-1) == 0 {
+		s.recs = append(s.recs, make([]byte, s.rw<<s.shift))
 		if s.ids != nil {
-			s.ids = append(s.ids, make([]int32, s.perChunk))
+			s.ids = append(s.ids, make([]int32, 1<<s.shift))
 		}
 	}
-	copy(s.keyAt(int32(e)), key)
-	if s.ids == nil && id != int32(e) {
+	r := s.rec(e)
+	if s.hashed {
+		binary.LittleEndian.PutUint64(r, h)
+		r = r[8:]
+	}
+	copy(r, key)
+	if s.ids == nil && id != e {
 		s.explicitIDs()
 	}
 	if s.ids != nil {
-		s.ids[e/s.perChunk][e%s.perChunk] = id
+		s.ids[e>>s.shift][e&(1<<s.shift-1)] = id
 	}
-	s.insert(h, int32(e))
+	s.insert(h, e)
 	s.n++
 }
 
-// explicitIDs gives every key chunk its id chunk, recording the ids the
-// entries so far had implicitly: their indexes.
-func (s *exactSeen) explicitIDs() {
-	s.ids = make([][]int32, len(s.keys))
+// explicitIDs gives every record chunk its id chunk, recording the ids
+// the entries so far had implicitly: their indexes.
+func (s *seenTable) explicitIDs() {
+	s.ids = make([][]int32, len(s.recs))
 	for c := range s.ids {
-		s.ids[c] = make([]int32, s.perChunk)
+		s.ids[c] = make([]int32, 1<<s.shift)
 		for i := range s.ids[c] {
-			s.ids[c][i] = int32(c*s.perChunk + i)
+			s.ids[c][i] = int32(c<<s.shift + i)
 		}
 	}
 }
 
 // insert probes the table for the first empty slot of entry e.
-func (s *exactSeen) insert(h uint64, e int32) {
+func (s *seenTable) insert(h uint64, e int32) {
+	d := h & s.dmask
 	mask := uint64(len(s.slots) - 1)
-	i := h & mask
+	i := d & mask
 	for s.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
 	s.slots[i] = e + 1
-	s.tags[i] = seenTag(h)
-}
-
-// grow doubles the table and re-inserts every entry, re-hashing its
-// arena-resident key.
-func (s *exactSeen) grow() {
-	s.slots = make([]int32, 2*len(s.slots))
-	s.tags = make([]uint16, len(s.slots))
-	for e := 0; e < s.n; e++ {
-		s.insert(hashKey(s.keyAt(int32(e))), int32(e))
-	}
-}
-
-// Bytes implements SeenSet.
-func (s *exactSeen) Bytes() int64 {
-	return int64(len(s.slots))*4 + int64(len(s.tags))*2 +
-		int64(len(s.keys))*int64(s.perChunk)*int64(s.width) +
-		int64(len(s.ids))*int64(s.perChunk)*4
-}
-
-// Promotions implements SeenSet.
-func (s *exactSeen) Promotions() int64 { return 0 }
-
-// compactSeen stores one (64-bit hash, id) record per visited state in
-// chunked parallel arrays, indexed by an open-addressed table whose
-// match test is discriminator equality: (stored hash ^ h) & dmask == 0.
-// The full hash is always retained so table growth re-probes without
-// keys; the keys themselves exist only in verify mode (narrow dmask),
-// where every discriminator match is additionally confirmed against the
-// key arena and an overruled match counts as a promotion.
-type compactSeen struct {
-	width  int
-	dmask  uint64
-	verify bool
-	slots  []int32 // entry index + 1, as in exactSeen
-	n      int
-	perEnt int
-	hs     [][]uint64
-	ids    [][]int32
-	// Exact-promotion tier (verify mode only).
-	perKey     int
-	keys       [][]byte
-	promotions int64
-}
-
-func (s *compactSeen) hAt(e int32) uint64 { return s.hs[int(e)/s.perEnt][int(e)%s.perEnt] }
-func (s *compactSeen) idAt(e int32) int32 { return s.ids[int(e)/s.perEnt][int(e)%s.perEnt] }
-func (s *compactSeen) keyAt(e int32) []byte {
-	off := (int(e) % s.perKey) * s.width
-	return s.keys[int(e)/s.perKey][off : off+s.width]
-}
-
-// probeStart confines the probe sequence to the discriminator: in pure
-// mode that is the full hash (the pre-extraction behaviour); in verify
-// mode colliding discriminators share a chain, so the exact tier
-// actually gets to overrule them.
-func (s *compactSeen) probeStart(h uint64) uint64 { return h & s.dmask }
-
-// Find implements SeenSet.
-func (s *compactSeen) Find(h uint64, key []byte) (int32, bool) {
-	mask := uint64(len(s.slots) - 1)
-	for i := s.probeStart(h) & mask; ; i = (i + 1) & mask {
-		slot := s.slots[i]
-		if slot == 0 {
-			return 0, false
-		}
-		e := slot - 1
-		if (s.hAt(e)^h)&s.dmask != 0 {
-			continue
-		}
-		if !s.verify {
-			return s.idAt(e), true
-		}
-		if bytes.Equal(s.keyAt(e), key) {
-			return s.idAt(e), true
-		}
-		// Discriminator collision between distinct states: the exact
-		// tier overrules the match and the probe continues — the true
-		// entry, if any, sits later in the chain.
-		s.promotions++
-	}
-}
-
-// Add implements SeenSet.
-func (s *compactSeen) Add(h uint64, key []byte, id int32) {
-	if (s.n+1)*4 >= len(s.slots)*3 {
-		s.grow()
-	}
-	e := s.n
-	if e%s.perEnt == 0 {
-		s.hs = append(s.hs, make([]uint64, s.perEnt))
-		s.ids = append(s.ids, make([]int32, s.perEnt))
-	}
-	s.hs[e/s.perEnt][e%s.perEnt] = h
-	s.ids[e/s.perEnt][e%s.perEnt] = id
-	if s.verify {
-		if e%s.perKey == 0 {
-			s.keys = append(s.keys, make([]byte, s.perKey*s.width))
-		}
-		copy(s.keyAt(int32(e)), key)
-	}
-	s.insert(h, int32(e))
-	s.n++
-}
-
-// insert probes the table for the first empty slot of entry e.
-func (s *compactSeen) insert(h uint64, e int32) {
-	mask := uint64(len(s.slots) - 1)
-	i := s.probeStart(h) & mask
-	for s.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	s.slots[i] = e + 1
+	s.tags[i] = uint16(d >> seenTagShift)
 }
 
 // grow doubles the table and re-inserts every entry from its stored
-// full hash — no key access, so pure mode never needs the keys back.
-func (s *compactSeen) grow() {
+// hash, or by re-hashing its stored key when the record has no hash.
+func (s *seenTable) grow() {
 	s.slots = make([]int32, 2*len(s.slots))
-	for e := 0; e < s.n; e++ {
-		s.insert(s.hAt(int32(e)), int32(e))
+	s.tags = make([]uint16, len(s.slots))
+	for e := int32(0); e < int32(s.n); e++ {
+		if r := s.rec(e); s.hashed {
+			s.insert(binary.LittleEndian.Uint64(r), e)
+		} else {
+			s.insert(hashKey(r), e)
+		}
 	}
 }
 
 // Bytes implements SeenSet.
-func (s *compactSeen) Bytes() int64 {
-	b := int64(len(s.slots))*4 +
-		int64(len(s.hs))*int64(s.perEnt)*8 +
-		int64(len(s.ids))*int64(s.perEnt)*4
-	if s.verify {
-		b += int64(len(s.keys)) * int64(s.perKey) * int64(s.width)
-	}
-	return b
+func (s *seenTable) Bytes() int64 {
+	return int64(len(s.slots))*6 + int64(len(s.recs))*int64(s.rw<<s.shift) +
+		int64(len(s.ids))*4<<s.shift
 }
 
 // Promotions implements SeenSet.
-func (s *compactSeen) Promotions() int64 { return s.promotions }
+func (s *seenTable) Promotions() int64 { return s.promotions }
 
 // hashKey is FNV-1a folded over 8-byte words (with a byte-wise tail),
 // finished with a murmur3-style avalanche — deterministic across runs,
@@ -378,11 +307,10 @@ func (s *compactSeen) Promotions() int64 { return s.promotions }
 // of the operands), so two keys differing only in the HIGH bytes of a
 // word — e.g. a counter value whose encoding straddles a word boundary,
 // as in the deep-chain workload — would otherwise agree on every low
-// bit. The open-addressed seen-set tables index with the low bits, the
-// exact set's tags take bits 40–55 and the stripe selector
-// (driver.stripe) takes the top bits; without the
-// avalanche the tables degenerate into a handful of giant probe chains
-// (measured 40x on deep-chain E18).
+// bit. The seen-set tables index with the low bits, their tags take
+// bits 40–55 and the stripe selector (driver.stripe) takes the top
+// bits; without the avalanche the tables degenerate into a handful of
+// giant probe chains (measured 40x on deep-chain E18).
 func hashKey(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for len(b) >= 8 {

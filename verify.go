@@ -235,8 +235,9 @@ func Workers(n int) Option { return func(c *verifyConfig) { c.lts.Workers = n } 
 // fields), WHICH counterexample is reported when several exist, and the
 // exploration's internal event order. What cannot: whether each
 // property is violated, whether it is conclusive, the visited state
-// set, and the validity of every reported path. With Workers(1) the
-// option is a no-op.
+// set, and the validity of every reported path. With Workers(1) it
+// changes nothing unless MemBudget is set too: a budget then runs the
+// work-stealing deques at one worker, so that they can spill.
 func Unordered() Option { return func(c *verifyConfig) { c.lts.Order = lts.Unordered } }
 
 // MaxStates bounds the exploration; 0 means the shared library default
@@ -245,13 +246,15 @@ func Unordered() Option { return func(c *verifyConfig) { c.lts.Order = lts.Unord
 func MaxStates(n int) Option { return func(c *verifyConfig) { c.lts.MaxStates = n } }
 
 // CompactSeen swaps the exploration's visited-state storage for the
-// hash-compacted seen set: ~12 bytes per visited state instead of the
-// full binary key plus table overhead, a 3-10x reduction on typical
-// models (Report.SeenBytes shows the actual footprint). The trade is
-// the classic hash-compaction one (Wolper–Leroy / Stern–Dill): two
-// distinct states are identified only if their full 64-bit hashes
-// collide, an event of probability ~ n^2 * 2^-64 over n visited states
-// — about 10^-8 at a billion states. Verdicts, counterexample paths
+// hash-compacted seen set: an 8-byte hash per visited state instead of
+// the full binary key. With the table that is 18.5 B/state against
+// 101.3 sequentially on CounterGrid(7,5), whose keys are 91 bytes
+// (5.5x), and 30.2 against 110.3 under four workers (Report.SeenBytes
+// shows the actual footprint). The trade is the classic
+// hash-compaction one (Wolper–Leroy / Stern–Dill): two distinct states
+// are identified only if their full 64-bit hashes collide, an event of
+// probability ~ n^2 * 2^-64 over n visited states — about 10^-8 at a
+// billion states. Verdicts, counterexample paths
 // and state counts are otherwise bit-identical to the exact default;
 // the differential tests pin this across worker counts and both
 // exploration orders.
