@@ -200,6 +200,90 @@ func TestSeenTableDifferential(t *testing.T) {
 	}
 }
 
+// TestExactSeenTags pins the tagged slots of the exact layout: keys
+// under one identical hash (equal tags and probe starts, so the key
+// bytes alone tell them apart) must each be found under its own id, and
+// so must keys whose hashes differ only in the tag bits (one probe
+// chain, distinct tags); a key never added is absent. Bytes must count
+// the tags, two bytes per slot. The keys stay below the first growth,
+// which re-hashes the stored keys and would discard the injected hashes.
+func TestExactSeenTags(t *testing.T) {
+	const width, n = 8, 500
+	key := func(i int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(i)) }
+	const base = uint64(0x5a5a_0000_0000_1234)
+	for _, c := range []struct {
+		name string
+		hash func(i int) uint64
+	}{
+		{"same-hash", func(int) uint64 { return base }},
+		{"tag-bits-only", func(i int) uint64 { return base ^ uint64(i+1)<<seenTagShift }},
+	} {
+		s := ExactSeen{}.NewSeenSet(width).(*seenTable)
+		for i := 0; i < n; i++ {
+			if _, ok := s.Find(c.hash(i), key(i)); ok {
+				t.Fatalf("%s: key %d found before it was added", c.name, i)
+			}
+			s.Add(c.hash(i), key(i), int32(1000+i))
+		}
+		if len(s.slots) != seenInitSlots {
+			t.Fatalf("%s: the table grew, so the injected hashes were replaced", c.name)
+		}
+		for i := 0; i < n; i++ {
+			if id, ok := s.Find(c.hash(i), key(i)); !ok || id != int32(1000+i) {
+				t.Fatalf("%s: key %d: Find = %d, %v, want %d, true", c.name, i, id, ok, 1000+i)
+			}
+		}
+		for _, h := range []uint64{c.hash(0), c.hash(n - 1)} {
+			if id, ok := s.Find(h, key(n+7)); ok {
+				t.Fatalf("%s: an absent key was found as id %d", c.name, id)
+			}
+		}
+		want := int64(len(s.slots))*4 + int64(len(s.slots))*2 +
+			int64(len(s.recs))*int64(width<<s.shift) + int64(len(s.ids))*4<<s.shift
+		if len(s.tags) != len(s.slots) || s.Bytes() != want {
+			t.Fatalf("%s: %d tags for %d slots, Bytes = %d, want %d", c.name, len(s.tags), len(s.slots), s.Bytes(), want)
+		}
+		if s.Promotions() != 0 {
+			t.Fatalf("%s: the exact layout counted %d promotions", c.name, s.Promotions())
+		}
+	}
+}
+
+// TestExactSeenImplicitIDs pins the exact layout's implicit ids: while
+// every id equals its entry index (a one-worker run) no id is stored,
+// and the first id that differs makes them explicit without losing the
+// implicit ones — across a record-chunk boundary and table growths.
+func TestExactSeenImplicitIDs(t *testing.T) {
+	const width = 8
+	key := func(i int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(i)) }
+	s := ExactSeen{}.NewSeenSet(width).(*seenTable)
+	n := 1<<s.shift + 10
+	for i := 0; i < n; i++ {
+		s.Add(hashKey(key(i)), key(i), int32(i))
+	}
+	if s.ids != nil {
+		t.Fatalf("%d ids stored for in-order admissions", len(s.ids))
+	}
+	if len(s.recs) < 2 || len(s.slots) <= seenInitSlots {
+		t.Fatalf("%d record chunks, %d slots: the run missed the chunk boundary or the growths", len(s.recs), len(s.slots))
+	}
+	implicit := s.Bytes()
+	s.Add(hashKey(key(n)), key(n), 1<<20)
+	s.Add(hashKey(key(n+1)), key(n+1), int32(n+1))
+	if s.Bytes() <= implicit {
+		t.Fatalf("Bytes = %d after the ids became explicit, %d before", s.Bytes(), implicit)
+	}
+	for i := 0; i <= n+1; i++ {
+		want := int32(i)
+		if i == n {
+			want = 1 << 20
+		}
+		if id, ok := s.Find(hashKey(key(i)), key(i)); !ok || id != want {
+			t.Fatalf("key %d: Find = %d, %v, want %d, true", i, id, ok, want)
+		}
+	}
+}
+
 // TestCompactSeenVerdictsAndPaths runs the on-the-fly checkers with the
 // compact seen set across the zoo, workers and both orders: verdicts
 // must match the exact sequential reference and every reported
