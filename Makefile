@@ -44,10 +44,7 @@ race:
 # stream, cancellation, progress), which run the same admission, flush
 # and termination protocol on the one-worker FIFO frontier, plus the
 # deadlock and compact-set counterexample tests, whose paths are read
-# from the BFS tree that every worker's flush writes, plus the
-# compact-set collision-injection test, whose 4-worker rows run the
-# verifying seen-set layout where discriminator chains meet the
-# stripes, plus the observer
+# from the BFS tree that every worker's flush writes, plus the observer
 # checker's tests, whose one propagation takes whatever order the
 # workers' flushes interleave, late cross edges included. Each pass then
 # repeats the observer counterexample oracle at GOMAXPROCS 1, 2 and 4
@@ -60,8 +57,8 @@ race:
 # coordinator writes data-transfer results into stores its components
 # offered before it sends their commands, and the distributed protocol
 # shares published stores across rounds. Each pass is its own test
-# process under the 600 s hang timeout: one pass takes about 2.5 min on
-# 2 CPUs (the collision-injection test about 2 of them), so a single
+# process under the 600 s hang timeout: one pass takes about 36 s on 2
+# CPUs (21 s of it the exploration loop's tests), so a single
 # -count=200 process could not finish inside any timeout that still
 # catches a hang promptly.
 # CI runs it with STRESS_COUNT=20.
@@ -70,7 +67,7 @@ stress:
 	@for i in $$(seq $(STRESS_COUNT)); do \
 		echo "stress pass $$i/$(STRESS_COUNT)"; \
 		$(GO) test -race -count=1 -cpu 1,2,4,8 \
-			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths|CompactSeenCollisionInjection|Automaton' \
+			-run 'WorkSteal|Spill|EarlyExit|Leak|TestExploreWorkersDefaults|TestDeterministicStreamGolden|TestContextCancellation|TestProgressCallbackAllDrivers|Deadlock|CompactSeenVerdictsAndPaths|Automaton' \
 			-timeout 600s ./internal/lts || exit 1; \
 		$(GO) test -race -count=1 -cpu 1,2,4 \
 			-run ObserverCounterexampleOracle \
@@ -87,7 +84,7 @@ stress:
 # plain `go test` already replays: the model parser (carrying every
 # model that parses on through lint and a bounded, deadlined
 # verification), the property parser, the static analyzer and bipd's
-# journal replay. A failing input lands in the package's testdata/fuzz
+# journal replay and the spill file's state decoder. A failing input lands in the package's testdata/fuzz
 # directory; commit it as a regression seed once the fault is mended.
 # CI runs it with the default budget.
 FUZZTIME ?= 10s
@@ -96,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProp$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./lint
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) ./serve
+	$(GO) test -run '^$$' -fuzz '^FuzzStateFromBinaryKey$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # bench prints one line per paper experiment (E1–E23); full tables via
 # `go run ./cmd/bipbench` (reference run recorded in EXPERIMENTS.md).

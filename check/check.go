@@ -80,8 +80,7 @@ type (
 	// CompactSeen selects hash-compacted dedup: an 8-byte hash per
 	// visited state independent of key width (18.5 B/state with the
 	// table at one worker, 30.2 under four, on CounterGrid(7,5)), exact
-	// up to 64-bit hash collisions, with a verifying exact-promotion
-	// tier at narrow RemainderBits.
+	// up to 64-bit hash collisions.
 	CompactSeen = lts.CompactSeen
 	// Expander plugs a successor-selection policy into the drivers
 	// (Options.Expander); nil means full expansion.

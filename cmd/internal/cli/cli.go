@@ -82,13 +82,10 @@ func (f *Flags) WithProps(opts []bip.Option) []bip.Option {
 }
 
 // Memory renders a report's memory accounting: the seen-set footprint,
-// the frontier high-water mark, and the compact and spill counters when
-// that machinery engaged.
+// the frontier high-water mark, and the spill counter when the frontier
+// spilled.
 func Memory(rep *bip.Report) string {
 	s := fmt.Sprintf("seen-set %d B, frontier peak %d B", rep.SeenBytes, rep.PeakFrontierBytes)
-	if rep.ExactPromotions > 0 {
-		s += fmt.Sprintf(", %d exact promotions", rep.ExactPromotions)
-	}
 	if rep.SpilledChunks > 0 {
 		s += fmt.Sprintf(", %d chunks spilled", rep.SpilledChunks)
 	}

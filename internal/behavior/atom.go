@@ -203,6 +203,9 @@ func (a *Atom) Validate() error {
 				return fmt.Errorf("atom %s: transition %d: action uses undeclared variable %q", a.Name, i, v)
 			}
 		}
+		if err := expr.CheckKinds(t.Action, func(v string) expr.Kind { return a.Vars[a.varIdx[v]].Init.Kind() }); err != nil {
+			return fmt.Errorf("atom %s: transition %d: %w", a.Name, i, err)
+		}
 	}
 	for i, inv := range a.Invariants {
 		for _, v := range expr.Vars(inv) {
@@ -466,8 +469,11 @@ func (a *Atom) AppendBinaryKey(buf []byte, s State) []byte {
 // is the atom's own declared string instance, so a state rebuilt as
 // State{Loc: loc, Vars: expr.Slots{L: a.Layout(), V: vals}} takes the
 // same pointer-fast comparisons and compiled paths as a state that came
-// from the semantics. Exploration's spilled frontier uses it to reload
-// evicted states, carving every atom's values from one allocation.
+// from the semantics. A value whose kind differs from its variable's
+// declared kind is an error: validation rejects every assignment that
+// would change a kind (expr.CheckKinds), so no reachable state holds
+// one. Exploration's spilled frontier uses it to reload evicted states,
+// carving every atom's values from one allocation.
 func (a *Atom) DecodeBinaryKey(rec []byte, vals []expr.Value) (string, error) {
 	if len(rec) != a.BinaryKeyWidth() {
 		return "", fmt.Errorf("behavior: atom %s: binary key record has %d bytes, want %d", a.Name, len(rec), a.BinaryKeyWidth())
@@ -481,6 +487,9 @@ func (a *Atom) DecodeBinaryKey(rec []byte, vals []expr.Value) (string, error) {
 		v, err := expr.DecodeBinary(rec[off : off+expr.BinaryWidth])
 		if err != nil {
 			return "", fmt.Errorf("behavior: atom %s: variable %s: %w", a.Name, vd.Name, err)
+		}
+		if v.Kind() != vd.Init.Kind() {
+			return "", fmt.Errorf("behavior: atom %s: variable %s is %s, binary key holds %s", a.Name, vd.Name, vd.Init.Kind(), v.Kind())
 		}
 		vals[i] = v
 		off += expr.BinaryWidth

@@ -246,7 +246,7 @@ func (s *System) validateInteraction(in *Interaction) error {
 		return fmt.Errorf("system %s: interaction %q has no ports", s.Name, in.Name)
 	}
 	seenComp := make(map[string]bool, len(in.Ports))
-	exported := make(map[string]bool)
+	exported := make(map[string]expr.Kind) // "comp.var" → declared kind
 	for _, pr := range in.Ports {
 		ai, ok := s.atomIdx[pr.Comp]
 		if !ok {
@@ -260,19 +260,24 @@ func (s *System) validateInteraction(in *Interaction) error {
 		if !ok {
 			return fmt.Errorf("system %s: interaction %q references unknown port %s", s.Name, in.Name, pr)
 		}
+		a := s.Atoms[ai]
 		for _, v := range port.Vars {
-			exported[pr.Comp+"."+v] = true
+			slot, _ := a.Layout().Slot(v)
+			exported[pr.Comp+"."+v] = a.Vars[slot].Init.Kind()
 		}
 	}
 	for _, v := range expr.Vars(in.Guard) {
-		if !exported[v] {
+		if _, ok := exported[v]; !ok {
 			return fmt.Errorf("system %s: interaction %q guard reads %q, not exported by its ports", s.Name, in.Name, v)
 		}
 	}
 	for _, v := range append(expr.Reads(in.Action), expr.Writes(in.Action)...) {
-		if !exported[v] {
+		if _, ok := exported[v]; !ok {
 			return fmt.Errorf("system %s: interaction %q action uses %q, not exported by its ports", s.Name, in.Name, v)
 		}
+	}
+	if err := expr.CheckKinds(in.Action, func(v string) expr.Kind { return exported[v] }); err != nil {
+		return fmt.Errorf("system %s: interaction %q: %w", s.Name, in.Name, err)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package expr
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
 
 // Stmt is a statement executed against an Env: transition actions and
 // interaction data transfer are statements.
@@ -246,4 +249,59 @@ func itoa(i int) string {
 		buf[pos] = '-'
 	}
 	return string(buf[pos:])
+}
+
+// CheckKinds reports the first assignment in s whose right-hand side
+// does not yield the kind of its target, as kindOf gives it. Every
+// operator fixes the kind of its result, so each expression has one
+// kind, except a conditional whose branches differ, which no assignment
+// accepts. Validation runs it on transition actions and data transfers,
+// so a variable keeps its declared kind in every reachable state.
+func CheckKinds(s Stmt, kindOf func(name string) Kind) error {
+	switch t := s.(type) {
+	case Assign:
+		if got, want := exprKind(t.Rhs, kindOf), kindOf(t.Name); got != want {
+			return fmt.Errorf("%s assigns %s to %s variable %s", t, got, want, t.Name)
+		}
+	case Seq:
+		for _, st := range t {
+			if err := CheckKinds(st, kindOf); err != nil {
+				return err
+			}
+		}
+	case IfStmt:
+		if err := CheckKinds(t.Then, kindOf); err != nil {
+			return err
+		}
+		return CheckKinds(t.Else, kindOf)
+	case Repeat:
+		return CheckKinds(t.Body, kindOf)
+	}
+	return nil
+}
+
+// exprKind is the kind every successful evaluation of e yields, or
+// KindInvalid for a conditional whose branches differ.
+func exprKind(e Expr, kindOf func(name string) Kind) Kind {
+	switch t := e.(type) {
+	case Lit:
+		return t.Val.kind
+	case Var:
+		return kindOf(t.Name)
+	case Unary:
+		if t.Op == OpNeg {
+			return KindInt
+		}
+	case Binary:
+		switch t.Op {
+		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+			return KindInt
+		}
+	case Cond:
+		if k := exprKind(t.Then, kindOf); k == exprKind(t.Else, kindOf) {
+			return k
+		}
+		return KindInvalid
+	}
+	return KindBool
 }

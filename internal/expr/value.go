@@ -129,8 +129,10 @@ func (v Value) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeBinary inverts AppendBinary: it decodes one fixed-width value
-// record (exactly BinaryWidth bytes). Exploration's spilled frontier
-// uses it to rebuild states from their on-disk binary keys.
+// record (exactly BinaryWidth bytes) and rejects every record that
+// AppendBinary does not produce, so a decoded value re-encodes to the
+// same bytes. Exploration's spilled frontier uses it to rebuild states
+// from their on-disk binary keys.
 func DecodeBinary(b []byte) (Value, error) {
 	if len(b) != BinaryWidth {
 		return Value{}, fmt.Errorf("expr: binary value record has %d bytes, want %d", len(b), BinaryWidth)
@@ -140,10 +142,11 @@ func DecodeBinary(b []byte) (Value, error) {
 	switch b[0] {
 	case 1:
 		return IntVal(int64(p)), nil
-	case 2:
-		return BoolVal(false), nil
-	case 3:
-		return BoolVal(true), nil
+	case 2, 3:
+		if p != 0 {
+			return Value{}, fmt.Errorf("expr: binary bool record has nonzero payload %#x", p)
+		}
+		return BoolVal(b[0] == 3), nil
 	default:
 		return Value{}, fmt.Errorf("expr: binary value record has unknown tag %d", b[0])
 	}

@@ -63,10 +63,12 @@ type Options struct {
 	// interaction semantics).
 	Raw bool
 	// Workers is the number of workers under Unordered order; a
-	// negative value means GOMAXPROCS. 0 and 1 run one worker, on the
-	// FIFO frontier unless MemBudget is set. Under the default Order
-	// (Deterministic) one worker runs whatever Workers says, so every
-	// sink, including the materialized LTS, is worker-count independent.
+	// negative value means GOMAXPROCS. 0 and 1 run one worker: on the
+	// FIFO frontier, or on the deques when Order is Unordered and a
+	// MemBudget is set, since only their frontier spills. Under the
+	// default Order (Deterministic) one worker runs the FIFO whatever
+	// Workers and MemBudget say, so every sink, including the
+	// materialized LTS, is worker-count independent.
 	Workers int
 	// Order selects the event-stream discipline: Deterministic (default)
 	// runs one worker on the FIFO frontier; Unordered with Workers > 1

@@ -20,22 +20,16 @@ import (
 //     Stern–Dill): two distinct states are merged only if their full
 //     64-bit avalanche hashes collide, an event of probability
 //     ≈ n²·2⁻⁶⁴ over n states (about 10⁻⁸ at a billion states).
-//     Narrowing RemainderBits arms the exact-promotion tier: the record
-//     keeps the key after the hash and every discriminator match is
-//     verified against it, so ambiguous collisions are overruled
-//     (counted in Stats.ExactPromotions) and membership stays exact
-//     even when the discriminator is made to collide constantly — the
-//     collision-injection tests run the whole differential suite at
-//     RemainderBits: 8 to pin exactly that.
 //
 // Per visited state the table costs its record, 6 bytes per slot (8 to
 // 16 per state between doublings) and, under several workers, a 4-byte
 // id. Measured with Stats.SeenBytes on CounterGrid(7,5) (78 125 states,
-// 91-byte keys): exact 101.3 B/state at one worker and 110.3 at four,
+// 91-byte keys): exact 101.3 B/state at one worker and 110.0 at four,
 // compact 18.5 and 30.2. A small run pays mostly the fixed cost of its
-// stripes, each of which starts with a 6 KiB table and one record
-// chunk: 16 807 states of CounterGrid(5,7) take 21.4 B/state compact at
-// one worker, 58.5 at two (16 stripes).
+// stripes, each of which starts with a 6 KiB table and a first chunk
+// of 64 entries that doubles as it fills: 16 807 states of
+// CounterGrid(5,7) take 21.4 B/state compact at one worker, 33.6 at two
+// (16 stripes).
 //
 // SeenSets is the factory the loop consumes through Options.Seen; one
 // SeenSet instance is created per shard, and all calls on an instance
@@ -56,9 +50,11 @@ type SeenSet interface {
 	// Bytes returns the set's current memory footprint: every slot
 	// table, record and id chunk at its allocated size.
 	Bytes() int64
-	// Promotions returns how many membership answers were resolved by
-	// the exact-promotion tier overruling a colliding discriminator
-	// (always 0 for Exact and for Compact at full discriminator width).
+	// Promotions returns 0: no seen set verifies hash matches against
+	// stored keys any more.
+	//
+	// Deprecated: nothing reads it; implement Find, Add and Bytes and
+	// return 0.
 	Promotions() int64
 }
 
@@ -72,49 +68,37 @@ type SeenSets interface {
 // ExactSeen selects exact dedup (the default): full keys in chunked
 // arenas, indexed by an open-addressed table of tagged slots. A visited
 // state costs its key plus about 10 bytes at one worker and 19 under
-// several (CounterGrid(7,5), 91-byte keys: 101.3 and 110.3 B/state).
+// several (CounterGrid(7,5), 91-byte keys: 101.3 and
+// 110.0 B/state).
 type ExactSeen struct{}
 
 // NewSeenSet implements SeenSets.
-func (ExactSeen) NewSeenSet(keyWidth int) SeenSet { return newSeenTable(keyWidth, false, ^uint64(0)) }
+func (ExactSeen) NewSeenSet(keyWidth int) SeenSet { return newSeenTable(keyWidth, false) }
 
 // CompactSeen selects hash-compacted dedup: an 8-byte hash record per
-// visited state independent of key width, 18.5 B/state with the table
-// at one worker and 30.2 under four on CounterGrid(7,5). With the
-// default full-width discriminator (RemainderBits 0 or >= 64)
-// membership is exact up to 64-bit hash collisions (probability
-// ≈ n²·2⁻⁶⁴ — see the file comment); any narrower width stores full
-// keys too and verifies every discriminator match against them,
-// keeping membership exact and counting the overruled collisions as
-// promotions.
-type CompactSeen struct {
-	// RemainderBits is the discriminator width in bits. 0 (and anything
-	// >= 64) means the full 64-bit hash with no key storage; 1..63
-	// arms the verifying exact-promotion tier. Narrow widths exist for
-	// collision-injection testing, not production use.
-	RemainderBits int
-}
+// visited state independent of key width, 18.5 B/state with
+// the table at one worker and 30.2 under four on
+// CounterGrid(7,5). Membership is exact up to 64-bit hash collisions
+// (probability ≈ n²·2⁻⁶⁴ — see the file comment).
+type CompactSeen struct{}
 
 // NewSeenSet implements SeenSets.
-func (c CompactSeen) NewSeenSet(keyWidth int) SeenSet {
-	if c.RemainderBits > 0 && c.RemainderBits < 64 {
-		return newSeenTable(keyWidth, true, 1<<c.RemainderBits-1)
-	}
-	return newSeenTable(0, true, ^uint64(0))
-}
+func (CompactSeen) NewSeenSet(int) SeenSet { return newSeenTable(8, true) }
 
 const (
-	// arenaChunk bounds the byte size of one record chunk, and
-	// seenChunkShift its entries (at most 1<<seenChunkShift): with
-	// short records an uncapped chunk would outgrow a whole stripe of a
-	// small run.
-	arenaChunk     = 1 << 16
-	seenChunkShift = 12
+	// seenChunkBytes bounds the byte size of one record chunk of
+	// records no wider than it; an id chunk holds as many entries as a
+	// record chunk.
+	seenChunkBytes = 1 << 15
+	// seenFirstEntries is the entry count a stripe's first chunk starts
+	// at. It doubles up to a full chunk, so a stripe of a small run
+	// holds about what it stores rather than a whole chunk.
+	seenFirstEntries = 64
 	// seenInitSlots is the initial open-addressed table size (power of
 	// two; grown by doubling at 3/4 load).
 	seenInitSlots = 1 << 10
-	// seenTagShift places the slot tags at discriminator bits 40–55,
-	// which neither a probe start (the low bits: tables stay below 2^32
+	// seenTagShift places the slot tags at hash bits 40–55, which
+	// neither a probe start (the low bits: tables stay below 2^32
 	// slots) nor the stripe selector (at most the top 8 bits,
 	// driver.stripe) reads. Keys that share a probe chain or a stripe
 	// therefore still differ in their tags with probability 1 - 2^-16.
@@ -122,15 +106,13 @@ const (
 )
 
 // seenTable stores one fixed-width record per visited state back to
-// back in chunked arenas — the key (exact), the hash (compact) or the
-// hash then the key (compact with a narrow discriminator) — indexed by
-// an open-addressed table that compares candidates against the arena in
-// place. The probe start and a 16-bit tag beside each slot come from
-// the discriminator h & dmask, so a probe reads a record only when the
-// tags agree, and entries whose discriminators collide share a chain
-// and a tag, leaving every collision to the verifying key compare. Per
-// visited state it allocates nothing: only new chunks and the
-// logarithmically many table doublings touch the allocator.
+// back in chunked arenas — the key (exact) or the 8-byte hash (compact)
+// — indexed by an open-addressed table that compares candidates against
+// the arena in place. The probe start and a 16-bit tag beside each slot
+// come from the hash, so a probe reads a record only when the tags
+// agree. Per visited state it allocates nothing: only new chunks, the
+// first chunk's doublings and the logarithmically many table doublings
+// touch the allocator.
 //
 // An entry's id is its entry index for as long as every Add says so,
 // which holds for the one stripe of a one-worker run (ids are admitted
@@ -144,36 +126,31 @@ type seenTable struct {
 	slots []int32
 	tags  []uint16
 	n     int
-	// dmask selects the discriminator bits of a hash; hashed says the
-	// record starts with the 8-byte hash.
-	dmask      uint64
-	hashed     bool
-	promotions int64
-	// recs chunks hold 1<<shift records of rw bytes apiece; ids chunks,
-	// nil while every id equals its entry index, hold the recorded id
-	// of the same entry index.
+	// hashed says the record is the hash rather than the key.
+	hashed bool
+	// recs chunks hold 1<<shift records of rw bytes apiece, except a
+	// first chunk still below that size; ids chunks, nil while every id
+	// equals its entry index, hold the recorded id of the same entry
+	// index. room counts the entries the chunks have space for.
 	rw    int
 	shift uint
+	room  int
 	recs  [][]byte
 	ids   [][]int32
 }
 
-// newSeenTable returns an empty table whose records hold keyWidth key
-// bytes, after the 8-byte hash if hashed. A full-width compact table
-// stores no key (keyWidth 0), and neither does a system without atoms,
-// whose keys are 0 bytes wide.
-func newSeenTable(keyWidth int, hashed bool, dmask uint64) *seenTable {
-	rw := keyWidth
-	if hashed {
-		rw += 8
-	}
-	shift := uint(seenChunkShift)
-	for shift > 0 && rw<<shift > arenaChunk {
-		shift--
+// newSeenTable returns an empty table whose records are rw bytes wide:
+// the key, or the hash if hashed. A system without atoms has 0-byte
+// keys and so 0-byte exact records; a record wider than seenChunkBytes
+// gets a chunk of its own.
+func newSeenTable(rw int, hashed bool) *seenTable {
+	shift := uint(0)
+	for max(rw, 1)<<(shift+1) <= seenChunkBytes {
+		shift++
 	}
 	return &seenTable{
 		slots: make([]int32, seenInitSlots), tags: make([]uint16, seenInitSlots),
-		dmask: dmask, hashed: hashed, rw: rw, shift: shift,
+		hashed: hashed, rw: rw, shift: shift,
 	}
 }
 
@@ -185,10 +162,9 @@ func (s *seenTable) rec(e int32) []byte {
 
 // Find implements SeenSet.
 func (s *seenTable) Find(h uint64, key []byte) (int32, bool) {
-	d := h & s.dmask
-	tag := uint16(d >> seenTagShift)
+	tag := uint16(h >> seenTagShift)
 	mask := uint64(len(s.slots) - 1)
-	for i := d & mask; ; i = (i + 1) & mask {
+	for i := h & mask; ; i = (i + 1) & mask {
 		slot := s.slots[i]
 		if slot == 0 {
 			return 0, false
@@ -197,27 +173,17 @@ func (s *seenTable) Find(h uint64, key []byte) (int32, bool) {
 			continue
 		}
 		e := slot - 1
-		r := s.rec(e)
-		if s.hashed {
-			if (binary.LittleEndian.Uint64(r)^h)&s.dmask != 0 {
+		if r := s.rec(e); s.hashed {
+			if binary.LittleEndian.Uint64(r) != h {
 				continue
 			}
-			r = r[8:]
+		} else if !bytes.Equal(r, key) {
+			continue
 		}
-		// r is the stored key, which a full-width compact record omits:
-		// there the discriminator match alone decides.
-		if bytes.Equal(r, key[:len(r)]) {
-			if s.ids == nil {
-				return e, true
-			}
-			return s.ids[e>>s.shift][e&(1<<s.shift-1)], true
+		if s.ids == nil {
+			return e, true
 		}
-		if s.hashed {
-			// Discriminator collision between distinct states: the
-			// exact tier overrules the match and the probe continues —
-			// the true entry, if any, sits later in the chain.
-			s.promotions++
-		}
+		return s.ids[e>>s.shift][e&(1<<s.shift-1)], true
 	}
 }
 
@@ -226,19 +192,15 @@ func (s *seenTable) Add(h uint64, key []byte, id int32) {
 	if (s.n+1)*4 >= len(s.slots)*3 {
 		s.grow()
 	}
+	if s.n == s.room {
+		s.reserve()
+	}
 	e := int32(s.n)
-	if e&(1<<s.shift-1) == 0 {
-		s.recs = append(s.recs, make([]byte, s.rw<<s.shift))
-		if s.ids != nil {
-			s.ids = append(s.ids, make([]int32, 1<<s.shift))
-		}
-	}
-	r := s.rec(e)
-	if s.hashed {
+	if r := s.rec(e); s.hashed {
 		binary.LittleEndian.PutUint64(r, h)
-		r = r[8:]
+	} else {
+		copy(r, key)
 	}
-	copy(r, key)
 	if s.ids == nil && id != e {
 		s.explicitIDs()
 	}
@@ -249,12 +211,41 @@ func (s *seenTable) Add(h uint64, key []byte, id int32) {
 	s.n++
 }
 
+// reserve makes room for one more entry: it doubles a first chunk
+// below full size, copying what it holds, or appends a full chunk.
+func (s *seenTable) reserve() {
+	full := 1 << s.shift
+	if s.room >= full {
+		s.recs = append(s.recs, make([]byte, s.rw*full))
+		if s.ids != nil {
+			s.ids = append(s.ids, make([]int32, full))
+		}
+		s.room += full
+		return
+	}
+	s.room = min(max(2*s.room, seenFirstEntries), full)
+	if len(s.recs) == 0 {
+		s.recs = [][]byte{nil}
+	}
+	s.recs[0] = resized(s.recs[0], s.rw*s.room)
+	if s.ids != nil {
+		s.ids[0] = resized(s.ids[0], s.room)
+	}
+}
+
+// resized returns a copy of c with length n, zero past len(c).
+func resized[T any](c []T, n int) []T {
+	r := make([]T, n)
+	copy(r, c)
+	return r
+}
+
 // explicitIDs gives every record chunk its id chunk, recording the ids
 // the entries so far had implicitly: their indexes.
 func (s *seenTable) explicitIDs() {
 	s.ids = make([][]int32, len(s.recs))
 	for c := range s.ids {
-		s.ids[c] = make([]int32, 1<<s.shift)
+		s.ids[c] = make([]int32, min(s.room-c<<s.shift, 1<<s.shift))
 		for i := range s.ids[c] {
 			s.ids[c][i] = int32(c<<s.shift + i)
 		}
@@ -263,18 +254,17 @@ func (s *seenTable) explicitIDs() {
 
 // insert probes the table for the first empty slot of entry e.
 func (s *seenTable) insert(h uint64, e int32) {
-	d := h & s.dmask
 	mask := uint64(len(s.slots) - 1)
-	i := d & mask
+	i := h & mask
 	for s.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
 	s.slots[i] = e + 1
-	s.tags[i] = uint16(d >> seenTagShift)
+	s.tags[i] = uint16(h >> seenTagShift)
 }
 
 // grow doubles the table and re-inserts every entry from its stored
-// hash, or by re-hashing its stored key when the record has no hash.
+// hash, or by re-hashing its stored key.
 func (s *seenTable) grow() {
 	s.slots = make([]int32, 2*len(s.slots))
 	s.tags = make([]uint16, len(s.slots))
@@ -289,12 +279,17 @@ func (s *seenTable) grow() {
 
 // Bytes implements SeenSet.
 func (s *seenTable) Bytes() int64 {
-	return int64(len(s.slots))*6 + int64(len(s.recs))*int64(s.rw<<s.shift) +
-		int64(len(s.ids))*4<<s.shift
+	b := int64(len(s.slots))*6 + int64(s.room*s.rw)
+	if s.ids != nil {
+		b += int64(s.room) * 4
+	}
+	return b
 }
 
 // Promotions implements SeenSet.
-func (s *seenTable) Promotions() int64 { return s.promotions }
+//
+// Deprecated: always 0.
+func (s *seenTable) Promotions() int64 { return 0 }
 
 // hashKey is FNV-1a folded over 8-byte words (with a byte-wise tail),
 // finished with a murmur3-style avalanche — deterministic across runs,

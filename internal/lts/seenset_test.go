@@ -17,11 +17,8 @@ import (
 // set, edge multiset, deadlock set, truncation flag, checker verdicts
 // and the validity of every reported counterexample — only how much
 // memory the visited-state record costs. The same differential runs
-// three ways: compact at full discriminator width (the production
-// configuration), compact with an 8-bit discriminator (collision
-// injection: the exact-promotion tier must absorb constant
-// discriminator collisions), and the spilled frontier under a starved
-// MemBudget.
+// two ways: with the compact set, and on the spilled frontier under a
+// starved MemBudget.
 
 // exploreStats materializes the LTS like explore but also returns the
 // run's Stats, which carry the seen-set and spill accounting.
@@ -53,9 +50,6 @@ func TestCompactSeenCanonicalDifferential(t *testing.T) {
 				if stats.SeenBytes <= 0 {
 					t.Fatalf("%s: SeenBytes = %d, accounting is dead", name, stats.SeenBytes)
 				}
-				if stats.ExactPromotions != 0 {
-					t.Fatalf("%s: %d promotions at full discriminator width", name, stats.ExactPromotions)
-				}
 				if ref.Truncated() && ord == Unordered && w > 1 {
 					// The admitted SET of a truncated unordered run is
 					// schedule-dependent by contract; count and flag are not.
@@ -71,34 +65,32 @@ func TestCompactSeenCanonicalDifferential(t *testing.T) {
 	}
 }
 
-// TestSeenTableDifferential runs every record layout of the seen-set
-// table against a Go map: exact, compact, and compact with the
-// verifying tier at RemainderBits 8 and 44. With real hashes it covers
-// key widths 0, 2 and 13 across several table growths, a record-chunk
-// boundary and the switch from implicit to explicit ids, after which
-// ids equal to their entry index alternate with ids that are not. With
-// injected hashes — one hash for every key, hashes that differ only in
-// the tag bits 40–55, hashes that differ only above an 8-bit
-// discriminator — it stays below the first growth, which re-hashes an
-// exact table's keys and would discard the injection. The reference
-// keys a full-width compact table by hash (distinct keys under one hash
-// merge: the hash-compaction trade) and every other layout by key.
-// Promotions must be 0 outside the verifying layouts and, inside them,
-// nonzero exactly when a probe for an absent key met a stored key of
-// the same discriminator. Bytes must count 6 bytes per slot, every
-// record chunk and every id chunk, which exist only once the ids are
-// explicit.
+// TestSeenTableDifferential runs both record layouts of the seen-set
+// table, exact and compact, against a Go map. With real hashes it
+// covers key widths 0, 5 and 13 across several table growths, the
+// first chunk's doublings, a record-chunk boundary and the switch from
+// implicit to explicit ids past it, after which ids equal to their
+// entry index alternate with ids that are not. With injected hashes —
+// one hash for every key, hashes that differ only in the tag bits
+// 40–55, hashes that differ only in bits 16–24, which share a probe
+// start and a tag, so the record alone tells them apart — it stays
+// below the first growth, which re-hashes an exact table's
+// keys and would discard the injection, and switches to explicit ids
+// inside the first chunk, whose later doublings must carry them. The
+// reference keys a compact table by hash (distinct keys under one hash
+// merge: the hash-compaction trade) and an exact one by key. Every
+// slot's tag must be bits 40–55 of its entry's hash and a compact
+// record the hash itself; Bytes must count 6 bytes per slot and every
+// record and id chunk, and the chunks must follow the chunk rule
+// (seenChunks).
 func TestSeenTableDifferential(t *testing.T) {
 	const base = uint64(0x5a5a_0000_0000_1234)
-	const switchAt = 4096 + 10 // past the first record chunk
 	layouts := []struct {
 		name string
 		seen SeenSets
 	}{
 		{"exact", ExactSeen{}},
 		{"compact", CompactSeen{}},
-		{"compact-8", CompactSeen{RemainderBits: 8}},
-		{"compact-44", CompactSeen{RemainderBits: 44}},
 	}
 	hashes := []struct {
 		name     string
@@ -108,38 +100,35 @@ func TestSeenTableDifferential(t *testing.T) {
 		{"hashKey", func(key []byte, _ int) uint64 { return hashKey(key) }, false},
 		{"same-hash", func([]byte, int) uint64 { return base }, true},
 		{"tag-bits-only", func(_ []byte, i int) uint64 { return base ^ uint64(i+1)<<seenTagShift }, true},
-		{"above-8-bits", func(_ []byte, i int) uint64 { return base ^ uint64(i+1)<<8 }, true},
+		{"untagged-middle-bits", func(_ []byte, i int) uint64 { return base ^ uint64(i+1)<<16 }, true},
 	}
 	for _, l := range layouts {
 		for _, hc := range hashes {
-			widths, ops := []int{0, 2, 13}, 7000
+			widths, ops := []int{0, 5, 13}, 9000
 			if hc.injected {
 				widths, ops = []int{8}, 500
 			}
 			for _, w := range widths {
 				name := fmt.Sprintf("%s/%s/width=%d", l.name, hc.name, w)
 				s := l.seen.NewSeenSet(w).(*seenTable)
-				pure := s.hashed && s.dmask == ^uint64(0)
-				verifying := s.hashed && !pure
+				switchAt := 1<<s.shift + 10 // past the first record chunk
+				if hc.injected {
+					switchAt = 100 // inside the first chunk, before its last doublings
+				}
 				refKey := func(h uint64, key []byte) string {
-					if pure {
+					if s.hashed {
 						return string(binary.LittleEndian.AppendUint64(nil, h))
 					}
 					return string(key)
 				}
 				ref := make(map[string]int32)
-				discs := make(map[uint64]int) // stored entries per discriminator
 				var added [][]byte
 				var addedH []uint64
-				wantPromo := false
 				find := func(h uint64, key []byte) bool {
 					id, ok := s.Find(h, key)
 					want, present := ref[refKey(h, key)]
 					if ok != present || ok && id != want {
 						t.Fatalf("%s: Find = %d, %v, want %d, %v", name, id, ok, want, present)
-					}
-					if !ok && discs[h&s.dmask] > 0 {
-						wantPromo = true
 					}
 					return ok
 				}
@@ -172,12 +161,21 @@ func TestSeenTableDifferential(t *testing.T) {
 					if n == switchAt && s.Bytes() <= before {
 						t.Fatalf("%s: Bytes = %d after the ids became explicit, %d before", name, s.Bytes(), before)
 					}
+					seenChunks(t, name, s)
 					ref[refKey(h, key)] = id
-					discs[h&s.dmask]++
 					added, addedH = append(added, key), append(addedH, h)
 				}
 				for i, key := range added {
 					find(addedH[i], key)
+				}
+				for i, slot := range s.slots {
+					if slot == 0 {
+						continue
+					}
+					h := addedH[slot-1]
+					if s.tags[i] != uint16(h>>seenTagShift) || s.hashed && binary.LittleEndian.Uint64(s.rec(slot-1)) != h {
+						t.Fatalf("%s: slot %d: tag %#x, record %x for hash %#x", name, i, s.tags[i], s.rec(slot-1), h)
+					}
 				}
 				absent := binary.LittleEndian.AppendUint64(make([]byte, max(w-8, 0)), ^uint64(0))[:w]
 				for _, i := range []int{0, ops - 1} {
@@ -186,17 +184,98 @@ func TestSeenTableDifferential(t *testing.T) {
 				switch {
 				case hc.injected && len(s.slots) != seenInitSlots:
 					t.Fatalf("%s: the table grew, so the injected hashes were replaced", name)
-				case !hc.injected && w > 0 && (len(s.slots) < 8*seenInitSlots || s.ids == nil):
-					t.Fatalf("%s: %d slots, explicit ids %v: the run missed the growths or the id switch", name, len(s.slots), s.ids != nil)
-				case (s.Promotions() > 0) != (verifying && wantPromo):
-					t.Fatalf("%s: %d promotions, want nonzero = %v", name, s.Promotions(), verifying && wantPromo)
-				}
-				want := int64(len(s.slots))*6 + int64(len(s.recs))*int64(s.rw<<s.shift) + int64(len(s.ids))*4<<s.shift
-				if len(s.tags) != len(s.slots) || s.Bytes() != want {
-					t.Fatalf("%s: %d tags for %d slots, Bytes = %d, want %d", name, len(s.tags), len(s.slots), s.Bytes(), want)
+				case !hc.injected && w > 0 && (len(s.slots) < 8*seenInitSlots || len(s.recs) < 2 || s.ids == nil):
+					t.Fatalf("%s: %d slots, %d record chunks, explicit ids %v: the run missed the growths, the chunk boundary or the id switch",
+						name, len(s.slots), len(s.recs), s.ids != nil)
 				}
 			}
 		}
+	}
+}
+
+// seenChunks checks a table's chunks against the chunk rule and its
+// Bytes against what it allocated. A record chunk holds at most
+// seenChunkBytes, or one record wider than that; every chunk but the first is full (1<<shift entries)
+// and the first is full once a second exists, while a lone first chunk
+// has room for at most twice the entries stored (or seenFirstEntries);
+// an id chunk holds as many entries as its record chunk. Bytes is 6 per
+// slot plus every chunk's size.
+func seenChunks(t *testing.T, name string, s *seenTable) {
+	t.Helper()
+	full := 1 << s.shift
+	bytes := int64(len(s.slots))*4 + int64(len(s.tags))*2
+	room := 0
+	for c, r := range s.recs {
+		entries := full
+		if c == 0 && len(s.recs) == 1 {
+			entries = s.room
+		}
+		if len(r) != entries*s.rw || len(r) > max(seenChunkBytes, s.rw) || 2*full*max(s.rw, 1) <= seenChunkBytes {
+			t.Fatalf("%s: record chunk %d of %d holds %d bytes, want %d entries of %d within %d (first chunk %d entries)",
+				name, c, len(s.recs), len(r), entries, s.rw, seenChunkBytes, full)
+		}
+		if s.ids != nil && len(s.ids[c]) != entries {
+			t.Fatalf("%s: id chunk %d holds %d ids, want %d", name, c, len(s.ids[c]), entries)
+		}
+		room += entries
+		bytes += int64(len(r))
+	}
+	if room != s.room || s.n > room || len(s.recs) == 1 && room > max(2*s.n, seenFirstEntries) {
+		t.Fatalf("%s: %d entries in chunks with room for %d (recorded %d)", name, s.n, room, s.room)
+	}
+	if s.ids != nil && len(s.ids) != len(s.recs) {
+		t.Fatalf("%s: %d id chunks for %d record chunks", name, len(s.ids), len(s.recs))
+	}
+	for _, ids := range s.ids {
+		bytes += int64(len(ids)) * 4
+	}
+	if len(s.tags) != len(s.slots) || s.Bytes() != bytes {
+		t.Fatalf("%s: %d tags for %d slots, Bytes = %d, want %d", name, len(s.tags), len(s.slots), s.Bytes(), bytes)
+	}
+}
+
+// TestSmallSeenSetBytes pins the footprint of a stripe that holds a few
+// dozen states, as each of a small parallel run's stripes does: the
+// compact set must cost no more than the exact one, and neither may
+// allocate a whole record chunk for them.
+func TestSmallSeenSetBytes(t *testing.T) {
+	const width, n = 65, 40
+	var got [2]int64
+	for i, seen := range []SeenSets{ExactSeen{}, CompactSeen{}} {
+		s := seen.NewSeenSet(width).(*seenTable)
+		for k := 0; k < n; k++ {
+			key := binary.LittleEndian.AppendUint64(make([]byte, width-8), uint64(k))
+			s.Add(hashKey(key), key, int32(3*k)) // explicit ids, as a stripe of a parallel run
+		}
+		seenChunks(t, fmt.Sprintf("%T", seen), s)
+		got[i] = s.Bytes()
+		if limit := int64(seenInitSlots*6 + 2*n*(s.rw+4)); got[i] > limit {
+			t.Fatalf("%T: %d states cost %d bytes, more than %d", seen, n, got[i], limit)
+		}
+	}
+	if got[1] > got[0] {
+		t.Fatalf("%d states: compact %d bytes, exact %d", n, got[1], got[0])
+	}
+}
+
+// TestSeenTableWideKeys stores keys wider than a whole record chunk,
+// as a system of a few thousand atoms has: each gets a chunk of its
+// own, and every one is found under its id.
+func TestSeenTableWideKeys(t *testing.T) {
+	const width, n = seenChunkBytes + 3, 5
+	s := ExactSeen{}.NewSeenSet(width).(*seenTable)
+	key := func(i int) []byte { return binary.LittleEndian.AppendUint64(make([]byte, width-8), uint64(i)) }
+	for i := 0; i < n; i++ {
+		s.Add(hashKey(key(i)), key(i), int32(2*i))
+		seenChunks(t, "wide", s)
+	}
+	for i := 0; i < n; i++ {
+		if id, ok := s.Find(hashKey(key(i)), key(i)); !ok || id != int32(2*i) {
+			t.Fatalf("key %d: Find = %d, %v, want %d, true", i, id, ok, 2*i)
+		}
+	}
+	if len(s.recs) != n {
+		t.Fatalf("%d keys of %d bytes in %d record chunks, want one each", n, width, len(s.recs))
 	}
 }
 
@@ -238,14 +317,7 @@ func TestExactSeenTags(t *testing.T) {
 				t.Fatalf("%s: an absent key was found as id %d", c.name, id)
 			}
 		}
-		want := int64(len(s.slots))*4 + int64(len(s.slots))*2 +
-			int64(len(s.recs))*int64(width<<s.shift) + int64(len(s.ids))*4<<s.shift
-		if len(s.tags) != len(s.slots) || s.Bytes() != want {
-			t.Fatalf("%s: %d tags for %d slots, Bytes = %d, want %d", c.name, len(s.tags), len(s.slots), s.Bytes(), want)
-		}
-		if s.Promotions() != 0 {
-			t.Fatalf("%s: the exact layout counted %d promotions", c.name, s.Promotions())
-		}
+		seenChunks(t, c.name, s)
 	}
 }
 
@@ -322,53 +394,6 @@ func TestCompactSeenVerdictsAndPaths(t *testing.T) {
 	}
 }
 
-// TestCompactSeenCollisionInjection narrows the discriminator to 8 bits
-// — with hundreds to thousands of states per model, discriminator
-// collisions between distinct states are then guaranteed en masse — and
-// requires (a) bit-identical exploration anyway, because the verifying
-// exact-promotion tier overrules every ambiguous match, and (b) on the
-// one-worker deterministic route, whose admission order is fixed,
-// exactly the promotion counts below. They hold only while the probe
-// start and the slot tag come from the discriminator, not the full
-// hash: a tag of the full hash would skip colliding entries before the
-// key compare that counts them.
-func TestCompactSeenCollisionInjection(t *testing.T) {
-	wantPromotions := map[string]int64{
-		"philosophers-ctl":       0,
-		"philosophers-2p":        2,
-		"temperature-priorities": 0,
-		"temperature-raw":        194845,
-		"gcd":                    0,
-		"gasstation":             3,
-		"deep-chain":             4035,
-		"counter-grid":           488,
-	}
-	for _, c := range zooCases(t) {
-		ref := explore(t, c.sys, c.opts)
-		for _, w := range []int{1, 4} {
-			for _, ord := range []Order{Deterministic, Unordered} {
-				name := fmt.Sprintf("%s/workers=%d/order=%v", c.name, w, ord)
-				opts := c.opts
-				opts.Workers = w
-				opts.Order = ord
-				opts.Seen = CompactSeen{RemainderBits: 8}
-				got, stats := exploreStats(t, c.sys, opts)
-				if want, ok := wantPromotions[c.name]; w == 1 && ord == Deterministic && (!ok || stats.ExactPromotions != want) {
-					t.Fatalf("%s: %d promotions, want %d (pinned: %v)", name, stats.ExactPromotions, want, ok)
-				}
-				if ref.Truncated() && ord == Unordered && w > 1 {
-					if got.NumStates() != ref.NumStates() || !got.Truncated() {
-						t.Fatalf("%s: truncated run admitted %d states, want %d",
-							name, got.NumStates(), ref.NumStates())
-					}
-					continue
-				}
-				requireSameCanonical(t, name, ref, got)
-			}
-		}
-	}
-}
-
 // TestSeenSetsZeroWidthKeys: a system without atoms is valid and has
 // one state, whose binary key is 0 bytes wide. Every seen-set
 // implementation must store it (sizing key arenas by that width used to
@@ -378,7 +403,7 @@ func TestSeenSetsZeroWidthKeys(t *testing.T) {
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, seen := range []SeenSets{ExactSeen{}, CompactSeen{}, CompactSeen{RemainderBits: 8}} {
+	for _, seen := range []SeenSets{ExactSeen{}, CompactSeen{}} {
 		for _, ord := range []Order{Deterministic, Unordered} {
 			l := explore(t, sys, Options{Seen: seen, Order: ord, Workers: 2})
 			if l.NumStates() != 1 {

@@ -260,10 +260,6 @@ type Stats struct {
 	// over stripes (see SeenSet.Bytes) — the number the E20 experiment
 	// compares between ExactSeen and CompactSeen.
 	SeenBytes int64 `json:"seen_bytes"`
-	// ExactPromotions counts membership answers where CompactSeen's
-	// exact-promotion tier overruled a colliding discriminator; 0 for
-	// exact dedup and for compact dedup at full discriminator width.
-	ExactPromotions int64 `json:"exact_promotions"`
 	// SpilledChunks counts frontier chunks the work-stealing frontier
 	// serialized to the spill file under Options.MemBudget (each chunk
 	// is written once and read back once).
@@ -649,7 +645,6 @@ func (d *driver) snapshot() Stats {
 		sh := &d.shards[i]
 		lock(sh.mu)
 		s.SeenBytes += sh.seen.Bytes()
-		s.ExactPromotions += sh.seen.Promotions()
 		unlock(sh.mu)
 	}
 	return s

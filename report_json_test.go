@@ -35,7 +35,6 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		ProvisoFallbacks:    3,
 		SeenBytes:           1 << 20,
 		PeakFrontierBytes:   1 << 16,
-		ExactPromotions:     7,
 		SpilledChunks:       2,
 		ReductionDegradedBy: "invariant",
 		OK:                  false,
@@ -56,7 +55,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		`"conclusive"`, `"states"`, `"transitions"`, `"truncated"`,
 		`"reduced"`, `"ample_states"`, `"pruned_moves"`,
 		`"proviso_fallbacks"`, `"seen_bytes"`, `"peak_frontier_bytes"`,
-		`"exact_promotions"`, `"spilled_chunks"`,
+		`"spilled_chunks"`,
 		`"reduction_degraded_by"`, `"ok"`,
 	} {
 		if !strings.Contains(string(data), key) {
@@ -107,7 +106,6 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		PeakFrontier:        128,
 		PeakFrontierBytes:   4096,
 		SeenBytes:           1 << 18,
-		ExactPromotions:     5,
 		SpilledChunks:       1,
 		Truncated:           true,
 		Stopped:             true,

@@ -125,7 +125,6 @@ func Verify(sys *System, opts ...Option) (*Report, error) {
 		ProvisoFallbacks:    stats.ProvisoFallbacks,
 		SeenBytes:           stats.SeenBytes,
 		PeakFrontierBytes:   stats.PeakFrontierBytes,
-		ExactPromotions:     stats.ExactPromotions,
 		SpilledChunks:       stats.SpilledChunks,
 		ReductionDegradedBy: degradedBy,
 		OK:                  true,
@@ -249,7 +248,7 @@ func MaxStates(n int) Option { return func(c *verifyConfig) { c.lts.MaxStates = 
 // hash-compacted seen set: an 8-byte hash per visited state instead of
 // the full binary key. With the table that is 18.5 B/state against
 // 101.3 sequentially on CounterGrid(7,5), whose keys are 91 bytes
-// (5.5x), and 30.2 against 110.3 under four workers (Report.SeenBytes
+// (5.5x), and 30.2 against 110.0 under four workers (Report.SeenBytes
 // shows the actual footprint). The trade is the classic
 // hash-compaction one (Wolper–Leroy / Stern–Dill): two distinct states
 // are identified only if their full 64-bit hashes collide, an event of
@@ -510,13 +509,9 @@ type Report struct {
 	// accounting model; MemBudget bounds it.
 	SeenBytes         int64 `json:"seen_bytes"`
 	PeakFrontierBytes int64 `json:"peak_frontier_bytes"`
-	// ExactPromotions counts membership answers resolved by the compact
-	// seen set's verifying tier overruling a colliding discriminator
-	// (zero for the exact default and for full-width compact hashing).
 	// SpilledChunks counts frontier chunks written to the spill file
 	// under MemBudget.
-	ExactPromotions int64 `json:"exact_promotions"`
-	SpilledChunks   int64 `json:"spilled_chunks"`
+	SpilledChunks int64 `json:"spilled_chunks"`
 	// ReductionDegradedBy names the first property whose full
 	// visibility forced a Reduce() run back to full expansion (empty
 	// when reduction ran, or was never requested) — the degradation is
